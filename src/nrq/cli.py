@@ -1,6 +1,13 @@
 """Command-line front end: seeded reproducible runs emitting CSV/JSON/SVG data.
 
-Subcommands: orbit, density, cycles, interfere, ops-check, dispersion.
+Each subcommand (orbit, density, cycles, interfere, ops-check, dispersion)
+is one entry of ``COMMANDS``: its options with their defaults, its required
+options, the formats it writes (default first) and its runner.  The parser,
+the config resolution and the report's option echo are derived from that
+table.  A runner returns one ``Result``, and ``_render`` writes it in the
+requested format; a ``RunConfig`` naming a format its command does not
+list is a configuration error, raised before any work.
+
 Option precedence is CLI flags > config file (--config, JSON object) >
 defaults; NRQ_SEED serves as the seed fallback.  Outputs are written
 atomically and hashed, and identical configs with identical seeds produce
@@ -15,7 +22,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +31,6 @@ from . import __version__
 from .measure import (
     EmpiricalDensity,
     InterferenceConfig,
-    InvalidRange,
     accumulate_density,
     cauchy_density,
     find_cycles,
@@ -31,12 +38,19 @@ from .measure import (
     peak_detect,
 )
 from .newton import IterationPolicy, iterate_orbit
-from .parsing import DegreeZeroError, PolynomialSyntaxError, parse_polynomial
-from .qops import NaturalUnits, klein_gordon_dispersion, ops_check
+from .parsing import parse_polynomial
+from .qops import (
+    Grid,
+    NaturalUnits,
+    check_hopping_range,
+    klein_gordon_dispersion,
+    ops_check,
+    wavevector_values,
+)
 
 CSV_MAGIC = "# nrq-csv v1"
 
-COMMANDS = ("orbit", "density", "cycles", "interfere", "ops-check", "dispersion")
+FORMATS = ("csv", "json", "svg")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,6 +70,11 @@ class RunConfig:
     output_path: str
     output_format: str
 
+    def __post_init__(self):
+        formats = COMMANDS[self.command].formats
+        if self.output_format not in formats:
+            raise ConfigError(f"{self.command} writes {' or '.join(formats)}, not {self.output_format!r}")
+
 
 @dataclass
 class RunReport:
@@ -67,17 +86,7 @@ class RunReport:
     outputs: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config": self.config,
-                "wall_time_s": self.wall_time_s,
-                "restart_count": self.restart_count,
-                "statuses": self.statuses,
-                "outputs": self.outputs,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +124,7 @@ class ParsedCsv:
         return np.array([[float(c) for c in row] for row in self.cells], dtype=float)
 
     def reemit(self) -> str:
-        lines = [CSV_MAGIC]
-        for key in sorted(self.meta):
-            lines.append(f"# {key}={self.meta[key]}")
-        lines.append(",".join(self.columns))
-        for row in self.cells:
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return emit_csv(self.columns, self.cells, self.meta)
 
 
 def parse_csv(text: str) -> ParsedCsv:
@@ -210,6 +213,32 @@ def _atomic_write(path: str, text: str):
 # command implementations
 
 
+@dataclass
+class Result:
+    """What one run computed, ready to render in any format its command lists."""
+
+    statuses: dict
+    payload: dict  # the json document
+    columns: tuple = ()
+    rows: Iterable = ()  # read once, by the csv emitter
+    meta: dict = field(default_factory=dict)
+    svg: Callable[[], str] | None = None
+    restarts: int = 0
+
+
+def _render(result: Result, output_format: str) -> str:
+    """The one place that picks the output format."""
+    if output_format == "csv":
+        return emit_csv(result.columns, result.rows, result.meta)
+    if output_format == "json":
+        return json.dumps(result.payload, sort_keys=True) + "\n"
+    return result.svg()
+
+
+def _with_meta(meta: dict, **arrays) -> dict:
+    return {"meta": {k: _fmt(v) for k, v in meta.items()}, **arrays}
+
+
 def _parse_range(text: str):
     lo_str, sep, hi_str = str(text).partition(":")
     if not sep:
@@ -218,23 +247,19 @@ def _parse_range(text: str):
         lo, hi = float(lo_str), float(hi_str)
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError(f"range must satisfy lo < hi, got {text!r}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"range must satisfy lo < hi with a finite width, got {text!r}")
     return lo, hi
 
 
 def _problem(options):
     try:
         return parse_polynomial(options["poly"])
-    except (PolynomialSyntaxError, DegreeZeroError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad polynomial: {exc}") from exc
 
 
-def _density_rows(density: EmpiricalDensity):
-    return list(zip(density.centers(), density.densities()))
-
-
-def _density_meta(density: EmpiricalDensity, extra: dict) -> dict:
+def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dict, svg, **payload):
     meta = {
         "lo": density.lo,
         "hi": density.hi,
@@ -244,13 +269,21 @@ def _density_meta(density: EmpiricalDensity, extra: dict) -> dict:
         "above": density.above_count,
         "total": density.total,
         "restarts": density.restarts,
+        **extra_meta,
     }
-    meta.update(extra)
-    return meta
+    centers, densities = density.centers(), density.densities()
+    return Result(
+        statuses,
+        _with_meta(meta, bin_centers=centers.tolist(), densities=densities.tolist(), **payload),
+        columns=("bin_center", "density"),
+        rows=zip(centers, densities),
+        meta=meta,
+        svg=svg,
+        restarts=density.restarts,
+    )
 
 
-def _run_orbit(cfg: RunConfig):
-    opt = cfg.options
+def _run_orbit(opt) -> Result:
     problem = _problem(opt)
     policy = IterationPolicy(max_steps=opt["steps"], convergence_tol=opt["tol"])
     orbit = iterate_orbit(problem, opt["x0"], policy)
@@ -261,45 +294,32 @@ def _run_orbit(cfg: RunConfig):
         "final": orbit.iterates[-1],
     }
     meta = {"poly": opt["poly"], "x0": opt["x0"], "status": orbit.status.value}
-    rows = list(enumerate(orbit.iterates))
-    if cfg.output_format == "json":
-        text = json.dumps(
-            {"meta": {k: _fmt(v) for k, v in meta.items()}, "iterates": list(orbit.iterates)},
-            sort_keys=True,
-        ) + "\n"
-    else:
-        text = emit_csv(("step", "x"), rows, meta)
-    return text, statuses, 0
+    return Result(
+        statuses,
+        _with_meta(meta, iterates=orbit.iterates),
+        columns=("step", "x"),
+        rows=enumerate(orbit.iterates),
+        meta=meta,
+    )
 
 
-def _run_density(cfg: RunConfig):
-    opt = cfg.options
+def _run_density(opt) -> Result:
     problem = _problem(opt)
     lo, hi = _parse_range(opt["range"])
     density = accumulate_density(
         problem, opt.get("x0"), opt["burnin"], opt["iters"], lo, hi, opt["bins"], seed=opt["seed"]
     )
     statuses = {"in_range": density.in_range, "below": density.below_count, "above": density.above_count}
-    meta = _density_meta(density, {"poly": opt["poly"], "seed": opt["seed"]})
-    if cfg.output_format == "svg":
-        overlay = cauchy_density if opt.get("overlay_cauchy") else None
-        text = emit_svgdata(density, overlay=overlay)
-    elif cfg.output_format == "json":
-        text = json.dumps(
-            {
-                "meta": {k: _fmt(v) for k, v in meta.items()},
-                "bin_centers": density.centers().tolist(),
-                "densities": density.densities().tolist(),
-            },
-            sort_keys=True,
-        ) + "\n"
-    else:
-        text = emit_csv(("bin_center", "density"), _density_rows(density), meta)
-    return text, statuses, density.restarts
+    overlay = cauchy_density if opt.get("overlay_cauchy") else None
+    return _histogram_result(
+        density,
+        {"poly": opt["poly"], "seed": opt["seed"]},
+        statuses,
+        lambda: emit_svgdata(density, overlay=overlay),
+    )
 
 
-def _run_cycles(cfg: RunConfig):
-    opt = cfg.options
+def _run_cycles(opt) -> Result:
     problem = _problem(opt)
     lo, hi = _parse_range(opt["range"])
     scan = find_cycles(problem, opt["period"], lo, hi, opt["grid"])
@@ -307,35 +327,26 @@ def _run_cycles(cfg: RunConfig):
         "cycles_found": len(scan.cycles),
         "pole_intervals": len(scan.pole_intervals),
     }
-    if cfg.output_format == "json":
-        text = json.dumps(
-            {
-                "period": opt["period"],
-                "cycles": [
-                    {"points": list(c.points), "residual": c.residual} for c in scan.cycles
-                ],
-                "pole_intervals": [list(iv) for iv in scan.pole_intervals],
-            },
-            sort_keys=True,
-        ) + "\n"
-    else:
-        rows = [
-            (ci, pi, p)
-            for ci, cycle in enumerate(scan.cycles)
-            for pi, p in enumerate(cycle.points)
-        ]
-        meta = {
-            "poly": opt["poly"],
-            "period": opt["period"],
-            "cycles": len(scan.cycles),
-            "pole_intervals": len(scan.pole_intervals),
-        }
-        text = emit_csv(("cycle", "point_index", "x"), rows, meta)
-    return text, statuses, 0
+    payload = {
+        "period": opt["period"],
+        "cycles": [{"points": list(c.points), "residual": c.residual} for c in scan.cycles],
+        "pole_intervals": [list(iv) for iv in scan.pole_intervals],
+    }
+    rows = (
+        (ci, pi, p)
+        for ci, cycle in enumerate(scan.cycles)
+        for pi, p in enumerate(cycle.points)
+    )
+    meta = {
+        "poly": opt["poly"],
+        "period": opt["period"],
+        "cycles": len(scan.cycles),
+        "pole_intervals": len(scan.pole_intervals),
+    }
+    return Result(statuses, payload, columns=("cycle", "point_index", "x"), rows=rows, meta=meta)
 
 
-def _run_interfere(cfg: RunConfig):
-    opt = cfg.options
+def _run_interfere(opt) -> Result:
     lo, hi = _parse_range(opt["range"])
     config = InterferenceConfig(
         delta=opt["delta"],
@@ -348,32 +359,17 @@ def _run_interfere(cfg: RunConfig):
     )
     density = interference_experiment(config, seed=opt["seed"])
     peaks = peak_detect(density, opt["min_prominence"])
-    statuses = {
-        "peaks": [[c, h, p] for c, h, p in peaks],
-        "in_range": density.in_range,
-    }
-    meta = _density_meta(density, {"delta": opt["delta"], "seed": opt["seed"]})
-    if cfg.output_format == "svg":
-        text = emit_svgdata(density, peaks=peaks)
-    elif cfg.output_format == "json":
-        text = json.dumps(
-            {
-                "meta": {k: _fmt(v) for k, v in meta.items()},
-                "bin_centers": density.centers().tolist(),
-                "densities": density.densities().tolist(),
-                "peaks": [[c, h, p] for c, h, p in peaks],
-            },
-            sort_keys=True,
-        ) + "\n"
-    else:
-        text = emit_csv(("bin_center", "density"), _density_rows(density), meta)
-    return text, statuses, density.restarts
+    peak_list = [[c, h, p] for c, h, p in peaks]
+    return _histogram_result(
+        density,
+        {"delta": opt["delta"], "seed": opt["seed"]},
+        {"peaks": peak_list, "in_range": density.in_range},
+        lambda: emit_svgdata(density, peaks=peaks),
+        peaks=peak_list,
+    )
 
 
-def _run_ops_check(cfg: RunConfig):
-    opt = cfg.options
-    if cfg.output_format != "json":
-        raise ConfigError("ops-check only supports --format json")
+def _run_ops_check(opt) -> Result:
     sizes = opt["n"] or [64]
     reports = [
         ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
@@ -382,134 +378,154 @@ def _run_ops_check(cfg: RunConfig):
     worst = max(
         v for r in reports for k, v in r.items() if k != "n"
     )
-    statuses = {"sizes": list(sizes), "worst_residual": worst}
-    text = json.dumps({"reports": reports}, sort_keys=True) + "\n"
-    return text, statuses, 0
+    return Result({"sizes": list(sizes), "worst_residual": worst}, {"reports": reports})
 
 
-def _run_dispersion(cfg: RunConfig):
-    opt = cfg.options
+def _run_dispersion(opt) -> Result:
     units = NaturalUnits(hbar=opt["hbar"], c=opt["c"])
     if opt["model"] == "kg":
         ks = np.linspace(opt["kmin"], opt["kmax"], opt["samples"])
         omegas = klein_gordon_dispersion(ks, opt["mass"], units)
         meta = {"model": "kg", "mass": opt["mass"], "c": opt["c"], "hbar": opt["hbar"]}
     else:
-        from .qops import Grid, wavevector_values
-
         grid = Grid(opt["n"], opt["spacing"])
-        ks = np.sort(wavevector_values(grid))
         hoppings = opt["t"] or [1.0]
+        check_hopping_range(grid, hoppings)
+        ks = np.sort(wavevector_values(grid))
         dx = grid.spacing
         omegas = opt["eps"] - sum(
             2.0 * t * np.cos(r * ks * dx) for r, t in enumerate(hoppings, start=1)
         )
         meta = {"model": "tb", "eps": opt["eps"], "n": opt["n"], "spacing": opt["spacing"]}
-    rows = list(zip(ks, omegas))
-    statuses = {"model": opt["model"], "samples": len(rows)}
-    if cfg.output_format == "json":
-        text = json.dumps(
-            {
-                "meta": {k: _fmt(v) for k, v in meta.items()},
-                "k": np.asarray(ks).tolist(),
-                "omega": np.asarray(omegas).tolist(),
-            },
-            sort_keys=True,
-        ) + "\n"
-    else:
-        text = emit_csv(("k", "omega"), rows, meta)
-    return text, statuses, 0
+    return Result(
+        {"model": opt["model"], "samples": len(ks)},
+        _with_meta(meta, k=np.asarray(ks).tolist(), omega=np.asarray(omegas).tolist()),
+        columns=("k", "omega"),
+        rows=zip(ks, omegas),
+        meta=meta,
+    )
 
 
-_RUNNERS = {
-    "orbit": _run_orbit,
-    "density": _run_density,
-    "cycles": _run_cycles,
-    "interfere": _run_interfere,
-    "ops-check": _run_ops_check,
-    "dispersion": _run_dispersion,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  Each option is (config key, default, argparse
+    keywords); its flag is the key with '-' for '_'."""
+
+    help: str
+    runner: Callable[[dict], Result]
+    options: tuple
+    formats: tuple = ("csv", "json")  # the default first
+    required: tuple = ()
+
+    def defaults(self) -> dict:
+        return {key: default for key, default, _ in self.options}
+
+
+_POLY = ("poly", None, {"help": "polynomial, e.g. 'x^2+1'"})
+_X0 = ("x0", None, {"type": float})
+_ITERS = ("iters", 201000, {"type": int})
+_BURNIN = ("burnin", 1000, {"type": int})
+_SEED = ("seed", None, {"type": int})
+_SPACING = ("spacing", 1.0, {"type": float})
+
+COMMANDS = {
+    "orbit": Command(
+        "record a Newton-map orbit",
+        _run_orbit,
+        (_POLY, _X0, ("steps", 100, {"type": int}), ("tol", 1e-12, {"type": float})),
+        required=("poly", "x0"),
+    ),
+    "density": Command(
+        "accumulate an orbit visit density",
+        _run_density,
+        (
+            _POLY,
+            _X0,
+            _ITERS,
+            _BURNIN,
+            ("bins", 200, {"type": int}),
+            ("range", "-10:10", {"help": "lo:hi (use --range=-10:10 for negative bounds)"}),
+            _SEED,
+            ("overlay_cauchy", False, {"action": "store_true"}),
+        ),
+        formats=("csv", "json", "svg"),
+        required=("poly",),
+    ),
+    "cycles": Command(
+        "locate periodic cycles of the map",
+        _run_cycles,
+        (_POLY, ("period", 1, {"type": int}), ("range", "-3:3", {}), ("grid", 1000, {"type": int})),
+        formats=("json", "csv"),
+        required=("poly",),
+    ),
+    "interfere": Command(
+        "two-well interference density",
+        _run_interfere,
+        (
+            ("delta", None, {"type": float}),
+            _ITERS,
+            _BURNIN,
+            ("bins", 280, {"type": int}),
+            ("range", "-2:5", {}),
+            _X0,
+            _SEED,
+            ("min_prominence", 0.05, {"type": float}),
+        ),
+        formats=("csv", "json", "svg"),
+        required=("delta",),
+    ),
+    "ops-check": Command(
+        "operator residual report",
+        _run_ops_check,
+        (("n", None, {"type": int, "action": "append"}), _SPACING, ("steps", 1000, {"type": int}), _SEED),
+        formats=("json",),
+    ),
+    "dispersion": Command(
+        "emit a dispersion relation omega(k)",
+        _run_dispersion,
+        (
+            ("model", "kg", {"choices": ("kg", "tb")}),
+            ("mass", 1.0, {"type": float}),
+            ("c", 1.0, {"type": float}),
+            ("hbar", 1.0, {"type": float}),
+            ("kmin", -10.0, {"type": float}),
+            ("kmax", 10.0, {"type": float}),
+            ("samples", 201, {"type": int}),
+            ("n", 64, {"type": int}),
+            _SPACING,
+            ("eps", 2.0, {"type": float}),
+            ("t", None, {"type": float, "action": "append"}),
+        ),
+    ),
 }
-
-_EXTENSIONS = {"csv": "csv", "json": "json", "svg": "svg"}
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute one command and write its output atomically."""
     started = time.perf_counter()
-    text, statuses, restarts = _RUNNERS[config.command](config)
-    output = _atomic_write(config.output_path, text)
-    echo = {k: None if v is None else _fmt(v) for k, v in sorted(config.options.items())}
+    command = COMMANDS[config.command]
+    result = command.runner(config.options)
+    output = _atomic_write(config.output_path, _render(result, config.output_format))
+    options = {key: config.options.get(key) for key in sorted(command.defaults())}
+    echo = {k: None if v is None else _fmt(v) for k, v in options.items()}
     return RunReport(
         command=config.command,
         config={"options": echo,
                 "output_path": config.output_path,
                 "output_format": config.output_format},
         wall_time_s=time.perf_counter() - started,
-        restart_count=restarts,
-        statuses=statuses,
+        restart_count=result.restarts,
+        statuses=result.statuses,
         outputs=[output],
     )
 
 
 # ---------------------------------------------------------------------------
 # argument handling
-
-_DEFAULTS = {
-    "orbit": {"poly": None, "x0": None, "steps": 100, "tol": 1e-12},
-    "density": {
-        "poly": None,
-        "x0": None,
-        "iters": 201000,
-        "burnin": 1000,
-        "bins": 200,
-        "range": "-10:10",
-        "seed": None,
-        "overlay_cauchy": False,
-    },
-    "cycles": {"poly": None, "period": 1, "range": "-3:3", "grid": 1000},
-    "interfere": {
-        "delta": None,
-        "iters": 201000,
-        "burnin": 1000,
-        "bins": 280,
-        "range": "-2:5",
-        "x0": None,
-        "seed": None,
-        "min_prominence": 0.05,
-    },
-    "ops-check": {"n": None, "spacing": 1.0, "steps": 1000, "seed": None},
-    "dispersion": {
-        "model": "kg",
-        "mass": 1.0,
-        "c": 1.0,
-        "hbar": 1.0,
-        "kmin": -10.0,
-        "kmax": 10.0,
-        "samples": 201,
-        "n": 64,
-        "spacing": 1.0,
-        "eps": 2.0,
-        "t": None,
-    },
-}
-
-_REQUIRED = {
-    "orbit": ("poly", "x0"),
-    "density": ("poly",),
-    "cycles": ("poly",),
-    "interfere": ("delta",),
-    "ops-check": (),
-    "dispersion": (),
-}
-
-_DEFAULT_FORMAT = {
-    "orbit": "csv",
-    "density": "csv",
-    "cycles": "json",
-    "interfere": "csv",
-    "ops-check": "json",
-    "dispersion": "csv",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -526,75 +542,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nrq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for args, kwargs in flags:
-            p.add_argument(*args, **kwargs)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for key, _default, kwargs in command.options:
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--format", dest="format", choices=("csv", "json", "svg"))
-        p.add_argument("--out", dest="out", help="output path (default nrq-<command>.<ext>)")
-        return p
-
-    add("orbit", "record a Newton-map orbit", [
-        (("--poly",), {"help": "polynomial, e.g. 'x^2+1'"}),
-        (("--x0",), {"type": float}),
-        (("--steps",), {"type": int}),
-        (("--tol",), {"type": float}),
-    ])
-    add("density", "accumulate an orbit visit density", [
-        (("--poly",), {}),
-        (("--x0",), {"type": float}),
-        (("--iters",), {"type": int}),
-        (("--burnin",), {"type": int}),
-        (("--bins",), {"type": int}),
-        (("--range",), {"help": "lo:hi (use --range=-10:10 for negative bounds)"}),
-        (("--seed",), {"type": int}),
-        (("--overlay-cauchy",), {"action": "store_true", "dest": "overlay_cauchy"}),
-    ])
-    add("cycles", "locate periodic cycles of the map", [
-        (("--poly",), {}),
-        (("--period",), {"type": int}),
-        (("--range",), {}),
-        (("--grid",), {"type": int}),
-    ])
-    add("interfere", "two-well interference density", [
-        (("--delta",), {"type": float}),
-        (("--iters",), {"type": int}),
-        (("--burnin",), {"type": int}),
-        (("--bins",), {"type": int}),
-        (("--range",), {}),
-        (("--x0",), {"type": float}),
-        (("--seed",), {"type": int}),
-        (("--min-prominence",), {"type": float, "dest": "min_prominence"}),
-    ])
-    add("ops-check", "operator residual report", [
-        (("--n",), {"type": int, "action": "append"}),
-        (("--spacing",), {"type": float}),
-        (("--steps",), {"type": int}),
-        (("--seed",), {"type": int}),
-    ])
-    add("dispersion", "emit a dispersion relation omega(k)", [
-        (("--model",), {"choices": ("kg", "tb")}),
-        (("--mass",), {"type": float}),
-        (("--c",), {"type": float}),
-        (("--hbar",), {"type": float}),
-        (("--kmin",), {"type": float}),
-        (("--kmax",), {"type": float}),
-        (("--samples",), {"type": int}),
-        (("--n",), {"type": int}),
-        (("--spacing",), {"type": float}),
-        (("--eps",), {"type": float}),
-        (("--t",), {"type": float, "action": "append"}),
-    ])
+        p.add_argument("--format", choices=FORMATS,
+                       help=f"{' or '.join(command.formats)} (default {command.formats[0]})")
+        p.add_argument("--out", help="output path (default nrq-<command>.<format>)")
     return parser
 
 
 def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     """Apply precedence: CLI flags > config file > defaults (+ NRQ_SEED)."""
     command = namespace.command
+    spec = COMMANDS[command]
     cli_options = {k: v for k, v in vars(namespace).items() if k != "command"}
-    options = dict(_DEFAULTS[command])
+    options = spec.defaults()
     config_path = cli_options.pop("config", None)
     if config_path:
         try:
@@ -611,8 +575,8 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
         options.update(file_options)
     options.update(cli_options)
 
-    output_format = options.pop("format", None) or _DEFAULT_FORMAT[command]
-    output_path = options.pop("out", None) or f"nrq-{command}.{_EXTENSIONS[output_format]}"
+    output_format = options.pop("format", None) or spec.formats[0]
+    output_path = options.pop("out", None) or f"nrq-{command}.{output_format}"
 
     if "seed" in options and options["seed"] is None:
         env_seed = os.environ.get("NRQ_SEED")
@@ -624,7 +588,7 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
         else:
             options["seed"] = 0
 
-    for key in _REQUIRED[command]:
+    for key in spec.required:
         if options.get(key) is None:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
     return RunConfig(command, options, output_path, output_format)
@@ -639,11 +603,8 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         config = resolve_config(namespace)
         report = run(config)
-    except (ConfigError, InvalidRange, DegreeZeroError, PolynomialSyntaxError, ValueError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, PolynomialSyntaxError):
-            payload["position"] = exc.position
-        print(json.dumps(payload), file=sys.stderr)
+    except ValueError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 3
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

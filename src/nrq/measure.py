@@ -93,6 +93,8 @@ class EmpiricalDensity:
         if not lo < hi:
             raise InvalidRange(f"bad range [{lo}, {hi}]")
         arr = np.asarray(samples, dtype=float)
+        if np.isnan(arr).any():
+            raise ValueError("samples contain NaN, which no bin or tail can hold")
         counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
         below = int((arr < lo).sum())
         above = int((arr > hi).sum())
@@ -125,6 +127,9 @@ def accumulate_density(
         raise ValueError("bins must be >= 2")
     if not (n > n0 >= 0):
         raise ValueError("need n > n0 >= 0")
+    # bin centers add adjacent edges, and densities divide by samples * bin width
+    if not (math.isfinite(2.0 * max(-lo, hi)) and math.isfinite((n - n0) * ((hi - lo) / bins))):
+        raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
     step = problem.step_fn(pole_epsilon)

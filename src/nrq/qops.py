@@ -41,10 +41,9 @@ class NaturalUnits:
 
     hbar: float = 1.0
     c: float = 1.0
-    mass_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.c > 0 and self.mass_scale > 0):
+        if not (self.hbar > 0 and self.c > 0):
             raise ValueError("all unit scales must be positive")
 
 
@@ -104,13 +103,11 @@ class StateVector:
 class LinearOp:
     """Dense complex square matrix with lazily verified structure metadata."""
 
-    def __init__(self, matrix, hermitian: bool | None = None, unitary: bool | None = None):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         self.matrix = m
-        self.declared_hermitian = hermitian
-        self.declared_unitary = unitary
         self._herm_res: float | None = None
         self._unit_res: float | None = None
         self._eig = None
@@ -173,7 +170,7 @@ def shift_operator(grid: Grid) -> LinearOp:
     n = grid.n_points
     m = np.zeros((n, n), dtype=complex)
     m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return LinearOp(m, unitary=True)
+    return LinearOp(m)
 
 
 def frequency_values(grid: Grid) -> np.ndarray:
@@ -202,7 +199,7 @@ def fourier_eigenstate(grid: Grid, n: int) -> StateVector:
 def _spectral_operator(grid: Grid, eigenvalues: np.ndarray) -> LinearOp:
     f = _dft_matrix(grid)
     m = f @ (eigenvalues[:, None] * f.conj().T)
-    return LinearOp(_symmetrize(m), hermitian=True)
+    return LinearOp(_symmetrize(m))
 
 
 def frequency_operator(grid: Grid) -> LinearOp:
@@ -216,7 +213,7 @@ def wavevector_operator(grid: Grid) -> LinearOp:
 
 
 def position_operator(grid: Grid) -> LinearOp:
-    return LinearOp(np.diag(grid.positions().astype(complex)), hermitian=True)
+    return LinearOp(np.diag(grid.positions().astype(complex)))
 
 
 def expectation(op: LinearOp, state: StateVector) -> complex:
@@ -227,7 +224,7 @@ def expectation(op: LinearOp, state: StateVector) -> complex:
 def projector(onto: StateVector) -> LinearOp:
     """Rank-1 projector |psi><psi|."""
     a = onto.amplitudes
-    return LinearOp(np.outer(a, a.conj()), hermitian=True)
+    return LinearOp(np.outer(a, a.conj()))
 
 
 def born_probability(state: StateVector, outcome: StateVector) -> float:
@@ -266,6 +263,14 @@ def gaussian_packet(grid: Grid, center: float, sigma: float, carrier: float = 0.
     return StateVector(amps)
 
 
+def check_hopping_range(grid: Grid, hoppings):
+    """Raise HoppingRangeTooLarge unless the range len(hoppings) is below
+    n/2; from n/2 on, forward and backward hops alias each other."""
+    n = grid.n_points
+    if len(hoppings) >= n / 2:
+        raise HoppingRangeTooLarge(f"hopping range {len(hoppings)} must be < n/2 = {n / 2}")
+
+
 def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     """Circulant-plus-diagonal operator with onsite terms and ranged hoppings.
 
@@ -275,8 +280,7 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     """
     n = grid.n_points
     hoppings = [complex(t) for t in hoppings]
-    if len(hoppings) >= n / 2:
-        raise HoppingRangeTooLarge(f"hopping range {len(hoppings)} must be < n/2 = {n / 2}")
+    check_hopping_range(grid, hoppings)
     if callable(onsite):
         eps = np.array([float(onsite(x)) for x in grid.positions()])
     else:
@@ -286,7 +290,7 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     for r, t in enumerate(hoppings, start=1):
         fwd = np.roll(eye, r, axis=0)  # maps site i -> i+r
         m -= t * fwd + np.conj(t) * fwd.T
-    return LinearOp(m, hermitian=True)
+    return LinearOp(m)
 
 
 def evolve(

@@ -12,6 +12,8 @@ from nrq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    ConfigError,
+    RunConfig,
     emit_csv,
     emit_svgdata,
     main,
@@ -238,8 +240,87 @@ def test_dispersion_tb(tmp_path, capsys):
     assert at_zero == pytest.approx(0.0, abs=1e-12)  # eps - 2 t
 
 
+def test_dispersion_tb_hopping_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "tb.csv"
+    code, _, err = run_cli(
+        ["dispersion", "--model", "tb", "--n", "8", "--t", "1", "--t", "0.5", "--t", "0.25",
+         "--t", "0.125", "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert json.loads(err.strip())["error"] == "HoppingRangeTooLarge"
+    assert not out.exists()
+
+
+# Outputs that use only IEEE + - * /, PCG64 draws and repr-style formatting,
+# so their bytes do not depend on BLAS or libm.
+PINNED_OUTPUTS = [
+    (["density", "--poly", "x^2+1", "--seed", "1"], "d5cf820c4dee"),
+    (["density", "--poly", "x^2+1", "--seed", "1", "--format", "json"], "4cb207a2ef3a"),
+    (["interfere", "--delta", "0.01", "--seed", "7"], "cba5e3771b57"),
+    (["interfere", "--delta", "0.01", "--seed", "7", "--format", "json"], "e209f2658e2b"),
+    (["interfere", "--delta", "1", "--seed", "7", "--min-prominence", "0.01"], "d4ef35ed6b23"),
+    (["orbit", "--poly", "x^2+1", "--x0", "0.57735026918962573", "--steps", "100"], "a8c3a827f3c8"),
+    (["orbit", "--poly", "x^2+1", "--x0", "0.57735026918962573", "--steps", "100",
+      "--format", "json"], "225630071298"),
+    (["cycles", "--poly", "x^2+1", "--period", "5"], "acc84b5de2b1"),
+    (["cycles", "--poly", "x^2+1", "--period", "5", "--format", "csv"], "20e9dc582be6"),
+]
+
+
+@pytest.mark.parametrize("args, prefix", PINNED_OUTPUTS, ids=[p for _, p in PINNED_OUTPUTS])
+def test_output_bytes_are_pinned(args, prefix, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == prefix
+
+
 # ---------------------------------------------------------------------------
 # error paths and precedence
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit", "--poly", "x^2+1", "--x0", "0.5", "--format", "svg"],
+        ["cycles", "--poly", "x^2+1", "--format", "svg"],
+        ["dispersion", "--format", "svg"],
+        ["ops-check", "--n", "8", "--format", "svg"],
+    ],
+    ids=lambda args: f"{args[0]}-{args[-1]}",
+)
+def test_unlisted_format_exits_2_and_writes_nothing(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_run_config_rejects_unlisted_format(tmp_path):
+    with pytest.raises(ConfigError):
+        RunConfig("ops-check", {"n": [8], "spacing": 1.0, "steps": 5, "seed": 0},
+                  str(tmp_path / "ops.csv"), "csv")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--poly", "x^2+1", "--range=0:1e308"],
+        ["density", "--poly", "x^2+1", "--range=0:1e308", "--bins", "4"],
+        ["density", "--poly", "x^2+1", "--range=-1e308:1e308"],
+        ["cycles", "--poly", "x^2+1", "--range=-1e308:1e308"],
+        ["orbit", "--poly", "1e400*x+1", "--x0", "1"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_numeric_input_exits_2(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["message"]
+    assert not out.exists()
 
 
 def test_bad_polynomial_exits_2_with_json(capsys):

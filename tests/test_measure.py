@@ -84,6 +84,18 @@ def test_density_empty_range_is_all_zero():
     assert (d.densities() == 0.0).all()
 
 
+def test_from_samples_rejects_nan():
+    # a NaN lands in no bin and in neither tail, so total would undercount
+    with pytest.raises(ValueError, match="NaN"):
+        EmpiricalDensity.from_samples([0.5, math.nan, 0.7], 0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("lo, hi, bins", [(0.0, 1e308, 200), (0.0, 1e308, 4), (-1e308, 1e308, 200)])
+def test_accumulate_rejects_window_whose_bin_arithmetic_overflows(lo, hi, bins):
+    with pytest.raises(InvalidRange):
+        accumulate_density(NO_REAL_ROOT, 0.7, 1000, 3000, lo, hi, bins, seed=1)
+
+
 counts_arrays = st.lists(st.integers(min_value=0, max_value=10**6), min_size=6, max_size=6)
 
 

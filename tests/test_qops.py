@@ -356,7 +356,7 @@ def test_evolve_rejects_non_hermitian():
 def test_hbar_scaling_is_exact():
     g = Grid(16)
     w = frequency_operator(g)
-    h = LinearOp(2.0 * w.matrix, hermitian=True)  # H = hbar*omega with hbar = 2
+    h = LinearOp(2.0 * w.matrix)  # H = hbar*omega with hbar = 2
     assert np.allclose(
         np.linalg.eigvalsh(h.matrix), 2.0 * np.linalg.eigvalsh(w.matrix), atol=1e-12
     )
