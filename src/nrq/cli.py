@@ -45,12 +45,17 @@ from .qops import (
     check_hopping_range,
     klein_gordon_dispersion,
     ops_check,
+    tight_binding_band,
     wavevector_values,
 )
 
 CSV_MAGIC = "# nrq-csv v1"
 
 FORMATS = ("csv", "json", "svg")
+
+# An orbit keeps every iterate and its output is rendered as one string,
+# about 270 B a step, so this bounds orbit's memory to roughly 30 MB.
+MAX_ORBIT_STEPS = 100_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -284,6 +289,8 @@ def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dic
 
 
 def _run_orbit(opt) -> Result:
+    if opt["steps"] > MAX_ORBIT_STEPS:
+        raise ConfigError(f"--steps is capped at {MAX_ORBIT_STEPS}, got {opt['steps']}")
     problem = _problem(opt)
     policy = IterationPolicy(max_steps=opt["steps"], convergence_tol=opt["tol"])
     orbit = iterate_orbit(problem, opt["x0"], policy)
@@ -370,6 +377,8 @@ def _run_interfere(opt) -> Result:
 
 
 def _run_ops_check(opt) -> Result:
+    if opt["steps"] < 1:
+        raise ConfigError(f"--steps must be >= 1, got {opt['steps']}")
     sizes = opt["n"] or [64]
     reports = [
         ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
@@ -392,10 +401,7 @@ def _run_dispersion(opt) -> Result:
         hoppings = opt["t"] or [1.0]
         check_hopping_range(grid, hoppings)
         ks = np.sort(wavevector_values(grid))
-        dx = grid.spacing
-        omegas = opt["eps"] - sum(
-            2.0 * t * np.cos(r * ks * dx) for r, t in enumerate(hoppings, start=1)
-        )
+        omegas = tight_binding_band(ks, grid.spacing, opt["eps"], hoppings)
         meta = {"model": "tb", "eps": opt["eps"], "n": opt["n"], "spacing": opt["spacing"]}
     return Result(
         {"model": opt["model"], "samples": len(ks)},

@@ -22,6 +22,12 @@ class DegreeZeroError(ValueError):
     pass
 
 
+# Exponents and the degree of every product are capped before expansion,
+# which keeps parsing a short expression fast (exact expansion of
+# (x+1)^k costs O(k^2) rational operations) and bounds its memory.
+MAX_DEGREE = 100
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<x>x)"
@@ -69,6 +75,11 @@ def _pmul(a, b):
     return out
 
 
+def _check_degree(degree: int, pos: int):
+    if degree > MAX_DEGREE:
+        raise PolynomialSyntaxError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
+
+
 def _ppow(a, k: int):
     out = [Fraction(1)]
     for _ in range(k):
@@ -113,8 +124,10 @@ class _Parser:
     def term(self):
         poly = self.unary()
         while self.peek()[0] == "*":
-            self.advance()
-            poly = _pmul(poly, self.unary())
+            pos = self.advance()[2]
+            rhs = self.unary()
+            _check_degree((len(poly) - 1) + (len(rhs) - 1), pos)
+            poly = _pmul(poly, rhs)
         return poly
 
     def unary(self):
@@ -133,7 +146,11 @@ class _Parser:
             if kind != "number" or not value.isdigit():
                 raise PolynomialSyntaxError("expected a non-negative integer exponent", pos)
             self.advance()
-            poly = _ppow(poly, int(value))
+            exponent = int(value)
+            if exponent > MAX_DEGREE:
+                raise PolynomialSyntaxError(f"exponent {exponent} exceeds the cap of {MAX_DEGREE}", pos)
+            _check_degree((len(poly) - 1) * exponent, pos)
+            poly = _ppow(poly, exponent)
         return poly
 
     def primary(self):

@@ -1,9 +1,14 @@
 """Operators on periodic grids: shift, frequency, wave-vector, tight binding.
 
-Everything is dense complex linear algebra on an N-point cyclic grid.  The
-frequency and wave-vector operators are built spectrally from the DFT
-eigenbasis of the shift operator, so their spectra are the analytic mode
-values by construction.
+Operators act on an N-point cyclic grid in one of two forms.  Shift,
+frequency, wave-vector and constant-onsite tight-binding operators are
+circulant, so the DFT diagonalizes them exactly: they are held as their
+eigenvalue vector in DFT-mode order (mode m is ``fourier_eigenstate(grid,
+m)``), applied as ``ifft(spectrum * fft(psi))`` in O(N log N), evolved by
+phasing that spectrum and diagonalized analytically.  Position, callable
+onsite terms, projectors and commutators are dense matrices.  Either form
+exposes ``.matrix``; a circulant builds it on first access by applying
+itself to the identity's columns.
 """
 
 import math
@@ -101,20 +106,58 @@ class StateVector:
 
 
 class LinearOp:
-    """Dense complex square matrix with lazily verified structure metadata."""
+    """Complex square operator with lazily verified structure metadata.
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        self.matrix = m
+    Built from a dense ``matrix``, or from the ``spectrum`` of a circulant:
+    its eigenvalues in DFT-mode order, applied through the FFT.  The
+    residuals are measured on ``.matrix``, which a circulant materializes
+    on first access by applying itself to every basis vector.
+    """
+
+    def __init__(self, matrix=None, *, spectrum=None):
+        if (matrix is None) == (spectrum is None):
+            raise ValueError("give exactly one of matrix and spectrum")
+        self.spectrum = None
+        self._matrix = None
+        if spectrum is not None:
+            s = np.asarray(spectrum, dtype=complex)
+            if s.ndim != 1 or s.size < 1:
+                raise ValueError("spectrum must be a non-empty 1-D vector")
+            self.spectrum = s
+        else:
+            m = np.asarray(matrix, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError("matrix must be square")
+            self._matrix = m
         self._herm_res: float | None = None
         self._unit_res: float | None = None
         self._eig = None
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.spectrum.size if self.spectrum is not None else self._matrix.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._apply(np.eye(self.n, dtype=complex))
+        return self._matrix
+
+    def _apply(self, a: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector, or to each column of a matrix."""
+        if self.spectrum is None:
+            return self._matrix @ a
+        s = self.spectrum if a.ndim == 1 else self.spectrum[:, None]
+        return np.fft.ifft(s * np.fft.fft(a, axis=0), axis=0)
+
+    def _real_spectrum(self) -> np.ndarray:
+        """A circulant is Hermitian exactly when its eigenvalues are real."""
+        worst = float(np.abs(self.spectrum.imag).max())
+        if worst > HERMITIAN_TOL:
+            raise NonHermitianInput(
+                f"spectrum imaginary part {worst:.3e} exceeds {HERMITIAN_TOL}"
+            )
+        return self.spectrum.real
 
     def hermiticity_residual(self) -> float:
         if self._herm_res is None:
@@ -136,16 +179,23 @@ class LinearOp:
     def apply(self, state: StateVector) -> np.ndarray:
         if state.dim != self.n:
             raise DimensionMismatch("operator and state dimensions differ")
-        return self.matrix @ state.amplitudes
+        return self._apply(state.amplitudes)
 
     def eigh(self):
-        """Cached eigendecomposition; requires Hermiticity."""
+        """Cached eigendecomposition (ascending eigenvalues, eigenvector
+        columns); requires Hermiticity.  A circulant's is analytic: its
+        sorted real spectrum with the matching DFT columns."""
         if self._eig is None:
-            if not self.is_hermitian():
+            if self.spectrum is not None:
+                w = self._real_spectrum()
+                order = np.argsort(w, kind="stable")
+                self._eig = (w[order], _dft_matrix(self.n)[:, order])
+            elif not self.is_hermitian():
                 raise NonHermitianInput(
                     f"hermiticity residual {self.hermiticity_residual():.3e} exceeds {HERMITIAN_TOL}"
                 )
-            self._eig = np.linalg.eigh(self.matrix)
+            else:
+                self._eig = np.linalg.eigh(self.matrix)
         return self._eig
 
 
@@ -154,23 +204,18 @@ def _check_same_dim(a: LinearOp, b: LinearOp):
         raise DimensionMismatch("operator dimensions differ")
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
-def _dft_matrix(grid: Grid) -> np.ndarray:
+def _dft_matrix(n: int) -> np.ndarray:
     """Columns are the shift-operator eigenstates (DFT modes)."""
-    n = grid.n_points
     idx = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+    roots = np.exp(2j * np.pi * idx / n) / math.sqrt(n)
+    return roots[np.outer(idx, idx) % n]
 
 
 def shift_operator(grid: Grid) -> LinearOp:
-    """Cyclic permutation mapping basis site i to i+1 (mod N)."""
+    """Cyclic permutation mapping basis site i to i+1 (mod N); mode m has
+    eigenvalue exp(-2*pi*i*m/N)."""
     n = grid.n_points
-    m = np.zeros((n, n), dtype=complex)
-    m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return LinearOp(m)
+    return LinearOp(spectrum=np.exp(-2j * np.pi * np.arange(n) / n))
 
 
 def frequency_values(grid: Grid) -> np.ndarray:
@@ -196,20 +241,14 @@ def fourier_eigenstate(grid: Grid, n: int) -> StateVector:
     return StateVector(amps, normalize=False)
 
 
-def _spectral_operator(grid: Grid, eigenvalues: np.ndarray) -> LinearOp:
-    f = _dft_matrix(grid)
-    m = f @ (eigenvalues[:, None] * f.conj().T)
-    return LinearOp(_symmetrize(m))
-
-
 def frequency_operator(grid: Grid) -> LinearOp:
     """Spectral realization of i*d/dt: DFT modes with eigenvalues 2*pi*n/T."""
-    return _spectral_operator(grid, frequency_values(grid))
+    return LinearOp(spectrum=frequency_values(grid))
 
 
 def wavevector_operator(grid: Grid) -> LinearOp:
     """Spectral realization of -i*d/dx with symmetric-branch eigenvalues."""
-    return _spectral_operator(grid, wavevector_values(grid))
+    return LinearOp(spectrum=wavevector_values(grid))
 
 
 def position_operator(grid: Grid) -> LinearOp:
@@ -271,37 +310,49 @@ def check_hopping_range(grid: Grid, hoppings):
         raise HoppingRangeTooLarge(f"hopping range {len(hoppings)} must be < n/2 = {n / 2}")
 
 
-def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
-    """Circulant-plus-diagonal operator with onsite terms and ranged hoppings.
+def tight_binding_band(k, dx: float, onsite: float, hoppings) -> np.ndarray:
+    """Band eps - sum_r 2*(Re t_r cos(r k dx) + Im t_r sin(r k dx)): the
+    eigenvalue of tight_binding_hamiltonian's plane wave of wave number k."""
+    k = np.asarray(k, dtype=float)
+    terms = (
+        2.0 * (t.real * np.cos(r * k * dx) + t.imag * np.sin(r * k * dx))
+        for r, t in enumerate((complex(t) for t in hoppings), start=1)
+    )
+    return onsite - sum(terms, np.zeros_like(k))
 
-    Column i carries -t_r at row i+r and -conj(t_r) at row i-r, which makes
-    the matrix Hermitian by construction; for constant onsite eps and a
-    single real t_1 the spectrum is eps - 2*t_1*cos(k*dx).
+
+def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
+    """Onsite terms plus ranged hoppings: column i carries -t_r at row i+r
+    and -conj(t_r) at row i-r, so the operator is Hermitian.
+
+    With constant onsite eps it is circulant, with spectrum
+    ``tight_binding_band`` on the DFT wave numbers (eps - 2*t_1*cos(k*dx)
+    for a single real t_1).  A callable onsite(x) adds a dense diagonal.
     """
-    n = grid.n_points
     hoppings = [complex(t) for t in hoppings]
     check_hopping_range(grid, hoppings)
-    if callable(onsite):
-        eps = np.array([float(onsite(x)) for x in grid.positions()])
-    else:
-        eps = np.full(n, float(onsite))
-    m = np.diag(eps.astype(complex))
-    eye = np.eye(n)
-    for r, t in enumerate(hoppings, start=1):
-        fwd = np.roll(eye, r, axis=0)  # maps site i -> i+r
-        m -= t * fwd + np.conj(t) * fwd.T
-    return LinearOp(m)
+    k = wavevector_values(grid)
+    if not callable(onsite):
+        return LinearOp(spectrum=tight_binding_band(k, grid.spacing, float(onsite), hoppings))
+    eps = np.array([float(onsite(x)) for x in grid.positions()])
+    hop = LinearOp(spectrum=tight_binding_band(k, grid.spacing, 0.0, hoppings))
+    return LinearOp(hop.matrix + np.diag(eps))
 
 
 def evolve(
     state: StateVector, hamiltonian: LinearOp, time: float, units: NaturalUnits = NaturalUnits()
 ) -> StateVector:
-    """Apply exp(-i*H*t/hbar) through the cached eigendecomposition of H."""
+    """Apply exp(-i*H*t/hbar): a circulant H phases its own spectrum and
+    applies it through the FFT; a dense H goes through its cached
+    eigendecomposition."""
     if state.dim != hamiltonian.n:
         raise DimensionMismatch("operator and state dimensions differ")
+    tau = time / units.hbar
+    if hamiltonian.spectrum is not None:
+        propagator = LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
+        return StateVector(propagator.apply(state), normalize=False)
     w, v = hamiltonian.eigh()
-    phases = np.exp(-1j * w * (time / units.hbar))
-    out = v @ (phases * (v.conj().T @ state.amplitudes))
+    out = v @ (np.exp(-1j * w * tau) * (v.conj().T @ state.amplitudes))
     return StateVector(out, normalize=False)
 
 
@@ -332,7 +383,7 @@ def klein_gordon_plane_wave_residual(
         raise IndexError(f"mode index {mode} outside 0..{grid.n_points - 1}")
     k = wavevector_values(grid)[mode]
     w = klein_gordon_dispersion(k, mass, units)
-    ksq = _spectral_operator(grid, wavevector_values(grid) ** 2)
+    ksq = LinearOp(spectrum=wavevector_values(grid) ** 2)
     psi = fourier_eigenstate(grid, mode)
     c, hbar = units.c, units.hbar
     resid = ksq.apply(psi) - (w * w / (c * c)) * psi.amplitudes + (mass * c / hbar) ** 2 * psi.amplitudes
@@ -418,13 +469,19 @@ def ops_check(
     seed: int = 0,
     evolve_steps: int = 1000,
 ) -> dict:
-    """Residual report for the operator stack on an n-point grid."""
+    """Residual report for the operator stack on an n-point grid.
+
+    Every residual measures the operators as the library applies them,
+    over all n basis vectors: the structure residuals are taken on the
+    materialized matrices, T^n is formed from the shift's spectrum and
+    materialized, and T is applied to every DFT column.
+    """
     grid = Grid(n, spacing)
     t = shift_operator(grid)
-    f = _dft_matrix(grid)
+    f = _dft_matrix(n)
     lam = np.exp(-1j * frequency_values(grid) * grid.spacing)
-    dft_residual = float(np.abs(t.matrix @ f - f * lam[None, :]).max())
-    power = np.linalg.matrix_power(t.matrix, n)
+    dft_residual = float(np.abs(t._apply(f) - f * lam[None, :]).max())
+    power = LinearOp(spectrum=t.spectrum**n).matrix
     freq = frequency_operator(grid)
     wave = wavevector_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only

@@ -3,6 +3,7 @@
 import json
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nrq.cli import (
     parse_csv,
 )
 from nrq.measure import EmpiricalDensity, cauchy_density
+from nrq.qops import Grid, tight_binding_hamiltonian
 
 
 def run_cli(args, capsys):
@@ -240,6 +242,19 @@ def test_dispersion_tb(tmp_path, capsys):
     assert at_zero == pytest.approx(0.0, abs=1e-12)  # eps - 2 t
 
 
+def test_dispersion_tb_band_matches_hamiltonian(tmp_path, capsys):
+    out = tmp_path / "tb.csv"
+    args = ["dispersion", "--model", "tb", "--n", "64", "--eps", "2", "--t", "1", "--t", "0.2"]
+    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_OK
+    values = parse_csv(out.read_text()).values()
+    k, omega = values[:, 0], values[:, 1]
+    # the cosine sum the band has always been written from, bit for bit
+    assert np.array_equal(omega, 2.0 - (2.0 * np.cos(k) + 2.0 * 0.2 * np.cos(2 * k)))
+    eigenvalues = tight_binding_hamiltonian(Grid(64), 2.0, [1.0, 0.2]).eigh()[0]
+    assert np.abs(np.sort(omega) - eigenvalues).max() <= 1e-12
+
+
 def test_dispersion_tb_hopping_range_exits_2(tmp_path, capsys):
     out = tmp_path / "tb.csv"
     code, _, err = run_cli(
@@ -295,6 +310,42 @@ def test_unlisted_format_exits_2_and_writes_nothing(args, tmp_path, capsys):
     code, _, err = run_cli(args + ["--out", str(out)], capsys)
     assert code == EXIT_CONFIG
     assert json.loads(err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_orbit_steps_cap_exits_2_before_iterating(tmp_path, capsys, monkeypatch):
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("orbit iterated")
+
+    monkeypatch.setattr("nrq.cli.iterate_orbit", no_iteration)
+    out = tmp_path / "orbit.csv"
+    code, stdout, err = run_cli(
+        ["orbit", "--poly", "x^2+1", "--x0", "0.3", "--steps", str(10**9), "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["-5", "0"])
+def test_ops_check_steps_below_one_exits_2(steps, tmp_path, capsys):
+    out = tmp_path / "ops.json"
+    code, _, err = run_cli(["ops-check", "--n", "8", "--steps", steps, "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("poly", ["x^100000", "(x+1)^100000"])
+def test_huge_exponent_exits_2_quickly(poly, tmp_path, capsys):
+    out = tmp_path / "orbit.csv"
+    started = time.perf_counter()
+    code, _, err = run_cli(["orbit", "--poly", poly, "--x0", "1", "--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert "exceeds the cap" in json.loads(err)["message"]
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from nrq import (
     parse_polynomial,
     pretty_polynomial,
 )
+from nrq.parsing import MAX_DEGREE
 
 
 def test_simple_quadratics():
@@ -66,6 +67,22 @@ def test_degree_zero_rejected():
     for text in ("5", "x-x", "0*x", "(x+1)-(x+1)+3"):
         with pytest.raises(DegreeZeroError):
             parse_polynomial(text)
+
+
+def test_degree_cap():
+    assert parse_polynomial(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_polynomial(f"(x+1)^{MAX_DEGREE // 2}*(x-1)^{MAX_DEGREE // 2}").degree == MAX_DEGREE
+    cases = {
+        f"x^{MAX_DEGREE + 1}": 2,
+        f"2^{MAX_DEGREE + 1}": 2,
+        f"(x^2+1)^{MAX_DEGREE // 2 + 1}": 8,
+        f"x^{MAX_DEGREE}*x": len(f"x^{MAX_DEGREE}"),
+        f"((x+1)^{MAX_DEGREE})^2": len(f"((x+1)^{MAX_DEGREE})^"),
+    }
+    for text, position in cases.items():
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position, text
 
 
 def test_pretty_round_trip_simple():

@@ -434,3 +434,90 @@ def test_ops_check_report():
         assert value <= 1e-12, key
     assert report["born_sum_deviation"] <= 1e-10
     assert report["evolve_norm_drift"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the circulant constructors as explicit N x N matrices
+
+
+def _dense_dft(n):
+    idx = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+
+
+def _dense_shift(n):
+    m = np.zeros((n, n), dtype=complex)
+    m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return m
+
+
+def _dense_spectral(n, eigenvalues):
+    f = _dense_dft(n)
+    m = f @ (eigenvalues[:, None] * f.conj().T)
+    return 0.5 * (m + m.conj().T)
+
+
+def _dense_tight_binding(grid, onsite, hoppings):
+    n = grid.n_points
+    if callable(onsite):
+        eps = np.array([float(onsite(x)) for x in grid.positions()])
+    else:
+        eps = np.full(n, float(onsite))
+    m = np.diag(eps.astype(complex))
+    eye = np.eye(n)
+    for r, t in enumerate(hoppings, start=1):
+        fwd = np.roll(eye, r, axis=0)  # maps site i -> i+r
+        m -= t * fwd + np.conj(t) * fwd.T
+    return m
+
+
+def _dense_evolve(m, psi, time):
+    w, v = np.linalg.eigh(m)
+    return v @ (np.exp(-1j * w * time) * (v.conj().T @ psi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+def test_spectral_ops_match_dense_oracle(n):
+    g = Grid(n, 0.7)
+    hoppings = [0.7 + 0.3j, -0.2 + 0.1j][: (n - 1) // 2]  # range below n/2
+    well = lambda x: 0.1 * (x - 0.35 * n) ** 2  # noqa: E731
+    hermitian = {
+        "frequency": (frequency_operator(g), _dense_spectral(n, frequency_values(g))),
+        "wavevector": (wavevector_operator(g), _dense_spectral(n, wavevector_values(g))),
+        "tight_binding": (
+            tight_binding_hamiltonian(g, 1.5, hoppings),
+            _dense_tight_binding(g, 1.5, hoppings),
+        ),
+        "tight_binding_well": (
+            tight_binding_hamiltonian(g, well, hoppings),
+            _dense_tight_binding(g, well, hoppings),
+        ),
+    }
+    rng = np.random.default_rng(n)
+    psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    shift = shift_operator(g)
+    for name, (op, dense) in {"shift": (shift, _dense_shift(n)), **hermitian}.items():
+        assert np.abs(op.matrix - dense).max() <= 1e-12, name
+        assert np.abs(op.apply(psi) - dense @ psi.amplitudes).max() <= 1e-12, name
+    for name, (op, dense) in hermitian.items():
+        out = evolve(psi, op, 1.3)
+        assert np.abs(out.amplitudes - _dense_evolve(dense, psi.amplitudes, 1.3)).max() <= 1e-10, name
+        w, v = op.eigh()
+        assert np.abs(w - np.linalg.eigvalsh(dense)).max() <= 1e-12, name
+        assert np.abs(dense @ v - v * w).max() <= 1e-12, name
+    if n > 2:  # the two-site shift is the Hermitian swap
+        with pytest.raises(NonHermitianInput):
+            evolve(psi, shift, 1.0)
+        with pytest.raises(NonHermitianInput):
+            shift.eigh()
+
+
+def test_circulant_matrix_is_built_on_demand():
+    g = Grid(64)
+    w = frequency_operator(g)
+    state = gaussian_packet(g, 32.0, 4.0)
+    w.apply(state)
+    evolve(state, w, 0.3)
+    w.eigh()
+    assert w._matrix is None
+    assert np.abs(w.matrix @ state.amplitudes - w.apply(state)).max() <= 1e-12
