@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .newton import DerivativeZero, PolynomialProblem, newton_step
+from .newton import OVERFLOW_BOUND, DerivativeZero, PolynomialProblem, newton_step
 
 
 class InvalidRange(ValueError):
@@ -110,16 +110,14 @@ def accumulate_density(
     hi: float,
     bins: int,
     seed: int = 0,
-    pole_epsilon: float = 1e-300,
-    overflow_bound: float = 1e300,
 ) -> EmpiricalDensity:
     """Bin the orbit iterates with index in (n0, n].
 
-    Iterates up to n0 are burn-in and discarded.  On a pole or overflow the
-    chain restarts from a fresh uniform draw on [lo, hi] (seeded PCG64);
-    the restart value enters the stream as that step's iterate and the
-    restart count is reported on the result.  If ``x0`` is None the start
-    is drawn from the same generator.
+    Iterates up to n0 are burn-in and discarded.  On a pole or overflow (an
+    iterate beyond ``OVERFLOW_BOUND``) the chain restarts from a fresh
+    uniform draw on [lo, hi] (seeded PCG64); the restart value enters the
+    stream as that step's iterate and the restart count is reported on the
+    result.  If ``x0`` is None the start is drawn from the same generator.
     """
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
@@ -132,8 +130,8 @@ def accumulate_density(
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
-    step = problem.step_fn(pole_epsilon)
-    bound = overflow_bound
+    step = problem.step
+    bound = OVERFLOW_BOUND
     restarts = 0
     xs: list[float] = []
     append = xs.append
@@ -225,27 +223,10 @@ class CycleScan:
     pole_intervals: tuple[tuple[float, float], ...]
 
 
-def _vector_step(problem: PolynomialProblem, x: np.ndarray) -> np.ndarray:
-    """Vectorized Newton update (x*f'-f)/f'; poles and overflows become NaN."""
-    ns = problem.numerator[::-1]
-    ds = problem.derivative[::-1]
-    with np.errstate(all="ignore"):
-        num = np.zeros_like(x)
-        for c in ns:
-            num = num * x + c
-        fp = np.zeros_like(x)
-        for c in ds:
-            fp = fp * x + c
-        y = num / fp
-        y[~np.isfinite(y)] = np.nan
-    return y
-
-
 def _iterate_vector(problem: PolynomialProblem, xs: np.ndarray, times: int) -> np.ndarray:
-    y = xs.astype(float).copy()
     for _ in range(times):
-        y = _vector_step(problem, y)
-    return y
+        xs = problem.step_array(xs)
+    return xs
 
 
 def _iterate_scalar(problem: PolynomialProblem, x: float, times: int) -> float | None:
@@ -395,7 +376,7 @@ def pushforward_residual(
     rng = np.random.default_rng(seed)
     u = rng.random(sample_count)
     x = np.asarray(quantile(u), dtype=float)
-    y = _vector_step(problem, x)
+    y = problem.step_array(x)
     y = y[np.isfinite(y)]
     emp = EmpiricalDensity.from_samples(y, lo, hi, bins)
     return density_distance(emp, density, metric="l1")

@@ -7,11 +7,20 @@ recorded so downstream histogramming stays exactly reproducible.
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+
+import numpy as np
+
+# |f'(x)| at or below this is a pole of the map: the scalar step raises
+# DerivativeZero there and the array step returns NaN.
+POLE_EPSILON = 1e-300
+# An iterate beyond this magnitude counts as an overflow.
+OVERFLOW_BOUND = 1e300
 
 
 class DerivativeZero(ZeroDivisionError):
-    """Raised when the map is evaluated at a pole (|f'(x)| below threshold)."""
+    """Raised when the map is evaluated at a pole (|f'(x)| <= POLE_EPSILON)."""
 
     def __init__(self, x: float, fprime: float):
         super().__init__(f"f'({x!r}) = {fprime!r} is below the pole threshold")
@@ -19,25 +28,73 @@ class DerivativeZero(ZeroDivisionError):
         self.fprime = fprime
 
 
-def _horner(coeffs_desc: tuple, x: float) -> float:
+def _horner(coeffs_desc: tuple, x):
+    """Horner's scheme from 0.0; ``x`` may be a float or a numpy array."""
     acc = 0.0
     for c in coeffs_desc:
         acc = acc * x + c
     return acc
 
 
+def _scalar_step(ns: tuple, ds: tuple) -> Callable[[float], float]:
+    """The map (x*f'(x) - f(x)) / f'(x) as a closure over descending tuples.
+
+    Degrees 2 and 4 (the x^2+c and two-well experiments) are unrolled,
+    which cuts their per-iterate cost by a third or more; their leading
+    coefficients are nonzero, so for finite x starting Horner's scheme
+    there instead of at 0.0 gives the same bits as ``_horner``.
+    """
+    pe = POLE_EPSILON  # a closure cell: read on every iterate, cheaper than a global
+    degree = len(ds)
+    if degree == 2:
+        n2, n1, n0 = ns
+        b1, b0 = ds
+
+        def step(x: float) -> float:
+            fpx = b1 * x + b0
+            if -pe <= fpx <= pe:
+                raise DerivativeZero(x, fpx)
+            return ((n2 * x + n1) * x + n0) / fpx
+
+    elif degree == 4:
+        n4, n3, n2, n1, n0 = ns
+        b3, b2, b1, b0 = ds
+
+        def step(x: float) -> float:
+            fpx = ((b3 * x + b2) * x + b1) * x + b0
+            if -pe <= fpx <= pe:
+                raise DerivativeZero(x, fpx)
+            return ((((n4 * x + n3) * x + n2) * x + n1) * x + n0) / fpx
+
+    else:
+
+        def step(x: float) -> float:
+            fpx = _horner(ds, x)
+            if -pe <= fpx <= pe:
+                raise DerivativeZero(x, fpx)
+            return _horner(ns, x) / fpx
+
+    return step
+
+
 @dataclass(frozen=True)
 class PolynomialProblem:
-    """Real polynomial f (ascending coefficients) with its exact derivative.
+    """Real polynomial f (ascending coefficients) and its Newton map.
 
     The derivative and the Newton numerator x*f'(x) - f(x) are computed
-    symbolically at construction; all evaluations use Horner's scheme in
-    descending order so that every code path produces bit-identical values.
+    symbolically at construction, and the map is built once from their
+    descending tuples: ``step`` is the scalar entry and ``step_array`` the
+    array entry.  Both evaluate the single fraction (x*f'(x) - f(x)) / f'(x)
+    with Horner's scheme, so they agree bit for bit; it reduces to the
+    recursions the experiments are defined by, e.g. (x^2+2)/(2x) for x^2-2
+    and (x^2-1)/(2x) for x^2+1.
     """
 
     coefficients: tuple[float, ...]
     derivative: tuple[float, ...] = field(init=False)
     numerator: tuple[float, ...] = field(init=False)
+    step: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _desc: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, coefficients):
         coeffs = tuple(float(c) for c in coefficients)
@@ -47,78 +104,39 @@ class PolynomialProblem:
             raise ValueError("leading coefficient must be nonzero")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
+        derivative = tuple(i * c for i, c in enumerate(coeffs) if i > 0)
+        numerator = tuple((i - 1) * c for i, c in enumerate(coeffs))
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(
-            self, "derivative", tuple(i * c for i, c in enumerate(coeffs) if i > 0)
-        )
-        object.__setattr__(
-            self, "numerator", tuple((i - 1) * c for i, c in enumerate(coeffs))
-        )
+        object.__setattr__(self, "derivative", derivative)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "_desc", (numerator[::-1], derivative[::-1]))
+        object.__setattr__(self, "step", _scalar_step(*self._desc))
+
+    def __reduce__(self):
+        # the step closure cannot be pickled; it is rebuilt from the coefficients
+        return PolynomialProblem, (self.coefficients,)
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def f(self, x: float) -> float:
-        return _horner(self.coefficients[::-1], x)
+    def step_array(self, xs) -> np.ndarray:
+        """The map applied to every element of ``xs``.
 
-    def fprime(self, x: float) -> float:
-        return _horner(self.derivative[::-1], x)
-
-    def step_fn(self, pole_epsilon: float = 1e-300):
-        """Fused Newton update closure; raises DerivativeZero at poles.
-
-        The update is evaluated as the single fraction
-        (x*f'(x) - f(x)) / f'(x), which reduces to the per-polynomial
-        recursions the experiments are defined by, e.g. (x^2+2)/(2x) for
-        x^2-2 and (x^2-1)/(2x) for x^2+1.  Degrees 2 and 4 are unrolled;
-        the generic path runs the same Horner recurrence, so all variants
-        agree bit-for-bit.
+        NaN where |f'(x)| <= POLE_EPSILON (where ``step`` raises
+        DerivativeZero) and where the result is not finite.
         """
-        pe = float(pole_epsilon)
-        ns = self.numerator[::-1]
-        ds = self.derivative[::-1]
-        if self.degree == 2:
-            n2, n1, n0 = ns
-            b1, b0 = ds
-
-            def step(x: float) -> float:
-                fpx = b1 * x + b0
-                if -pe <= fpx <= pe:
-                    raise DerivativeZero(x, fpx)
-                return ((n2 * x + n1) * x + n0) / fpx
-
-        elif self.degree == 4:
-            n4, n3, n2, n1, n0 = ns
-            b3, b2, b1, b0 = ds
-
-            def step(x: float) -> float:
-                fpx = ((b3 * x + b2) * x + b1) * x + b0
-                if -pe <= fpx <= pe:
-                    raise DerivativeZero(x, fpx)
-                return ((((n4 * x + n3) * x + n2) * x + n1) * x + n0) / fpx
-
-        else:
-
-            def step(x: float) -> float:
-                fpx = _horner(ds, x)
-                if -pe <= fpx <= pe:
-                    raise DerivativeZero(x, fpx)
-                return _horner(ns, x) / fpx
-
-        return step
+        ns, ds = self._desc
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            fpx = _horner(ds, xs)
+            y = _horner(ns, xs) / fpx
+        return np.where(np.isfinite(y) & (np.abs(fpx) > POLE_EPSILON), y, np.nan)
 
 
-def newton_step(problem: PolynomialProblem, x: float, pole_epsilon: float = 1e-300) -> float:
-    """One application of the map x - f(x)/f'(x).
-
-    Evaluated as (x*f'(x) - f(x)) / f'(x): a single division, matching the
-    explicit recursions that define the chaotic-orbit experiments.
-    """
-    fpx = problem.fprime(x)
-    if -pole_epsilon <= fpx <= pole_epsilon:
-        raise DerivativeZero(x, fpx)
-    return _horner(problem.numerator[::-1], x) / fpx
+def newton_step(problem: PolynomialProblem, x: float) -> float:
+    """One application of the map x - f(x)/f'(x): ``problem.step(x)``."""
+    return problem.step(x)
 
 
 def overlap_converged(prev: float, next_value: float, tol: float) -> bool:
@@ -134,13 +152,12 @@ class IterationPolicy:
 
     max_steps: int = 100
     convergence_tol: float = 1e-12
-    overflow_bound: float = 1e300
-    pole_epsilon: float = 1e-300
+    overflow_bound: float = OVERFLOW_BOUND
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not (self.convergence_tol > 0 and self.overflow_bound > 0 and self.pole_epsilon > 0):
+        if not (self.convergence_tol > 0 and self.overflow_bound > 0):
             raise ValueError("tolerances and bounds must be strictly positive")
 
 
@@ -172,7 +189,7 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     """Iterate the map from x0 until convergence, pole, overflow, or max_steps."""
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    step = problem.step_fn(policy.pole_epsilon)
+    step = problem.step
     bound = policy.overflow_bound
     tol = policy.convergence_tol
     xs = [float(x0)]

@@ -6,7 +6,7 @@ products like (x^2+0.01)*((x-3)^2+0.01) come out correctly rounded.
 """
 
 import re
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .newton import PolynomialProblem
@@ -26,6 +26,12 @@ class DegreeZeroError(ValueError):
 # which keeps parsing a short expression fast (exact expansion of
 # (x+1)^k costs O(k^2) rational operations) and bounds its memory.
 MAX_DEGREE = 100
+
+# A number literal's decimal exponent is bounded before any Fraction is
+# built: Fraction(Decimal("1e999999")) builds a million-digit integer, so
+# an unbounded exponent means unbounded time.  Every finite double,
+# subnormals included, lies within 10^-324 .. 10^309.
+MAX_LITERAL_EXPONENT = 400
 
 
 _TOKEN_RE = re.compile(
@@ -78,6 +84,20 @@ def _pmul(a, b):
 def _check_degree(degree: int, pos: int):
     if degree > MAX_DEGREE:
         raise PolynomialSyntaxError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
+
+
+def _literal(text: str, pos: int) -> Fraction:
+    try:
+        number = Decimal(text)
+        in_range = abs(number.adjusted()) <= MAX_LITERAL_EXPONENT
+    except InvalidOperation:  # an exponent beyond even Decimal's range
+        in_range = False
+    if not in_range:
+        bound = MAX_LITERAL_EXPONENT
+        raise PolynomialSyntaxError(
+            f"number {text!r} has a decimal exponent outside -{bound}..{bound}", pos
+        )
+    return Fraction(number)
 
 
 def _ppow(a, k: int):
@@ -156,7 +176,7 @@ class _Parser:
     def primary(self):
         kind, value, pos = self.advance()
         if kind == "number":
-            return [Fraction(Decimal(value))]
+            return [_literal(value, pos)]
         if kind == "x":
             return [Fraction(0), Fraction(1)]
         if kind == "(":

@@ -34,6 +34,10 @@ class BadRepresentation(ValueError):
 
 
 MAX_DENSE_N = 4096
+# ops_check materializes about eight N x N complex matrices (the five
+# operators, T^dagger T, the DFT matrix and its image): at N = 1024 that is
+# about 134 MB, and at MAX_DENSE_N it would be about 2.1 GB.
+MAX_OPS_CHECK_N = 1024
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -476,6 +480,10 @@ def ops_check(
     materialized matrices, T^n is formed from the shift's spectrum and
     materialized, and T is applied to every DFT column.
     """
+    if n > MAX_OPS_CHECK_N:
+        raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
+    if evolve_steps < 1:
+        raise ValueError(f"evolve_steps must be >= 1, got {evolve_steps}")
     grid = Grid(n, spacing)
     t = shift_operator(grid)
     f = _dft_matrix(n)

@@ -338,6 +338,15 @@ def test_ops_check_steps_below_one_exits_2(steps, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ops_check_n_over_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "ops.json"
+    code, stdout, err = run_cli(["ops-check", "--n", "2048", "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "capped" in json.loads(err)["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("poly", ["x^100000", "(x+1)^100000"])
 def test_huge_exponent_exits_2_quickly(poly, tmp_path, capsys):
     out = tmp_path / "orbit.csv"
@@ -346,6 +355,17 @@ def test_huge_exponent_exits_2_quickly(poly, tmp_path, capsys):
     assert time.perf_counter() - started < 0.1
     assert code == EXIT_CONFIG
     assert "exceeds the cap" in json.loads(err)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("poly", ["1e999999*x+1", "1e-99999999*x+1"])
+def test_huge_literal_exponent_exits_2_quickly(poly, tmp_path, capsys):
+    out = tmp_path / "orbit.csv"
+    started = time.perf_counter()
+    code, _, err = run_cli(["orbit", "--poly", poly, "--x0", "1", "--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "decimal exponent" in json.loads(err)["message"]
     assert not out.exists()
 
 

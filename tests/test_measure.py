@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,34 @@ def test_period_three_cycles():
     for cycle in scan.cycles:
         assert cycle.residual <= 1e-10
     assert len(scan.pole_intervals) >= 4
+
+
+def _minimal_period_cotangents(period: int) -> list[float]:
+    """cot(pi k/(2^p - 1)) for each k of minimal period p under doubling mod 2^p - 1.
+
+    With x = cot(pi theta) the Newton map of x^2 + 1 is theta -> 2 theta mod 1.
+    """
+    m = 2**period - 1
+    points = []
+    for k in range(1, m):
+        if all((k << d) % m != k for d in range(1, period)):
+            points.append(float(mpmath.cot(mpmath.pi * k / m)))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 5, 6])
+def test_cycles_match_angle_doubling_oracle(period):
+    lo, hi = -50.0, 50.0
+    scan = find_cycles(NO_REAL_ROOT, period, lo, hi, 20000)
+    found = [p for c in scan.cycles for p in c.points]
+    expected = _minimal_period_cotangents(period)
+    # every found point is a closed-form point, none is found twice
+    nearest = [min(range(len(expected)), key=lambda i: abs(expected[i] - p)) for p in found]
+    assert all(abs(expected[i] - p) <= 5e-13 for i, p in zip(nearest, found))
+    assert len(set(nearest)) == len(found)
+    # and every closed-form point inside the window is found
+    inside = {i for i, q in enumerate(expected) if lo <= q <= hi}
+    assert inside <= set(nearest)
 
 
 def test_cycles_reverify_through_newton_step():

@@ -1,10 +1,13 @@
 """Newton map unit tests: step arithmetic, orbit statuses, multi-start clustering."""
 
 import math
+import pickle
+import struct
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nrq import (
     DerivativeZero,
@@ -65,14 +68,47 @@ def test_step_pole():
         newton_step(NO_REAL_ROOT, 0.0)
 
 
-def test_step_fn_matches_newton_step():
-    step = NO_REAL_ROOT.step_fn()
-    for x in (0.3, -1.7, 12.5, 1e-4):
-        assert step(x) == newton_step(NO_REAL_ROOT, x)
-    quartic = PolynomialProblem((0.0901, -0.06, 9.02, -6.0, 1.0))
-    step4 = quartic.step_fn()
-    for x in (0.3, -1.7, 2.9, 12.5):
-        assert step4(x) == newton_step(quartic, x)
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# degree 1 to 6, zero coefficients allowed except the leading one
+_POLYNOMIAL = st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.floats(-1e3, 1e3), min_size=d + 1, max_size=d + 1)
+).filter(lambda c: c[-1] != 0.0)
+
+
+@given(
+    _POLYNOMIAL,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
+)
+@example([1.0, 0.0, 1.0], 0.0)  # x^2 + 1 at its pole
+@example([1.0, 0.0, 1.0], 4e-301)  # f' = 8e-301: a pole although the quotient is finite
+@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9)  # the two-well quartic
+@example([2.0, -2.0, 0.0, 1.0], 0.0)  # x^3 - 2x + 2, generic degree
+@example([0.0, -2.0], 0.5)  # degree 1: the numerator's leading term is -0.0
+@example([1.0, 1e-300], 0.5)  # |f'| equals POLE_EPSILON everywhere: a pole
+def test_scalar_and_array_steps_agree(coefficients, x):
+    problem = PolynomialProblem(coefficients)
+    from_array = problem.step_array(np.array([x]))[0]
+    try:
+        y = problem.step(x)
+    except DerivativeZero:
+        assert math.isnan(from_array)
+        with pytest.raises(DerivativeZero):
+            newton_step(problem, x)
+        return
+    assert _bits(newton_step(problem, x)) == _bits(y)
+    if math.isfinite(y):
+        assert _bits(from_array) == _bits(y)
+    else:
+        assert math.isnan(from_array)
+
+
+def test_problem_pickles_with_a_working_step():
+    clone = pickle.loads(pickle.dumps(NO_REAL_ROOT))
+    assert clone == NO_REAL_ROOT
+    assert clone.step(0.3) == NO_REAL_ROOT.step(0.3)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -88,8 +124,9 @@ def test_fixed_points_are_roots():
         (PolynomialProblem((6.0, -5.0, -2.0, 1.0)), [(0.5, 1.5), (2.5, 3.5), (-2.5, -1.5)]),
     ]
     for problem, brackets in cases:
+        f = np.polynomial.Polynomial(problem.coefficients)
         for lo, hi in brackets:
-            root = bisect_root(problem.f, lo, hi)
+            root = bisect_root(f, lo, hi)
             assert abs(newton_step(problem, root) - root) <= 1e-12 * (1.0 + abs(root))
 
 
@@ -189,8 +226,6 @@ def test_multi_start_same_basin():
 
 
 def test_multi_start_no_real_roots():
-    import numpy as np
-
     starts = np.random.default_rng(3).uniform(-5.0, 5.0, 100)
     roots, missed = multi_start_solve(NO_REAL_ROOT, starts, IterationPolicy(max_steps=100))
     assert roots == {}

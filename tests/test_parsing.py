@@ -1,5 +1,7 @@
 """Grammar, exact expansion, error positions, and pretty-print round trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +85,23 @@ def test_degree_cap():
         with pytest.raises(PolynomialSyntaxError) as err:
             parse_polynomial(text)
         assert err.value.position == position, text
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1e999999*x+1", 0), ("x+1e-99999999*x", 2), ("x-1e99999999999999999999", 2)],
+)
+def test_literal_exponent_bound_fails_fast(text, position):
+    started = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert time.perf_counter() - started < 0.1
+    assert err.value.position == position
+
+
+def test_literals_within_the_exponent_bound_parse():
+    assert parse_polynomial("1e308*x + 1e-320").coefficients == (1e-320, 1e308)
+    assert parse_polynomial("2.5e-3*x^2 + x").coefficients == (0.0, 1.0, 0.0025)
 
 
 def test_pretty_round_trip_simple():

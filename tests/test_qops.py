@@ -35,6 +35,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
+from nrq.qops import MAX_OPS_CHECK_N
 
 
 def test_grid_validation():
@@ -434,6 +435,20 @@ def test_ops_check_report():
         assert value <= 1e-12, key
     assert report["born_sum_deviation"] <= 1e-10
     assert report["evolve_norm_drift"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, steps",
+    [(8, 0), (8, -5), (MAX_OPS_CHECK_N + 1, 1000)],
+    ids=["steps-0", "steps-neg5", "n-over-cap"],
+)
+def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("ops_check built an operator")
+
+    monkeypatch.setattr("nrq.qops.shift_operator", no_build)
+    with pytest.raises(ValueError):
+        ops_check(n, evolve_steps=steps)
 
 
 # ---------------------------------------------------------------------------
