@@ -32,6 +32,7 @@ from .measure import (
     EmpiricalDensity,
     InterferenceConfig,
     accumulate_density,
+    bin_masses,
     cauchy_density,
     find_cycles,
     interference_experiment,
@@ -160,9 +161,7 @@ def emit_svgdata(
     dens = density.densities()
     curves = [dens]
     if overlay is not None:
-        from scipy.integrate import quad
-
-        mass, _ = quad(overlay, density.lo, density.hi, limit=200)
+        mass = bin_masses(overlay, density.edges()).sum()
         curves.append(np.array([float(overlay(c)) for c in centers]) / mass)
     ymax = max(float(c.max()) for c in curves) or 1.0
     ymax *= 1.05

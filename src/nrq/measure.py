@@ -11,13 +11,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .newton import OVERFLOW_BOUND, DerivativeZero, PolynomialProblem, newton_step
 
 
 class InvalidRange(ValueError):
     pass
+
+
+# accumulate_density bins the orbit in blocks of this many iterates, so its
+# memory does not grow with the orbit's length.
+ACCUMULATE_BLOCK = 65536
 
 
 @dataclass(eq=False)
@@ -118,6 +122,8 @@ def accumulate_density(
     uniform draw on [lo, hi] (seeded PCG64); the restart value enters the
     stream as that step's iterate and the restart count is reported on the
     result.  If ``x0`` is None the start is drawn from the same generator.
+    The iterates are binned ``ACCUMULATE_BLOCK`` at a time, so memory is
+    bounded by the block and the bins, not by ``n``.
     """
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
@@ -133,30 +139,40 @@ def accumulate_density(
     step = problem.step
     bound = OVERFLOW_BOUND
     restarts = 0
-    xs: list[float] = []
-    append = xs.append
+    density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
     i = 0
     while i < n:
-        try:
-            while i < n:
-                y = step(x)
+        # iterates start+1 .. stop are kept in a list, then binned and dropped
+        start, stop = i, min(i + ACCUMULATE_BLOCK, n)
+        xs: list[float] = []
+        append = xs.append
+        while i < stop:
+            try:
+                while i < stop:
+                    y = step(x)
+                    i += 1
+                    if -bound <= y <= bound:
+                        x = y
+                    else:
+                        x = float(rng.uniform(lo, hi))
+                        restarts += 1
+                    append(x)
+            except DerivativeZero:
                 i += 1
-                if -bound <= y <= bound:
-                    x = y
-                else:
-                    x = float(rng.uniform(lo, hi))
-                    restarts += 1
+                x = float(rng.uniform(lo, hi))
+                restarts += 1
                 append(x)
-        except DerivativeZero:
-            i += 1
-            x = float(rng.uniform(lo, hi))
-            restarts += 1
-            append(x)
-    return EmpiricalDensity.from_samples(xs[n0:], lo, hi, bins, restarts=restarts)
+        kept = EmpiricalDensity.from_samples(xs[max(n0 - start, 0) :], lo, hi, bins)
+        density = density.merge(kept)
+    density.restarts = restarts
+    return density
 
 
 def cauchy_density(y):
     """Standard Cauchy/Lorentzian density 1/(pi*(1+y^2))."""
+    if isinstance(y, float):  # the same arithmetic without numpy's per-call cost
+        y = float(y)
+        return 1.0 / (math.pi * (1.0 + y * y))
     y = np.asarray(y, dtype=float)
     out = 1.0 / (np.pi * (1.0 + y * y))
     return float(out) if out.ndim == 0 else out
@@ -169,37 +185,78 @@ def cauchy_quantile(u):
     return float(out) if out.ndim == 0 else out
 
 
-def _window_mass(analytic, lo: float, hi: float) -> float:
-    # interior breakpoints keep QUADPACK from overlooking a narrow peak
-    interior = np.linspace(lo, hi, 17)[1:-1]
-    mass, _ = quad(analytic, lo, hi, limit=200, points=interior)
-    if mass <= 0:
-        raise ValueError("analytic density has non-positive mass on the window")
-    return mass
+# Composite Gauss-Legendre rule for bin_masses: nodes per (sub)interval, and
+# the relative gap between a piece's one-rule and two-half estimates below
+# which its two-half estimate is accepted.  A piece still apart after
+# MAX_BISECTIONS halvings (a jump of a step density, say) is accepted as it
+# stands, as is every piece once more than MAX_PIECES would be refined, so
+# the work is bounded for any integrand.
+QUADRATURE_NODES = 8
+QUADRATURE_RTOL = 1e-14
+MAX_BISECTIONS = 50
+MAX_PIECES = 4096
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+
+
+def _gauss(analytic, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre estimate of the integral over each [a[i], b[i]]."""
+    half = 0.5 * (b - a)
+    points = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    values = np.array([analytic(x) for x in points.ravel().tolist()], dtype=float)
+    return half * (values.reshape(points.shape) @ _WEIGHTS)
+
+
+def bin_masses(analytic, edges) -> np.ndarray:
+    """The integral of ``analytic`` over every bin between consecutive ``edges``.
+
+    Each bin gets a composite Gauss-Legendre estimate; only the pieces whose
+    whole and two-half estimates differ by more than ``QUADRATURE_RTOL`` of
+    the latter are bisected, all at once, level by level.  ``analytic`` is
+    called on one float at a time.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    owner = np.arange(a.size)
+    whole = _gauss(analytic, a, b)
+    masses = np.zeros(a.size)
+    for level in range(MAX_BISECTIONS + 1):
+        mid = 0.5 * (a + b)
+        left, right = _gauss(analytic, a, mid), _gauss(analytic, mid, b)
+        halves = left + right
+        split = np.abs(whole - halves) > QUADRATURE_RTOL * np.abs(halves)
+        if level == MAX_BISECTIONS or 2 * np.count_nonzero(split) > MAX_PIECES:
+            split[:] = False
+        np.add.at(masses, owner[~split], halves[~split])
+        if not split.any():
+            break
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        owner = np.concatenate([owner[split], owner[split]])
+        whole = np.concatenate([left[split], right[split]])
+    return masses
 
 
 def density_distance(emp: EmpiricalDensity, analytic, metric: str = "l1") -> float:
     """Distance between a histogram and an analytic density on the window.
 
-    Both sides are normalized to unit mass over [lo, hi] before comparison
-    (the analytic window mass is computed by quadrature), so the distance
-    measures shape mismatch, not out-of-window mass.
+    Both sides are normalized to unit mass over [lo, hi] before comparison:
+    the histogram's bin shares ``counts / in_range`` against the analytic
+    bin masses (``bin_masses``) divided by their sum, so the distance
+    measures shape mismatch, not out-of-window mass.  L1 is the sum of the
+    per-bin gaps; KS is the largest gap between the two cumulative sums.
     """
     if emp.in_range == 0:
         raise ValueError("empirical density has no in-range mass")
-    lo, hi = emp.lo, emp.hi
-    mass = _window_mass(analytic, lo, hi)
     m = metric.lower()
+    if m not in ("l1", "ks", "kolmogorovsmirnov", "kolmogorov-smirnov"):
+        raise ValueError(f"unknown metric {metric!r}")
+    masses = bin_masses(analytic, emp.edges())
+    mass = masses.sum()
+    if not mass > 0:
+        raise ValueError("analytic density has non-positive mass on the window")
+    q = masses / mass
     if m == "l1":
-        ref = np.array([float(analytic(c)) for c in emp.centers()]) / mass
-        return float(np.abs(emp.densities() - ref).sum() * emp.bin_width)
-    if m in ("ks", "kolmogorovsmirnov", "kolmogorov-smirnov"):
-        edges = emp.edges()
-        bin_masses = [quad(analytic, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
-        acdf = np.concatenate([[0.0], np.cumsum(bin_masses)]) / mass
-        ecdf = np.concatenate([[0.0], np.cumsum(emp.counts)]) / emp.in_range
-        return float(np.abs(ecdf - acdf).max())
-    raise ValueError(f"unknown metric {metric!r}")
+        return float(np.abs(emp.counts / emp.in_range - q).sum())
+    return float(np.abs(np.cumsum(emp.counts) / emp.in_range - np.cumsum(q)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ MAX_DEGREE = 100
 # subnormals included, lies within 10^-324 .. 10^309.
 MAX_LITERAL_EXPONENT = 400
 
+# A number literal's length is bounded too, checked before Decimal sees
+# it: converting a literal of k digits to a Fraction costs superlinear
+# time in k (a million digits took 38 s).  The cap still admits the exact
+# positional expansion of every double (at most 1076 characters, for the
+# smallest subnormal).
+MAX_LITERAL_LENGTH = 1100
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -87,6 +94,11 @@ def _check_degree(degree: int, pos: int):
 
 
 def _literal(text: str, pos: int) -> Fraction:
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise PolynomialSyntaxError(
+            f"number literal of {len(text)} characters exceeds the cap of {MAX_LITERAL_LENGTH}",
+            pos,
+        )
     try:
         number = Decimal(text)
         in_range = abs(number.adjusted()) <= MAX_LITERAL_EXPONENT

@@ -3,7 +3,11 @@
 import json
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from nrq.cli import (
     main,
     parse_csv,
 )
+import nrq
 from nrq.measure import EmpiricalDensity, cauchy_density
 from nrq.qops import Grid, tight_binding_hamiltonian
 
@@ -280,6 +285,8 @@ PINNED_OUTPUTS = [
       "--format", "json"], "225630071298"),
     (["cycles", "--poly", "x^2+1", "--period", "5"], "acc84b5de2b1"),
     (["cycles", "--poly", "x^2+1", "--period", "5", "--format", "csv"], "20e9dc582be6"),
+    (["density", "--poly", "x^2+1", "--seed", "1", "--overlay-cauchy", "--format", "svg"],
+     "e01b7c084c7b"),
 ]
 
 
@@ -366,6 +373,18 @@ def test_huge_literal_exponent_exits_2_quickly(poly, tmp_path, capsys):
     assert time.perf_counter() - started < 0.1
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "decimal exponent" in json.loads(err)["message"]
+    assert not out.exists()
+
+
+def test_million_digit_literal_in_config_exits_2_quickly(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"poly": "1." + "0" * 1_000_000 + "1*x^2+1", "x0": 0.5}))
+    out = tmp_path / "orbit.csv"
+    started = time.perf_counter()
+    code, _, err = run_cli(["orbit", "--config", str(config), "--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "exceeds the cap" in json.loads(err)["message"]
     assert not out.exists()
 
 
@@ -475,3 +494,55 @@ def test_report_echoes_effective_config(tmp_path, capsys):
     assert report["config"]["options"]["bins"] == "20"
     assert report["config"]["options"]["seed"] == "5"
     assert report["command"] == "density"
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+_WITHOUT_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not available")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was importable")
+
+import nrq.cli
+from nrq import (EmpiricalDensity, PolynomialProblem, cauchy_density, cauchy_quantile,
+                 density_distance, pushforward_residual)
+
+out = sys.argv[1]
+code = nrq.cli.main(["density", "--poly", "x^2+1", "--iters", "21000", "--seed", "1",
+                     "--overlay-cauchy", "--format", "svg", "--out", out])
+assert code == 0 and open(out).read().count("<polyline") == 2
+emp = EmpiricalDensity(-10.0, 10.0, 200, [1000] * 200)
+assert density_distance(emp, cauchy_density, "l1") >= 0.5
+assert density_distance(emp, cauchy_density, "ks") >= 0.2
+problem = PolynomialProblem((1.0, 0.0, 1.0))
+assert pushforward_residual(problem, cauchy_density, cauchy_quantile, 20000, seed=3) < 0.1
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_runtime_runs_without_scipy(tmp_path):
+    src = str(Path(nrq.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "fig.svg")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "ok"

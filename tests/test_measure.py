@@ -1,6 +1,9 @@
 """Density accumulation, analytic-density comparison, cycles, interference."""
 
 import math
+import operator
+import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -14,6 +17,7 @@ from nrq import (
     InvalidRange,
     PolynomialProblem,
     accumulate_density,
+    bin_masses,
     cauchy_density,
     cauchy_quantile,
     density_distance,
@@ -27,6 +31,8 @@ from nrq import (
     pushforward_residual,
     response_curve,
 )
+from nrq import measure
+from nrq.newton import OVERFLOW_BOUND, DerivativeZero
 
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))
 SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))
@@ -39,6 +45,15 @@ SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))
 def test_cauchy_density_values():
     assert cauchy_density(0.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
     assert cauchy_density(1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+
+
+def test_cauchy_density_is_the_same_on_floats_and_arrays():
+    ys = np.random.default_rng(0).standard_cauchy(1000) * 10.0
+    on_floats = [cauchy_density(y) for y in ys.tolist()]
+    on_numpy_scalars = [cauchy_density(y) for y in ys]
+    assert all(type(v) is float for v in on_floats + on_numpy_scalars)
+    assert np.array_equal(on_floats, cauchy_density(ys))
+    assert np.array_equal(on_numpy_scalars, cauchy_density(ys))
 
 
 def test_cauchy_density_integrates_to_one():
@@ -56,6 +71,55 @@ def test_cauchy_quantile_inverts_cdf():
         x = cauchy_quantile(u)
         cdf = 0.5 + math.atan(x) / math.pi
         assert cdf == pytest.approx(u, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bin masses
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bins",
+    [(-10.0, 10.0, 200), (-2.0, 5.0, 280), (-1.0, 1.0, 4), (-1e3, 1e3, 200),
+     (-1e4, 1e4, 200), (-1e6, 1e6, 7)],
+)
+def test_bin_masses_match_cauchy_closed_form(lo, hi, bins):
+    # the Cauchy mass of [a, b] is (atan b - atan a)/pi = atan((b-a)/(1+ab))/pi,
+    # taken in (0, pi) by atan2 so that bins straddling 0 with ab < -1 hold
+    edges = np.linspace(lo, hi, bins + 1)
+    a, b = edges[:-1], edges[1:]
+    exact = np.arctan2(b - a, 1.0 + a * b) / math.pi
+    masses = bin_masses(cauchy_density, edges)
+    assert np.max(np.abs(masses / exact - 1.0)) <= 1e-12
+
+
+def test_bin_masses_of_a_constant_are_exact():
+    edges = np.array([-3.0, -1.0, 0.0, 0.25, 2.0, 7.5])
+    masses = bin_masses(lambda x: 2.5, edges)
+    # exact up to the rounding of the Gauss-Legendre weights
+    assert masses == pytest.approx(2.5 * np.diff(edges), rel=1e-14, abs=0.0)
+
+
+def test_bin_masses_of_a_step_density_with_jumps_inside_bins():
+    # edges shifted by 0.0123, so the jumps at -1 and 1 fall inside bins
+    edges = np.linspace(-10.0, 10.0, 201) + 0.0123
+    masses = bin_masses(lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0, edges)
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert (masses >= 0.0).all() and np.count_nonzero(masses) == 21
+
+
+def test_bin_masses_bounds_its_work_on_an_unresolvable_integrand():
+    # a sawtooth of period 1e-9 never settles, so every piece keeps
+    # splitting until the piece cap stops the refinement
+    calls = []
+
+    def sawtooth(x):
+        calls.append(x)
+        return (x * 1e9) % 1.0
+
+    masses = bin_masses(sawtooth, np.linspace(0.0, 1.0, 5))
+    assert np.isfinite(masses).all()
+    nodes = measure.QUADRATURE_NODES
+    assert len(calls) <= 3 * nodes * 4 + 2 * nodes * 2 * measure.MAX_PIECES
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +215,54 @@ def test_accumulate_restarts_on_pole():
     d = accumulate_density(NO_REAL_ROOT, 1.0, 0, 500, -10, 10, 20, seed=1)
     assert d.restarts >= 1
     assert d.total == 500
+
+
+def _reference_orbit(problem, x0, n, lo, hi, seed):
+    """All n iterates of accumulate_density's chain, kept in one list."""
+    rng = np.random.default_rng(seed)
+    x, xs, restarts = x0, [], 0
+    for _ in range(n):
+        try:
+            y = problem.step(x)
+            ok = -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND
+        except DerivativeZero:
+            ok = False
+        if ok:
+            x = y
+        else:
+            x, restarts = float(rng.uniform(lo, hi)), restarts + 1
+        xs.append(x)
+    return xs, restarts
+
+
+@pytest.mark.parametrize("n0, n", [(0, 200), (10, 200), (7, 203), (150, 151)])
+def test_accumulate_in_blocks_matches_the_whole_orbit(n0, n, monkeypatch):
+    # blocks of 7: the burn-in ends inside a block for n0 = 10 and 150, on
+    # a block edge for n0 = 0 and 7; x0 = 1 hits the pole 1 -> 0 -> pole
+    monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
+    xs, restarts = _reference_orbit(NO_REAL_ROOT, 1.0, n, -3.0, 3.0, seed=4)
+    assert restarts >= 1
+    expected = EmpiricalDensity.from_samples(xs[n0:], -3.0, 3.0, 12)
+    got = accumulate_density(NO_REAL_ROOT, 1.0, n0, n, -3.0, 3.0, 12, seed=4)
+    assert np.array_equal(got.counts, expected.counts)
+    assert (got.below_count, got.above_count) == (expected.below_count, expected.above_count)
+    assert got.restarts == restarts
+    assert got.total == n - n0
+
+
+def test_accumulate_memory_does_not_grow_with_the_orbit():
+    # a step that returns its argument allocates no float, so what is
+    # traced is the accumulator's own storage; keeping the 1e6 iterates
+    # would take 8 MB as one float64 array, and more as a list
+    fixed = types.SimpleNamespace(step=operator.pos)
+    tracemalloc.start()
+    try:
+        d = accumulate_density(fixed, 0.7, 1000, 1_000_000, -10, 10, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.in_range == 999_000
+    assert peak < 8_000_000
 
 
 def test_accumulate_deterministic():

@@ -197,6 +197,17 @@ def test_quadratic_convergence_constant():
         assert ratios and max(ratios) <= 1.0
 
 
+@pytest.mark.parametrize("x0", [0.3, 0.7, 1.9, -2.2, 5.0, -0.45])
+def test_lyapunov_exponent_is_ln2(x0):
+    # x = cot(pi*theta) conjugates the x^2+1 map to theta -> 2 theta mod 1,
+    # so the orbit mean of log|O'(x)|, O'(x) = (x^2+1)/(2x^2), is ln 2
+    steps, x, total = 20_000, x0, 0.0
+    for _ in range(steps):
+        total += math.log(abs((x * x + 1.0) / (2.0 * x * x)))
+        x = NO_REAL_ROOT.step(x)
+    assert abs(total / steps - math.log(2.0)) <= 1e-3
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         IterationPolicy(max_steps=0)

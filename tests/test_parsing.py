@@ -1,6 +1,7 @@
 """Grammar, exact expansion, error positions, and pretty-print round trips."""
 
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from nrq import (
     parse_polynomial,
     pretty_polynomial,
 )
-from nrq.parsing import MAX_DEGREE
+from nrq.parsing import MAX_DEGREE, MAX_LITERAL_LENGTH
 
 
 def test_simple_quadratics():
@@ -97,6 +98,24 @@ def test_literal_exponent_bound_fails_fast(text, position):
         parse_polynomial(text)
     assert time.perf_counter() - started < 0.1
     assert err.value.position == position
+
+
+def test_literal_length_bound_fails_fast():
+    long_literal = "1." + "0" * 1_000_000 + "1"
+    started = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(f"x^2 + {long_literal}*x")
+    assert time.perf_counter() - started < 0.1
+    assert err.value.position == 6
+    assert "exceeds the cap" in str(err.value)
+
+
+def test_literals_within_the_length_bound_parse():
+    assert parse_polynomial("1." + "0" * 50 + "1" + "*x^2+1").coefficients == (1.0, 0.0, 1.0)
+    # the exact positional expansion of the smallest subnormal, 2^-1074
+    tiny = format(Decimal(5e-324), "f")
+    assert len(tiny) == 1076 <= MAX_LITERAL_LENGTH
+    assert parse_polynomial(f"{tiny}*x^2+1").coefficients == (1.0, 0.0, 5e-324)
 
 
 def test_literals_within_the_exponent_bound_parse():
