@@ -148,15 +148,9 @@ def parse_csv(text: str) -> ParsedCsv:
     return ParsedCsv(meta, columns, cells)
 
 
-def emit_svgdata(
-    density: EmpiricalDensity,
-    overlay=None,
-    peaks=None,
-    width: int = 640,
-    height: int = 400,
-) -> str:
+def emit_svgdata(density: EmpiricalDensity, overlay=None, peaks=None) -> str:
     """Standalone SVG: axes, density polyline, optional analytic overlay and peak markers."""
-    pad = 40.0
+    width, height, pad = 640, 400, 40.0
     centers = density.centers()
     dens = density.densities()
     curves = [dens]

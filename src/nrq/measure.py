@@ -23,6 +23,11 @@ class InvalidRange(ValueError):
 # memory does not grow with the orbit's length.
 ACCUMULATE_BLOCK = 65536
 
+# The counts, edges and densities grow with the bin count, and the analytic
+# overlay costs 24 density calls a bin (100000 bins: about 1.5 s), so the
+# bin count is capped before anything is allocated.
+MAX_BINS = 100_000
+
 
 @dataclass(eq=False)
 class EmpiricalDensity:
@@ -127,8 +132,8 @@ def accumulate_density(
     """
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
     if not (n > n0 >= 0):
         raise ValueError("need n > n0 >= 0")
     # bin centers add adjacent edges, and densities divide by samples * bin width
@@ -246,15 +251,14 @@ def density_distance(emp: EmpiricalDensity, analytic, metric: str = "l1") -> flo
     """
     if emp.in_range == 0:
         raise ValueError("empirical density has no in-range mass")
-    m = metric.lower()
-    if m not in ("l1", "ks", "kolmogorovsmirnov", "kolmogorov-smirnov"):
+    if metric not in ("l1", "ks"):
         raise ValueError(f"unknown metric {metric!r}")
     masses = bin_masses(analytic, emp.edges())
     mass = masses.sum()
     if not mass > 0:
         raise ValueError("analytic density has non-positive mass on the window")
     q = masses / mass
-    if m == "l1":
+    if metric == "l1":
         return float(np.abs(emp.counts / emp.in_range - q).sum())
     return float(np.abs(np.cumsum(emp.counts) / emp.in_range - np.cumsum(q)).max())
 
@@ -278,6 +282,18 @@ class CycleScan:
 
     cycles: tuple[Cycle, ...]
     pole_intervals: tuple[tuple[float, float], ...]
+
+
+# find_cycles evaluates O^period at every grid point and bisects each sign
+# change with about 60 evaluations of O^period, each step costing about
+# degree operations, so grid_points * period * degree bounds its work.  The
+# cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
+MAX_CYCLE_WORK = 600_000
+# A cycle's worst |O^period(p) - p| over its points must stay within this.
+_RESIDUAL_TOL = 1e-10
+# Points closer than this are the same point, for the minimal-period check
+# and for deduplicating rotations of one cycle.
+_DISTINCT_TOL = 1e-9
 
 
 def _iterate_vector(problem: PolynomialProblem, xs: np.ndarray, times: int) -> np.ndarray:
@@ -304,8 +320,6 @@ def find_cycles(
     lo: float,
     hi: float,
     grid_points: int,
-    residual_tol: float = 1e-10,
-    distinct_tol: float = 1e-9,
 ) -> CycleScan:
     """Locate period-``period`` cycles of the map on [lo, hi].
 
@@ -314,12 +328,16 @@ def find_cycles(
     (residual stays huge) or whose endpoints cannot be evaluated are
     reported in ``pole_intervals``.  Solutions whose minimal period
     properly divides ``period`` are excluded, and rotations of one cycle
-    are deduplicated.
+    are deduplicated.  ``grid_points * period * problem.degree`` may not
+    exceed ``MAX_CYCLE_WORK``.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    work = grid_points * period * problem.degree
+    if work > MAX_CYCLE_WORK:
+        raise ValueError(f"grid_points * period * degree = {work} exceeds the cap of {MAX_CYCLE_WORK}")
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
@@ -360,41 +378,33 @@ def find_cycles(
 
     cycles: list[Cycle] = []
     for r, blo, bhi in roots:
-        pts = [r]
-        ok = True
-        for _ in range(period - 1):
-            nxt = _iterate_scalar(problem, pts[-1], 1)
+        # r's orbit for 2*period - 1 steps: the cycle is orbit[:period], and
+        # O^period(orbit[i]) is orbit[i + period], the very floats iterating
+        # from orbit[i] again would give, so each root costs O(period) steps
+        orbit = [r]
+        while len(orbit) < 2 * period:
+            nxt = _iterate_scalar(problem, orbit[-1], 1)
             if nxt is None:
-                ok = False
                 break
-            pts.append(nxt)
-        if not ok:
+            orbit.append(nxt)
+        if len(orbit) < period:
             pole_intervals.append((blo, bhi))
             continue
+        pts = orbit[:period]
         # minimal-period check: any proper divisor d with O^d(r) ~ r disqualifies
-        minimal = True
-        for d in range(1, period):
-            if period % d == 0:
-                yd = _iterate_scalar(problem, r, d)
-                if yd is not None and abs(yd - r) <= distinct_tol:
-                    minimal = False
-                    break
-        if not minimal:
+        if any(period % d == 0 and abs(pts[d] - r) <= _DISTINCT_TOL for d in range(1, period)):
             continue
-        residual = 0.0
-        for p in pts:
-            yp = _iterate_scalar(problem, p, period)
-            if yp is None:
-                ok = False
-                break
-            residual = max(residual, abs(yp - p))
-        if not ok or residual > residual_tol:
+        if len(orbit) < 2 * period:
+            pole_intervals.append((blo, bhi))
+            continue
+        residual = max(abs(orbit[i + period] - orbit[i]) for i in range(period))
+        if residual > _RESIDUAL_TOL:
             # a sign change that refined onto a pole crossing of O^period
             pole_intervals.append((blo, bhi))
             continue
         srt = np.sort(pts)
         dup = any(
-            len(c.points) == len(pts) and np.max(np.abs(np.sort(c.points) - srt)) <= distinct_tol
+            len(c.points) == len(pts) and np.max(np.abs(np.sort(c.points) - srt)) <= _DISTINCT_TOL
             for c in cycles
         )
         if dup:
@@ -488,10 +498,8 @@ def interference_experiment(config: InterferenceConfig, seed: int = 0) -> Empiri
     )
 
 
-def smoothed_densities(density: EmpiricalDensity, window: int = 5) -> np.ndarray:
-    """Moving-average smoothing used before peak detection."""
-    kernel = np.ones(window) / window
-    return np.convolve(density.densities(), kernel, mode="same")
+# peak_detect smooths the density by a moving average over this many bins.
+_SMOOTHING_BINS = 5
 
 
 def peak_detect(density: EmpiricalDensity, min_prominence: float):
@@ -505,7 +513,8 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     """
     if min_prominence < 0:
         raise ValueError("min_prominence must be >= 0")
-    s = smoothed_densities(density)
+    kernel = np.ones(_SMOOTHING_BINS) / _SMOOTHING_BINS
+    s = np.convolve(density.densities(), kernel, mode="same")
     centers = density.centers()
     idxs = []
     i = 1
@@ -555,13 +564,3 @@ def half_width_at_half_max(density: EmpiricalDensity, center: float) -> float:
 
     return (cross(+1) - cross(-1)) / 2.0
 
-
-def response_curve(d, k: float, phase: float, xi: float):
-    """Damped sinusoid sin(k*d + phase) * exp(-d/xi) for separations d >= 0."""
-    if not xi > 0:
-        raise ValueError("xi must be positive")
-    d = np.asarray(d, dtype=float)
-    if (d < 0).any():
-        raise ValueError("d must be >= 0")
-    out = np.sin(k * d + phase) * np.exp(-d / xi)
-    return float(out) if out.ndim == 0 else out

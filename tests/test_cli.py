@@ -26,6 +26,7 @@ from nrq.cli import (
 )
 import nrq
 from nrq.measure import EmpiricalDensity, cauchy_density
+from nrq.parsing import MAX_POLY_LENGTH
 from nrq.qops import Grid, tight_binding_hamiltonian
 
 
@@ -410,6 +411,38 @@ def test_overflowing_numeric_input_exits_2(args, tmp_path, capsys):
     code, _, err = run_cli(args + ["--out", str(out)], capsys)
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and json.loads(err)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--poly", "x^2+1", "--bins", "1000000000"],
+        ["interfere", "--delta", "0.01", "--bins", "1000000000"],
+        ["cycles", "--poly", "x^2+1", "--period", "1000000000"],
+        ["cycles", "--poly", "x^2+1", "--grid", "1000000000"],
+    ],
+    ids=" ".join,
+)
+def test_work_caps_exit_2_quickly(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_poly_over_length_cap_in_config_exits_2_quickly(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"poly": "x+" * (MAX_POLY_LENGTH // 2) + "x"}))
+    out = tmp_path / "density.csv"
+    started = time.perf_counter()
+    code, _, err = run_cli(["density", "--config", str(config), "--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "exceeds the cap" in json.loads(err)["message"]
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import time
 import tracemalloc
 import types
 
@@ -29,7 +30,6 @@ from nrq import (
     parse_polynomial,
     peak_detect,
     pushforward_residual,
-    response_curve,
 )
 from nrq import measure
 from nrq.newton import OVERFLOW_BOUND, DerivativeZero
@@ -194,6 +194,15 @@ def test_accumulate_validation():
         accumulate_density(NO_REAL_ROOT, 0.7, 10, 10, -1.0, 1.0, 10)
 
 
+def test_accumulate_bins_cap():
+    assert accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, -1.0, 1.0, measure.MAX_BINS).bins == measure.MAX_BINS
+    started = time.perf_counter()
+    for bins in (measure.MAX_BINS + 1, 10**9):
+        with pytest.raises(ValueError, match="bins must lie in"):
+            accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, -1.0, 1.0, bins)
+    assert time.perf_counter() - started < 0.1
+
+
 def test_accumulate_chunks_merge_exactly():
     whole = accumulate_density(NO_REAL_ROOT, 0.7, 10, 2010, -10, 10, 50, seed=5)
     first = accumulate_density(NO_REAL_ROOT, 0.7, 10, 1010, -10, 10, 50, seed=5)
@@ -318,6 +327,13 @@ def test_distance_empty_rejected():
         )
 
 
+@pytest.mark.parametrize("metric", ["L1", "KS", "kolmogorovsmirnov", "kolmogorov-smirnov"])
+def test_distance_takes_only_l1_and_ks(metric):
+    emp = EmpiricalDensity(0.0, 1.0, 4, np.ones(4, dtype=int))
+    with pytest.raises(ValueError, match="unknown metric"):
+        density_distance(emp, cauchy_density, metric=metric)
+
+
 # ---------------------------------------------------------------------------
 # cycles
 
@@ -402,6 +418,22 @@ def test_find_cycles_validation():
         find_cycles(NO_REAL_ROOT, 1, -1.0, 1.0, 1)
     with pytest.raises(InvalidRange):
         find_cycles(NO_REAL_ROOT, 1, 1.0, -1.0, 100)
+
+
+@pytest.mark.parametrize(
+    "problem, period, grid_points",
+    [
+        (NO_REAL_ROOT, 10**9, 1000),
+        (NO_REAL_ROOT, 1, 10**9),
+        (NO_REAL_ROOT, 3, measure.MAX_CYCLE_WORK // 6 + 1),
+        # the cap weighs each step by the degree: a quartic gets half the points
+        (interference_polynomial(0.01), 3, measure.MAX_CYCLE_WORK // 12 + 1),
+    ],
+)
+def test_find_cycles_work_cap(problem, period, grid_points, monkeypatch):
+    monkeypatch.setattr(measure, "_iterate_vector", lambda *args: pytest.fail("grid evaluated"))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        find_cycles(problem, period, -3.0, 3.0, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -513,27 +545,3 @@ def test_half_width_of_binned_lorentzian():
     d = EmpiricalDensity(lo, hi, bins, counts)
     assert half_width_at_half_max(d, 0.0) == pytest.approx(1.0, abs=0.05)
 
-
-# ---------------------------------------------------------------------------
-# response curve
-
-
-def test_response_curve_values():
-    assert response_curve(0.0, 2.0, 0.7, 1.0) == pytest.approx(math.sin(0.7), rel=1e-12)
-    assert abs(response_curve(1.0, math.pi, 0.0, 1.0)) <= 1e-15
-
-
-def test_response_curve_maxima_of_pure_sinusoid():
-    lam = 2.0
-    k = 2.0 * math.pi / lam
-    d = np.linspace(0.0, 3.0, 30001)
-    values = response_curve(d, k, 0.0, 1e12)
-    first_max = d[int(np.argmax(values))]
-    assert first_max == pytest.approx(lam / 4.0, abs=1e-3)
-
-
-def test_response_curve_validation():
-    with pytest.raises(ValueError):
-        response_curve(1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        response_curve(-1.0, 1.0, 0.0, 1.0)

@@ -1,4 +1,4 @@
-"""Newton map unit tests: step arithmetic, orbit statuses, multi-start clustering."""
+"""Newton map unit tests: step arithmetic, orbit statuses."""
 
 import math
 import pickle
@@ -15,7 +15,6 @@ from nrq import (
     OrbitStatus,
     PolynomialProblem,
     iterate_orbit,
-    multi_start_solve,
     newton_step,
     overlap_converged,
 )
@@ -165,7 +164,7 @@ def test_orbit_two_cycle_breaks_before_100_steps():
 
 def test_orbit_overflow():
     # x^2 - 2 with a huge start: first step squares past the overflow bound
-    orbit = iterate_orbit(SQRT2_MINUS_2, 1e200, IterationPolicy(max_steps=10, overflow_bound=1e150))
+    orbit = iterate_orbit(SQRT2_MINUS_2, 1e200, IterationPolicy(max_steps=10))
     assert orbit.status is OrbitStatus.OVERFLOWED
     assert orbit.iterates == (1e200,)
     assert orbit.step == 0
@@ -213,36 +212,3 @@ def test_policy_validation():
         IterationPolicy(max_steps=0)
     with pytest.raises(ValueError):
         IterationPolicy(convergence_tol=0.0)
-    with pytest.raises(ValueError):
-        IterationPolicy(overflow_bound=-1.0)
-
-
-def test_multi_start_two_roots():
-    roots, missed = multi_start_solve(SQRT2_MINUS_2, [1.0, -1.0], IterationPolicy(max_steps=60))
-    assert missed == 0
-    values = sorted(roots)
-    assert len(values) == 2
-    assert values[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
-    assert values[1] == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    assert all(count == 1 for count in roots.values())
-
-
-def test_multi_start_same_basin():
-    roots, missed = multi_start_solve(SQRT2_MINUS_2, [2.0, 3.0, 4.0], IterationPolicy(max_steps=60))
-    assert missed == 0
-    assert len(roots) == 1
-    ((value, count),) = roots.items()
-    assert value == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    assert count == 3
-
-
-def test_multi_start_no_real_roots():
-    starts = np.random.default_rng(3).uniform(-5.0, 5.0, 100)
-    roots, missed = multi_start_solve(NO_REAL_ROOT, starts, IterationPolicy(max_steps=100))
-    assert roots == {}
-    assert missed == 100
-
-
-def test_multi_start_empty():
-    with pytest.raises(ValueError):
-        multi_start_solve(SQRT2_MINUS_2, [], IterationPolicy())

@@ -1,5 +1,6 @@
 """Grammar, exact expansion, error positions, and pretty-print round trips."""
 
+import re
 import time
 from decimal import Decimal
 
@@ -13,7 +14,7 @@ from nrq import (
     parse_polynomial,
     pretty_polynomial,
 )
-from nrq.parsing import MAX_DEGREE, MAX_LITERAL_LENGTH
+from nrq.parsing import MAX_DEGREE, MAX_LITERAL_LENGTH, MAX_POLY_LENGTH, _tokenize
 
 
 def test_simple_quadratics():
@@ -101,7 +102,7 @@ def test_literal_exponent_bound_fails_fast(text, position):
 
 
 def test_literal_length_bound_fails_fast():
-    long_literal = "1." + "0" * 1_000_000 + "1"
+    long_literal = "1." + "0" * 60_000 + "1"  # over the literal cap, within MAX_POLY_LENGTH
     started = time.perf_counter()
     with pytest.raises(PolynomialSyntaxError) as err:
         parse_polynomial(f"x^2 + {long_literal}*x")
@@ -149,3 +150,73 @@ def test_pretty_parse_round_trip_random(coeffs):
     problem = PolynomialProblem(tuple(coeffs))
     again = parse_polynomial(pretty_polynomial(problem))
     assert again.coefficients == problem.coefficients
+
+
+_RESCANNING_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<x>x)"
+    r"|(?P<op>[-+*^()]))"
+)
+
+
+def rescanning_tokenize(text):
+    """Reference tokenizer: strips the whole remaining text before every
+    token (quadratic in the length), with the same token tuples and the
+    same error position."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        if not text[pos:].strip():
+            break
+        m = _RESCANNING_TOKEN_RE.match(text, pos)
+        if m is None:
+            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
+            raise PolynomialSyntaxError(f"unexpected character {text[at]!r}", at)
+        kind = next(k for k in ("number", "x", "op") if m.group(k) is not None)
+        value = m.group(kind)
+        tokens.append((value if kind == "op" else kind, value, m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except PolynomialSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+pieces = st.sampled_from(
+    ["x", "2", "3.5", ".25", "1e-3", "+", "-", "*", "^", "(", ")", " ", "  ", "\t", "\n",
+     "\u00a0", "\u2003", "\x1c", "$", "y", "e"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pieces, max_size=30).map("".join))
+def test_tokenize_matches_the_rescanning_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(rescanning_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["  x ^ 2 \t+\n 1  ", "x +   $", " \u00a0\u2003(x-3)^2 ", "x+1 \u2003 y", "\t\n", "1.5 e2", "x  2"],
+)
+def test_tokenize_whitespace_heavy_inputs(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(rescanning_tokenize, text)
+    if "$" in text:
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == text.index("$")
+
+
+def test_expression_length_cap():
+    # the longest accepted sum of x's, padded to exactly the cap
+    text = "+".join(["x"] * (MAX_POLY_LENGTH // 2)) + " "
+    assert len(text) == MAX_POLY_LENGTH
+    assert parse_polynomial(text).coefficients == (0.0, MAX_POLY_LENGTH // 2)
+    started = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text + "1")
+    assert time.perf_counter() - started < 0.1
+    assert "exceeds the cap" in str(err.value)
