@@ -289,6 +289,17 @@ class CycleScan:
 # degree operations, so grid_points * period * degree bounds its work.  The
 # cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
 MAX_CYCLE_WORK = 600_000
+# The brackets are bisected in lockstep, each level one step_array call per
+# step of O^period, and a call costs about 20 us plus 2 us a degree at any
+# array size, so the period, and the period weighted by the degree, are
+# capped to keep a scan of few brackets near a second.  No x^2+1 cycle
+# above period 60 or so is resolvable in double precision anyway.
+MAX_CYCLE_PERIOD = 1000
+MAX_CYCLE_STEP_WORK = 4000
+# Bisection stops once a bracket is no wider than this relative to its
+# midpoint, or after this many levels.
+_BISECT_RTOL = 1e-15
+_MAX_BISECT_LEVELS = 200
 # A cycle's worst |O^period(p) - p| over its points must stay within this.
 _RESIDUAL_TOL = 1e-10
 # Points closer than this are the same point, for the minimal-period check
@@ -302,16 +313,51 @@ def _iterate_vector(problem: PolynomialProblem, xs: np.ndarray, times: int) -> n
     return xs
 
 
-def _iterate_scalar(problem: PolynomialProblem, x: float, times: int) -> float | None:
-    """O^times(x), or None if the composition hits a pole or overflows."""
-    for _ in range(times):
-        try:
-            x = newton_step(problem, x)
-        except DerivativeZero:
-            return None
-        if not math.isfinite(x):
-            return None
-    return x
+def _iterate_scalar(problem: PolynomialProblem, x: float) -> float | None:
+    """The next iterate O(x), or None if x is a pole or O(x) overflows."""
+    try:
+        y = newton_step(problem, x)
+    except DerivativeZero:
+        return None
+    return y if math.isfinite(y) else None
+
+
+def _bisect_brackets(
+    problem: PolynomialProblem, period: int, a: np.ndarray, b: np.ndarray, ga: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every bracket [a[i], b[i]] of g(x) = O^period(x) - x in lockstep.
+
+    ``ga`` holds g at the left ends, where g and g at the right ends have
+    opposite signs.  Each level evaluates O^period once at the midpoints m of
+    all still-active brackets and keeps [a, m] where ``ga * gm <= 0``, else
+    [m, b]; a bracket freezes once it is no wider than ``_BISECT_RTOL``
+    of its midpoint's magnitude (at least 1), or after
+    ``_MAX_BISECT_LEVELS``.  Returns each bracket's final midpoint and
+    whether its evaluation hit a pole or overflowed, which makes it bad.
+    """
+    roots = np.empty(a.size)
+    bad = np.zeros(a.size, dtype=bool)
+    active = np.arange(a.size)
+    with np.errstate(all="ignore"):
+        for level in range(_MAX_BISECT_LEVELS):
+            if active.size == 0:
+                break
+            m = 0.5 * (a + b)
+            ym = _iterate_vector(problem, m, period)
+            gm = ym - m
+            take_left = ga * gm <= 0.0
+            b = np.where(take_left, m, b)
+            a = np.where(take_left, a, m)
+            ga = np.where(take_left, ga, gm)
+            failed = np.isnan(ym)
+            done = failed | (b - a <= _BISECT_RTOL * np.maximum(1.0, np.abs(m)))
+            if level == _MAX_BISECT_LEVELS - 1:
+                done[:] = True
+            bad[active[failed]] = True
+            roots[active[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            active, a, b, ga = active[keep], a[keep], b[keep], ga[keep]
+    return roots, bad
 
 
 def find_cycles(
@@ -323,18 +369,30 @@ def find_cycles(
 ) -> CycleScan:
     """Locate period-``period`` cycles of the map on [lo, hi].
 
-    Sign changes of g(x) = O^period(x) - x on the evaluation grid are
-    refined by bisection.  Brackets that refine onto a pole of O^period
-    (residual stays huge) or whose endpoints cannot be evaluated are
-    reported in ``pole_intervals``.  Solutions whose minimal period
-    properly divides ``period`` are excluded, and rotations of one cycle
-    are deduplicated.  ``grid_points * period * problem.degree`` may not
-    exceed ``MAX_CYCLE_WORK``.
+    g(x) = O^period(x) - x is evaluated on the grid, and every cell is
+    classified at once: a cell with a non-finite end is a pole interval, a
+    zero of g at its left end is a root, and a sign change is a bracket.
+    All brackets are then bisected together (``_bisect_brackets``); one
+    whose refinement hits a pole or overflows is a pole interval too.  Each
+    root's orbit is checked in grid order: solutions whose minimal period
+    properly divides ``period`` are excluded, a root whose residual stays
+    huge refined onto a pole and joins ``pole_intervals``, and rotations of
+    one cycle are deduplicated.  ``period`` may not exceed
+    ``MAX_CYCLE_PERIOD``, ``period * problem.degree`` may not exceed
+    ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period * problem.degree``
+    may not exceed ``MAX_CYCLE_WORK``; all three are checked before the grid
+    is built.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if period > MAX_CYCLE_PERIOD:
+        raise ValueError(f"period {period} exceeds the cap of {MAX_CYCLE_PERIOD}")
+    if period * problem.degree > MAX_CYCLE_STEP_WORK:
+        raise ValueError(
+            f"period * degree = {period * problem.degree} exceeds the cap of {MAX_CYCLE_STEP_WORK}"
+        )
     work = grid_points * period * problem.degree
     if work > MAX_CYCLE_WORK:
         raise ValueError(f"grid_points * period * degree = {work} exceeds the cap of {MAX_CYCLE_WORK}")
@@ -342,48 +400,34 @@ def find_cycles(
         raise InvalidRange(f"bad range [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
     g = _iterate_vector(problem, xs, period) - xs
+    left, right = xs[:-1], xs[1:]
     finite = np.isfinite(g)
+    pole = ~(finite[:-1] & finite[1:])
+    zero = ~pole & (g[:-1] == 0.0)
+    with np.errstate(all="ignore"):
+        cells = np.flatnonzero(~pole & ~zero & (g[:-1] * g[1:] < 0.0))
+    refined, bad = _bisect_brackets(problem, period, left[cells], right[cells], g[cells])
+    pole[cells[bad]] = True
+    found = zero.copy()
+    found[cells[~bad]] = True
+    root = left.copy()  # a zero of g at a cell's left end is the root itself
+    root[cells] = refined
+    bracket_hi = np.where(zero, left, right)  # and its bracket is that point
 
-    pole_intervals: list[tuple[float, float]] = []
-    roots: list[tuple[float, float, float]] = []  # (root, bracket_lo, bracket_hi)
-    for i in range(grid_points - 1):
-        if not (finite[i] and finite[i + 1]):
-            pole_intervals.append((float(xs[i]), float(xs[i + 1])))
-            continue
-        if g[i] == 0.0:
-            roots.append((float(xs[i]), float(xs[i]), float(xs[i])))
-            continue
-        if g[i] * g[i + 1] >= 0.0:
-            continue
-        a, b = float(xs[i]), float(xs[i + 1])
-        ga = g[i]
-        bad = False
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            ym = _iterate_scalar(problem, m, period)
-            if ym is None:
-                bad = True
-                break
-            gm = ym - m
-            if ga * gm <= 0.0:
-                b = m
-            else:
-                a, ga = m, gm
-            if b - a <= 1e-15 * max(1.0, abs(m)):
-                break
-        if bad:
-            pole_intervals.append((float(xs[i]), float(xs[i + 1])))
-            continue
-        roots.append((0.5 * (a + b), float(xs[i]), float(xs[i + 1])))
+    # pole intervals and (root, bracket_lo, bracket_hi), each in grid order
+    pole_intervals = list(zip(left[pole].tolist(), right[pole].tolist()))
+    roots = zip(root[found].tolist(), left[found].tolist(), bracket_hi[found].tolist())
 
     cycles: list[Cycle] = []
+    # the sorted points of every accepted cycle, one row each
+    accepted = np.empty((np.count_nonzero(found), period))
     for r, blo, bhi in roots:
         # r's orbit for 2*period - 1 steps: the cycle is orbit[:period], and
         # O^period(orbit[i]) is orbit[i + period], the very floats iterating
         # from orbit[i] again would give, so each root costs O(period) steps
         orbit = [r]
         while len(orbit) < 2 * period:
-            nxt = _iterate_scalar(problem, orbit[-1], 1)
+            nxt = _iterate_scalar(problem, orbit[-1])
             if nxt is None:
                 break
             orbit.append(nxt)
@@ -403,12 +447,9 @@ def find_cycles(
             pole_intervals.append((blo, bhi))
             continue
         srt = np.sort(pts)
-        dup = any(
-            len(c.points) == len(pts) and np.max(np.abs(np.sort(c.points) - srt)) <= _DISTINCT_TOL
-            for c in cycles
-        )
-        if dup:
+        if (np.abs(accepted[: len(cycles)] - srt).max(axis=1) <= _DISTINCT_TOL).any():
             continue
+        accepted[len(cycles)] = srt
         start = int(np.argmin(pts))
         canonical = tuple(pts[start:] + pts[:start])
         cycles.append(Cycle(period, canonical, residual))

@@ -25,6 +25,7 @@ from nrq.cli import (
     parse_csv,
 )
 import nrq
+from nrq import measure
 from nrq.measure import EmpiricalDensity, cauchy_density
 from nrq.parsing import MAX_POLY_LENGTH
 from nrq.qops import Grid, tight_binding_hamiltonian
@@ -432,6 +433,28 @@ def test_work_caps_exit_2_quickly(args, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
     assert not out.exists()
+
+
+def test_cycles_period_cap_exits_2_before_the_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(measure, "_iterate_vector", lambda *args: pytest.fail("grid evaluated"))
+    out = tmp_path / "out"
+    period = str(measure.MAX_CYCLE_PERIOD + 1)
+    code, _, err = run_cli(
+        ["cycles", "--poly", "x^2+1", "--period", period, "--grid", "2", "--out", str(out)], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "exceeds the cap" in json.loads(err)["message"]
+    assert not out.exists()
+
+
+def test_cycles_at_the_period_cap_runs(tmp_path, capsys):
+    out = tmp_path / "cycles.json"
+    period = str(measure.MAX_CYCLE_PERIOD)
+    code, _, _ = run_cli(
+        ["cycles", "--poly", "x^2+1", "--period", period, "--grid", "2", "--out", str(out)], capsys
+    )
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["period"] == measure.MAX_CYCLE_PERIOD
 
 
 def test_poly_over_length_cap_in_config_exits_2_quickly(tmp_path, capsys):

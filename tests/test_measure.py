@@ -9,7 +9,7 @@ import types
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from nrq import (
@@ -428,12 +428,167 @@ def test_find_cycles_validation():
         (NO_REAL_ROOT, 3, measure.MAX_CYCLE_WORK // 6 + 1),
         # the cap weighs each step by the degree: a quartic gets half the points
         (interference_polynomial(0.01), 3, measure.MAX_CYCLE_WORK // 12 + 1),
+        # a long period is capped even on a grid of 2, and weighed by the degree
+        (NO_REAL_ROOT, measure.MAX_CYCLE_PERIOD + 1, 2),
+        (PolynomialProblem((1.0,) * 6), measure.MAX_CYCLE_STEP_WORK // 5 + 1, 2),
     ],
 )
 def test_find_cycles_work_cap(problem, period, grid_points, monkeypatch):
     monkeypatch.setattr(measure, "_iterate_vector", lambda *args: pytest.fail("grid evaluated"))
     with pytest.raises(ValueError, match="exceeds the cap"):
         find_cycles(problem, period, -3.0, 3.0, grid_points)
+
+
+def _reference_find_cycles(problem, period, lo, hi, grid_points):
+    """The cycle scan as a per-cell loop that bisects each bracket alone.
+
+    The oracle for ``find_cycles``: the same rules, applied one grid cell
+    and one scalar evaluation of O^period at a time.
+    """
+
+    def power(x):
+        for _ in range(period):
+            try:
+                x = newton_step(problem, x)
+            except DerivativeZero:
+                return None
+            if not math.isfinite(x):
+                return None
+        return x
+
+    xs = np.linspace(lo, hi, grid_points)
+    ys = xs
+    for _ in range(period):
+        ys = problem.step_array(ys)
+    g = ys - xs
+    finite = np.isfinite(g)
+
+    pole_intervals = []
+    roots = []  # (root, bracket_lo, bracket_hi)
+    for i in range(grid_points - 1):
+        if not (finite[i] and finite[i + 1]):
+            pole_intervals.append((float(xs[i]), float(xs[i + 1])))
+            continue
+        if g[i] == 0.0:
+            roots.append((float(xs[i]), float(xs[i]), float(xs[i])))
+            continue
+        with np.errstate(all="ignore"):
+            if g[i] * g[i + 1] >= 0.0:
+                continue
+        a, b = float(xs[i]), float(xs[i + 1])
+        ga = g[i]
+        bad = False
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            ym = power(m)
+            if ym is None:
+                bad = True
+                break
+            gm = ym - m
+            with np.errstate(all="ignore"):
+                if ga * gm <= 0.0:
+                    b = m
+                else:
+                    a, ga = m, gm
+            if b - a <= 1e-15 * max(1.0, abs(m)):
+                break
+        if bad:
+            pole_intervals.append((float(xs[i]), float(xs[i + 1])))
+            continue
+        roots.append((0.5 * (a + b), float(xs[i]), float(xs[i + 1])))
+
+    cycles = []
+    for r, blo, bhi in roots:
+        orbit = [r]
+        while len(orbit) < 2 * period:
+            try:
+                nxt = newton_step(problem, orbit[-1])
+            except DerivativeZero:
+                break
+            if not math.isfinite(nxt):
+                break
+            orbit.append(nxt)
+        if len(orbit) < period:
+            pole_intervals.append((blo, bhi))
+            continue
+        pts = orbit[:period]
+        if any(period % d == 0 and abs(pts[d] - r) <= 1e-9 for d in range(1, period)):
+            continue
+        if len(orbit) < 2 * period:
+            pole_intervals.append((blo, bhi))
+            continue
+        residual = max(abs(orbit[i + period] - orbit[i]) for i in range(period))
+        if residual > 1e-10:
+            pole_intervals.append((blo, bhi))
+            continue
+        srt = np.sort(pts)
+        if any(
+            len(c.points) == len(pts) and np.max(np.abs(np.sort(c.points) - srt)) <= 1e-9
+            for c in cycles
+        ):
+            continue
+        start = int(np.argmin(pts))
+        cycles.append(measure.Cycle(period, tuple(pts[start:] + pts[:start]), residual))
+
+    cycles.sort(key=lambda c: c.points[0])
+    return measure.CycleScan(tuple(cycles), tuple(pole_intervals))
+
+
+def _assert_same_scan(problem, period, lo, hi, grid_points):
+    scan = find_cycles(problem, period, lo, hi, grid_points)
+    reference = _reference_find_cycles(problem, period, lo, hi, grid_points)
+    assert scan == reference
+    assert repr(scan) == repr(reference)  # also tells -0.0 from 0.0
+    return scan
+
+
+_SCAN_POLYNOMIAL = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.integers(-5, 5).map(float), min_size=d + 1, max_size=d + 1)
+).filter(lambda c: c[-1] != 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _SCAN_POLYNOMIAL,
+    st.integers(1, 6),
+    st.floats(-10.0, 10.0),
+    st.floats(0.1, 20.0),
+    st.integers(2, 3000),
+)
+@example([-1.0, 0.0, 1.0], 1, -3.0, 6.0, 7)  # x^2 - 1: grid points on both roots
+@example([1.0, 0.0, 1.0], 1, -1.0, 2.0, 3)  # a grid point on the pole at 0
+@example([1.0, 0.0, 1.0], 1, -1.0, 2.0, 2)  # the first midpoint is the pole
+@example([-1.0, 0.0, 1.0], 1, 0.5, 1.0, 2)  # the first midpoint is the root 1: gm == 0
+@example([1.0, 0.0, 1.0], 2, -50.0, 100.0, 20000 // 6)  # brackets straddling poles
+@example([2.0, -2.0, 0.0, 1.0], 4, -3.0, 6.0, 3000)  # x^3 - 2x + 2
+def test_find_cycles_matches_the_per_cell_scan(coefficients, period, lo, width, grid_points):
+    _assert_same_scan(PolynomialProblem(coefficients), period, lo, lo + width, grid_points)
+
+
+def test_bisection_onto_a_pole_is_a_pole_interval():
+    # g changes sign across [-1, 1] only through the pole at 0, the midpoint
+    scan = _assert_same_scan(NO_REAL_ROOT, 1, -1.0, 1.0, 2)
+    assert scan == measure.CycleScan((), ((-1.0, 1.0),))
+
+
+def test_grid_root_is_kept_in_grid_order():
+    # x^2 - 1 on [-3, 3] with 13 points: both fixed points are grid points
+    scan = _assert_same_scan(PolynomialProblem((-1.0, 0.0, 1.0)), 1, -3.0, 3.0, 13)
+    assert [c.points for c in scan.cycles] == [(-1.0,), (1.0,)]
+    # and at period 2 they are excluded by the minimal-period check
+    assert _assert_same_scan(PolynomialProblem((-1.0, 0.0, 1.0)), 2, -3.0, 3.0, 13).cycles == ()
+
+
+@pytest.mark.parametrize(
+    "problem, period, lo, hi, grid_points",
+    [
+        (NO_REAL_ROOT, 8, -50.0, 50.0, 20000),  # the cycle-scan benchmark's longest period
+        (interference_polynomial(0.01), 3, -2.0, 5.0, 50000),
+        (NO_REAL_ROOT, 12, -3.0, 3.0, 4000),
+    ],
+)
+def test_find_cycles_matches_the_per_cell_scan_on_workloads(problem, period, lo, hi, grid_points):
+    _assert_same_scan(problem, period, lo, hi, grid_points)
 
 
 # ---------------------------------------------------------------------------
