@@ -57,6 +57,15 @@ FORMATS = ("csv", "json", "svg")
 # An orbit keeps every iterate and its output is rendered as one string,
 # about 270 B a step, so this bounds orbit's memory to roughly 30 MB.
 MAX_ORBIT_STEPS = 100_000
+# An ops-check evolve step costs about 40 us at n = 8 and 80 us at n = 1024,
+# on top of about 0.75 s a size at n = 1024, so the step count and the
+# number of sizes are capped: the slowest admitted run, eight sizes of 1024
+# at 10000 steps each, takes about 14 s on 2 cores.
+MAX_OPS_CHECK_STEPS = 10_000
+MAX_OPS_CHECK_SIZES = 8
+# A dispersion sample is one csv row or two json numbers, about 40 B of
+# output; 100000 samples take under a second end to end.
+MAX_DISPERSION_SAMPLES = 100_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -370,9 +379,11 @@ def _run_interfere(opt) -> Result:
 
 
 def _run_ops_check(opt) -> Result:
-    if opt["steps"] < 1:
-        raise ConfigError(f"--steps must be >= 1, got {opt['steps']}")
+    if not 1 <= opt["steps"] <= MAX_OPS_CHECK_STEPS:
+        raise ConfigError(f"--steps must lie in 1..{MAX_OPS_CHECK_STEPS}, got {opt['steps']}")
     sizes = opt["n"] or [64]
+    if len(sizes) > MAX_OPS_CHECK_SIZES:
+        raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_SIZES} sizes, got {len(sizes)}")
     reports = [
         ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
         for n in sizes
@@ -386,6 +397,8 @@ def _run_ops_check(opt) -> Result:
 def _run_dispersion(opt) -> Result:
     units = NaturalUnits(hbar=opt["hbar"], c=opt["c"])
     if opt["model"] == "kg":
+        if opt["samples"] > MAX_DISPERSION_SAMPLES:
+            raise ConfigError(f"--samples is capped at {MAX_DISPERSION_SAMPLES}, got {opt['samples']}")
         ks = np.linspace(opt["kmin"], opt["kmax"], opt["samples"])
         omegas = klein_gordon_dispersion(ks, opt["mass"], units)
         meta = {"model": "kg", "mass": opt["mass"], "c": opt["c"], "hbar": opt["hbar"]}

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .newton import OVERFLOW_BOUND, DerivativeZero, PolynomialProblem, newton_step
+# newton_step is not called here, but perfbench/spans.py traces nrq.measure.newton_step
+from .newton import OVERFLOW_BOUND, DerivativeZero, PolynomialProblem, newton_step  # noqa: F401
 
 
 class InvalidRange(ValueError):
@@ -313,15 +314,6 @@ def _iterate_vector(problem: PolynomialProblem, xs: np.ndarray, times: int) -> n
     return xs
 
 
-def _iterate_scalar(problem: PolynomialProblem, x: float) -> float | None:
-    """The next iterate O(x), or None if x is a pole or O(x) overflows."""
-    try:
-        y = newton_step(problem, x)
-    except DerivativeZero:
-        return None
-    return y if math.isfinite(y) else None
-
-
 def _bisect_brackets(
     problem: PolynomialProblem, period: int, a: np.ndarray, b: np.ndarray, ga: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,18 +362,20 @@ def find_cycles(
     """Locate period-``period`` cycles of the map on [lo, hi].
 
     g(x) = O^period(x) - x is evaluated on the grid, and every cell is
-    classified at once: a cell with a non-finite end is a pole interval, a
-    zero of g at its left end is a root, and a sign change is a bracket.
-    All brackets are then bisected together (``_bisect_brackets``); one
-    whose refinement hits a pole or overflows is a pole interval too.  Each
-    root's orbit is checked in grid order: solutions whose minimal period
-    properly divides ``period`` are excluded, a root whose residual stays
-    huge refined onto a pole and joins ``pole_intervals``, and rotations of
-    one cycle are deduplicated.  ``period`` may not exceed
-    ``MAX_CYCLE_PERIOD``, ``period * problem.degree`` may not exceed
-    ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period * problem.degree``
-    may not exceed ``MAX_CYCLE_WORK``; all three are checked before the grid
-    is built.
+    classified at once: a cell with a non-finite end is a pole interval and
+    a sign change is a bracket.  All brackets are then bisected together
+    (``_bisect_brackets``); one whose refinement hits a pole or overflows is
+    a pole interval too.  A zero of g at any grid point, the window's ends
+    included, is a root with that point as its bracket.  The roots' orbits
+    are then iterated together, in grid order: solutions whose minimal
+    period properly divides ``period`` are excluded, a root whose orbit hits
+    a pole or whose residual stays huge refined onto a pole and its bracket
+    joins ``pole_intervals``, and rotations of one cycle are deduplicated.
+    Every evaluation of the map goes through ``problem.step_array``.
+    ``period`` may not exceed ``MAX_CYCLE_PERIOD``, ``period *
+    problem.degree`` may not exceed ``MAX_CYCLE_STEP_WORK``, and
+    ``grid_points * period * problem.degree`` may not exceed
+    ``MAX_CYCLE_WORK``; all three are checked before the grid is built.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -403,56 +397,48 @@ def find_cycles(
     left, right = xs[:-1], xs[1:]
     finite = np.isfinite(g)
     pole = ~(finite[:-1] & finite[1:])
-    zero = ~pole & (g[:-1] == 0.0)
     with np.errstate(all="ignore"):
-        cells = np.flatnonzero(~pole & ~zero & (g[:-1] * g[1:] < 0.0))
+        cells = np.flatnonzero(~pole & (g[:-1] * g[1:] < 0.0))
     refined, bad = _bisect_brackets(problem, period, left[cells], right[cells], g[cells])
     pole[cells[bad]] = True
-    found = zero.copy()
-    found[cells[~bad]] = True
-    root = left.copy()  # a zero of g at a cell's left end is the root itself
-    root[cells] = refined
-    bracket_hi = np.where(zero, left, right)  # and its bracket is that point
-
-    # pole intervals and (root, bracket_lo, bracket_hi), each in grid order
     pole_intervals = list(zip(left[pole].tolist(), right[pole].tolist()))
-    roots = zip(root[found].tolist(), left[found].tolist(), bracket_hi[found].tolist())
+    # one candidate per grid point: a zero of g there is the root itself, with
+    # the point as its bracket, and a good bracket starting there is refined
+    found = g == 0.0
+    found[cells[~bad]] = True
+    root, bracket_hi = xs.copy(), xs.copy()
+    root[cells], bracket_hi[cells] = refined, right[cells]
+    r, blo, bhi = root[found], xs[found], bracket_hi[found]
+
+    # each root's orbit for 2*period - 1 steps: the cycle is orbit[:, :period],
+    # and O^period(orbit[:, i]) is orbit[:, i + period]; once a step hits a
+    # pole or overflows, the rest of the row is NaN
+    orbit = np.empty((r.size, 2 * period))
+    orbit[:, 0] = r
+    for i in range(1, 2 * period):
+        orbit[:, i] = problem.step_array(orbit[:, i - 1])
+    pts = orbit[:, :period]
+    divisors = [d for d in range(1, period) if period % d == 0]
+    with np.errstate(all="ignore"):
+        residual = np.abs(orbit[:, period:] - pts).max(axis=1)  # NaN if the orbit broke
+        # minimal-period check: any proper divisor d with O^d(r) ~ r disqualifies
+        lower = (np.abs(pts[:, divisors] - r[:, None]) <= _DISTINCT_TOL).any(axis=1)
+    # a root whose orbit breaks within the cycle, or, past the divisor check,
+    # breaks later or misses the residual, refined onto a pole crossing
+    broken = np.isnan(pts).any(axis=1) | (~lower & ~(residual <= _RESIDUAL_TOL))
+    pole_intervals += zip(blo[broken].tolist(), bhi[broken].tolist())
+    keep = ~broken & ~lower
 
     cycles: list[Cycle] = []
     # the sorted points of every accepted cycle, one row each
-    accepted = np.empty((np.count_nonzero(found), period))
-    for r, blo, bhi in roots:
-        # r's orbit for 2*period - 1 steps: the cycle is orbit[:period], and
-        # O^period(orbit[i]) is orbit[i + period], the very floats iterating
-        # from orbit[i] again would give, so each root costs O(period) steps
-        orbit = [r]
-        while len(orbit) < 2 * period:
-            nxt = _iterate_scalar(problem, orbit[-1])
-            if nxt is None:
-                break
-            orbit.append(nxt)
-        if len(orbit) < period:
-            pole_intervals.append((blo, bhi))
-            continue
-        pts = orbit[:period]
-        # minimal-period check: any proper divisor d with O^d(r) ~ r disqualifies
-        if any(period % d == 0 and abs(pts[d] - r) <= _DISTINCT_TOL for d in range(1, period)):
-            continue
-        if len(orbit) < 2 * period:
-            pole_intervals.append((blo, bhi))
-            continue
-        residual = max(abs(orbit[i + period] - orbit[i]) for i in range(period))
-        if residual > _RESIDUAL_TOL:
-            # a sign change that refined onto a pole crossing of O^period
-            pole_intervals.append((blo, bhi))
-            continue
-        srt = np.sort(pts)
+    accepted = np.empty((np.count_nonzero(keep), period))
+    for pts_row, res in zip(pts[keep].tolist(), residual[keep].tolist()):
+        srt = np.sort(pts_row)
         if (np.abs(accepted[: len(cycles)] - srt).max(axis=1) <= _DISTINCT_TOL).any():
             continue
         accepted[len(cycles)] = srt
-        start = int(np.argmin(pts))
-        canonical = tuple(pts[start:] + pts[:start])
-        cycles.append(Cycle(period, canonical, residual))
+        start = int(np.argmin(pts_row))
+        cycles.append(Cycle(period, tuple(pts_row[start:] + pts_row[:start]), res))
 
     cycles.sort(key=lambda c: c.points[0])
     return CycleScan(tuple(cycles), tuple(pole_intervals))

@@ -25,7 +25,7 @@ from nrq.cli import (
     parse_csv,
 )
 import nrq
-from nrq import measure
+from nrq import cli, measure
 from nrq.measure import EmpiricalDensity, cauchy_density
 from nrq.parsing import MAX_POLY_LENGTH
 from nrq.qops import Grid, tight_binding_hamiltonian
@@ -433,6 +433,51 @@ def test_work_caps_exit_2_quickly(args, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
     assert not out.exists()
+
+
+_EIGHT_SIZES = [a for n in (2, 3, 4, 5, 6, 7, 8, 9) for a in ("--n", str(n))]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ops-check", "--n", "8", "--steps", str(cli.MAX_OPS_CHECK_STEPS + 1)],
+        ["ops-check", "--n", "8", "--steps", "100000000"],
+        ["ops-check", *_EIGHT_SIZES, "--n", "10"],
+        ["dispersion", "--samples", str(cli.MAX_DISPERSION_SAMPLES + 1)],
+        ["dispersion", "--samples", "1000000000"],
+    ],
+    ids=" ".join,
+)
+def test_cli_count_caps_exit_2_before_any_work(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ops_check", lambda *a, **k: pytest.fail("ops_check ran"))
+    monkeypatch.setattr(cli, "klein_gordon_dispersion", lambda *a: pytest.fail("dispersion ran"))
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["ops-check", *_EIGHT_SIZES, "--steps", "1"], {"sizes": list(range(2, 10))}),
+        (["ops-check", "--n", "2", "--steps", str(cli.MAX_OPS_CHECK_STEPS)], {"sizes": [2]}),
+        (["dispersion", "--samples", str(cli.MAX_DISPERSION_SAMPLES), "--format", "json"],
+         {"samples": cli.MAX_DISPERSION_SAMPLES}),
+    ],
+    ids=["ops-check sizes", "ops-check steps", "dispersion samples"],
+)
+def test_cli_counts_at_their_caps_run(args, expected, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_OK
+    statuses = read_report(stdout)["statuses"]
+    assert {key: statuses[key] for key in expected} == expected
 
 
 def test_cycles_period_cap_exits_2_before_the_grid(tmp_path, capsys, monkeypatch):

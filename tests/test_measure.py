@@ -465,12 +465,13 @@ def _reference_find_cycles(problem, period, lo, hi, grid_points):
 
     pole_intervals = []
     roots = []  # (root, bracket_lo, bracket_hi)
-    for i in range(grid_points - 1):
+    for i in range(grid_points):
+        if g[i] == 0.0:  # at any grid point, whatever its neighbours
+            roots.append((float(xs[i]), float(xs[i]), float(xs[i])))
+        if i == grid_points - 1:
+            break
         if not (finite[i] and finite[i + 1]):
             pole_intervals.append((float(xs[i]), float(xs[i + 1])))
-            continue
-        if g[i] == 0.0:
-            roots.append((float(xs[i]), float(xs[i]), float(xs[i])))
             continue
         with np.errstate(all="ignore"):
             if g[i] * g[i + 1] >= 0.0:
@@ -555,11 +556,12 @@ _SCAN_POLYNOMIAL = st.integers(1, 5).flatmap(
     st.floats(0.1, 20.0),
     st.integers(2, 3000),
 )
-@example([-1.0, 0.0, 1.0], 1, -3.0, 6.0, 7)  # x^2 - 1: grid points on both roots
+@example([-1.0, 0.0, 1.0], 1, -3.0, 6.0, 7)  # x^2 - 1: the root -1 is a grid point beside the pole 0
 @example([1.0, 0.0, 1.0], 1, -1.0, 2.0, 3)  # a grid point on the pole at 0
 @example([1.0, 0.0, 1.0], 1, -1.0, 2.0, 2)  # the first midpoint is the pole
 @example([-1.0, 0.0, 1.0], 1, 0.5, 1.0, 2)  # the first midpoint is the root 1: gm == 0
 @example([1.0, 0.0, 1.0], 2, -50.0, 100.0, 20000 // 6)  # brackets straddling poles
+@example([-1.0, 0.0, 1.0], 1, -3.0, 4.0, 9)  # x^2 - 1: the root 1 at the window's right end
 @example([2.0, -2.0, 0.0, 1.0], 4, -3.0, 6.0, 3000)  # x^3 - 2x + 2
 def test_find_cycles_matches_the_per_cell_scan(coefficients, period, lo, width, grid_points):
     _assert_same_scan(PolynomialProblem(coefficients), period, lo, lo + width, grid_points)
@@ -572,11 +574,37 @@ def test_bisection_onto_a_pole_is_a_pole_interval():
 
 
 def test_grid_root_is_kept_in_grid_order():
-    # x^2 - 1 on [-3, 3] with 13 points: both fixed points are grid points
-    scan = _assert_same_scan(PolynomialProblem((-1.0, 0.0, 1.0)), 1, -3.0, 3.0, 13)
-    assert [c.points for c in scan.cycles] == [(-1.0,), (1.0,)]
+    # x^2 - 1 on [-3, hi]: both fixed points are grid points, a root wherever
+    # it lies: at 13 points, beside the pole 0 at 7, and at the right end 1
+    for hi, grid_points, pole_intervals in [
+        (3.0, 13, ((-0.5, 0.0), (0.0, 0.5))),
+        (3.0, 7, ((-1.0, 0.0), (0.0, 1.0))),
+        (1.0, 9, ((-0.5, 0.0), (0.0, 0.5))),
+    ]:
+        scan = _assert_same_scan(PolynomialProblem((-1.0, 0.0, 1.0)), 1, -3.0, hi, grid_points)
+        assert [c.points for c in scan.cycles] == [(-1.0,), (1.0,)]
+        assert scan.pole_intervals == pole_intervals
     # and at period 2 they are excluded by the minimal-period check
     assert _assert_same_scan(PolynomialProblem((-1.0, 0.0, 1.0)), 2, -3.0, 3.0, 13).cycles == ()
+
+
+@pytest.mark.parametrize(
+    "coefficients, period, lo, hi, grid_points",
+    [
+        ((1.0, 0.0, 1.0), 5, -3.0, 3.0, 1000),
+        ((-1.0, 0.0, 1.0), 1, -3.0, 3.0, 7),
+        ((2.0, -2.0, 0.0, 1.0), 4, -3.0, 6.0, 3000),
+    ],
+)
+def test_find_cycles_takes_no_scalar_step(coefficients, period, lo, hi, grid_points):
+    def scalar_step(x):
+        raise AssertionError("find_cycles took a scalar step")
+
+    problem = PolynomialProblem(coefficients)
+    object.__setattr__(problem, "step", scalar_step)
+    scan = find_cycles(problem, period, lo, hi, grid_points)
+    assert scan == find_cycles(PolynomialProblem(coefficients), period, lo, hi, grid_points)
+    assert scan.cycles  # the orbits were walked
 
 
 @pytest.mark.parametrize(
