@@ -41,6 +41,7 @@ from .measure import (
 from .newton import IterationPolicy, iterate_orbit
 from .parsing import parse_polynomial
 from .qops import (
+    MAX_OPS_CHECK_N,
     Grid,
     NaturalUnits,
     check_hopping_range,
@@ -384,6 +385,10 @@ def _run_ops_check(opt) -> Result:
     sizes = opt["n"] or [64]
     if len(sizes) > MAX_OPS_CHECK_SIZES:
         raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_SIZES} sizes, got {len(sizes)}")
+    # every size is checked before any runs: a size of 1024 takes a second
+    too_large = [n for n in sizes if n > MAX_OPS_CHECK_N]
+    if too_large:
+        raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_N} to bound memory, got {too_large[0]}")
     reports = [
         ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
         for n in sizes

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 # newton_step is not called here, but perfbench/spans.py traces nrq.measure.newton_step
-from .newton import OVERFLOW_BOUND, DerivativeZero, PolynomialProblem, newton_step  # noqa: F401
+from .newton import PolynomialProblem, newton_step  # noqa: F401
 
 
 class InvalidRange(ValueError):
@@ -128,7 +128,10 @@ def accumulate_density(
     uniform draw on [lo, hi] (seeded PCG64); the restart value enters the
     stream as that step's iterate and the restart count is reported on the
     result.  If ``x0`` is None the start is drawn from the same generator.
-    The iterates are binned ``ACCUMULATE_BLOCK`` at a time, so memory is
+    The orbit is run by ``problem.advance``, the fused kernel, which writes
+    raw doubles into one ``ACCUMULATE_BLOCK``-slot buffer and stops before
+    each pole or overflow, where the restart is stored and the kernel
+    resumed.  Each block is binned straight from that buffer, so memory is
     bounded by the block and the bins, not by ``n``.
     """
     if not lo < hi:
@@ -142,33 +145,22 @@ def accumulate_density(
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
-    step = problem.step
-    bound = OVERFLOW_BOUND
+    advance = problem.advance
+    raw = bytearray(8 * ACCUMULATE_BLOCK)
+    buf = memoryview(raw).cast("d")
+    samples = np.frombuffer(raw)
     restarts = 0
     density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
-    i = 0
-    while i < n:
-        # iterates start+1 .. stop are kept in a list, then binned and dropped
-        start, stop = i, min(i + ACCUMULATE_BLOCK, n)
-        xs: list[float] = []
-        append = xs.append
-        while i < stop:
-            try:
-                while i < stop:
-                    y = step(x)
-                    i += 1
-                    if -bound <= y <= bound:
-                        x = y
-                    else:
-                        x = float(rng.uniform(lo, hi))
-                        restarts += 1
-                    append(x)
-            except DerivativeZero:
-                i += 1
-                x = float(rng.uniform(lo, hi))
-                restarts += 1
-                append(x)
-        kept = EmpiricalDensity.from_samples(xs[max(n0 - start, 0) :], lo, hi, bins)
+    for start in range(0, n, ACCUMULATE_BLOCK):
+        # iterates start+1 .. start+m fill buf[0 .. m-1], then are binned
+        m = min(ACCUMULATE_BLOCK, n - start)
+        x, j = advance(x, 0, m, buf)
+        while j < m:
+            x = float(rng.uniform(lo, hi))
+            restarts += 1
+            buf[j] = x
+            x, j = advance(x, j + 1, m, buf)
+        kept = EmpiricalDensity.from_samples(samples[max(n0 - start, 0) : m], lo, hi, bins)
         density = density.merge(kept)
     density.restarts = restarts
     return density

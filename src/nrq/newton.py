@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# |f'(x)| at or below this is a pole of the map: the scalar step raises
-# DerivativeZero there and the array step returns NaN.
+# |f'(x)| at or below this is a pole of the map: the orbit kernel stops
+# there, the scalar step raises DerivativeZero and the array step returns NaN.
 POLE_EPSILON = 1e-300
 # An iterate beyond this magnitude counts as an overflow.
 OVERFLOW_BOUND = 1e300
@@ -36,43 +36,94 @@ def _horner(coeffs_desc: tuple, x):
     return acc
 
 
-def _scalar_step(ns: tuple, ds: tuple) -> Callable[[float], float]:
-    """The map (x*f'(x) - f(x)) / f'(x) as a closure over descending tuples.
+def _kernel(ns: tuple, ds: tuple) -> Callable:
+    """The fused orbit kernel ``advance(x, j, k, buf) -> (x, j)``.
 
-    Degrees 2 and 4 (the x^2+c and two-well experiments) are unrolled,
-    which cuts their per-iterate cost by a third or more; their leading
-    coefficients are nonzero, so for finite x starting Horner's scheme
-    there instead of at 0.0 gives the same bits as ``_horner``.
+    It applies the map (x*f'(x) - f(x)) / f'(x), over descending tuples,
+    from ``x`` and writes the iterates to ``buf[j]`` .. ``buf[k - 1]``,
+    where ``buf`` is any buffer of doubles (a ``memoryview`` cast to "d",
+    say).  It returns the last iterate written and ``k``, or it stops early
+    and returns the current iterate and the slot it did not fill: when the
+    next step is a pole (|f'| <= POLE_EPSILON) or its value leaves
+    [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  The loop makes no
+    Python call.  Degrees 2 and 4 (the x^2+c and two-well experiments) are
+    unrolled; their leading coefficients are nonzero, so for finite x
+    starting Horner's scheme there instead of at 0.0, as every other degree
+    does, gives the same bits as ``_horner``.
     """
-    pe = POLE_EPSILON  # a closure cell: read on every iterate, cheaper than a global
+    # closure cells, cheaper than globals; the negated bounds are not
+    # recomputed on every iterate
+    pe, bound, neg_pe, neg_bound = POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND
     degree = len(ds)
     if degree == 2:
         n2, n1, n0 = ns
         b1, b0 = ds
 
-        def step(x: float) -> float:
-            fpx = b1 * x + b0
-            if -pe <= fpx <= pe:
-                raise DerivativeZero(x, fpx)
-            return ((n2 * x + n1) * x + n0) / fpx
+        def advance(x, j, k, buf):
+            for j in range(j, k):
+                fpx = b1 * x + b0
+                if neg_pe <= fpx <= pe:
+                    return x, j
+                y = ((n2 * x + n1) * x + n0) / fpx
+                if not neg_bound <= y <= bound:
+                    return x, j
+                buf[j] = x = y
+            return x, k
 
     elif degree == 4:
         n4, n3, n2, n1, n0 = ns
         b3, b2, b1, b0 = ds
 
-        def step(x: float) -> float:
-            fpx = ((b3 * x + b2) * x + b1) * x + b0
-            if -pe <= fpx <= pe:
-                raise DerivativeZero(x, fpx)
-            return ((((n4 * x + n3) * x + n2) * x + n1) * x + n0) / fpx
+        def advance(x, j, k, buf):
+            for j in range(j, k):
+                fpx = ((b3 * x + b2) * x + b1) * x + b0
+                if neg_pe <= fpx <= pe:
+                    return x, j
+                y = ((((n4 * x + n3) * x + n2) * x + n1) * x + n0) / fpx
+                if not neg_bound <= y <= bound:
+                    return x, j
+                buf[j] = x = y
+            return x, k
 
     else:
 
-        def step(x: float) -> float:
-            fpx = _horner(ds, x)
-            if -pe <= fpx <= pe:
-                raise DerivativeZero(x, fpx)
-            return _horner(ns, x) / fpx
+        def advance(x, j, k, buf):
+            for j in range(j, k):
+                fpx = 0.0
+                for c in ds:
+                    fpx = fpx * x + c
+                if neg_pe <= fpx <= pe:
+                    return x, j
+                y = 0.0
+                for c in ns:
+                    y = y * x + c
+                y /= fpx
+                if not neg_bound <= y <= bound:
+                    return x, j
+                buf[j] = x = y
+            return x, k
+
+    return advance
+
+
+def _derived_step(advance: Callable, ns: tuple, ds: tuple) -> Callable[[float], float]:
+    """One step of ``advance`` as a scalar map.
+
+    The step goes through a 1-slot buffer.  Where the kernel stops, f' is
+    recomputed with ``_horner``, which for finite x gives the kernel's bits:
+    a pole raises DerivativeZero, and otherwise the value that left the
+    overflow window, NaN included, is returned.
+    """
+    slot = memoryview(bytearray(8)).cast("d")
+
+    def step(x: float) -> float:
+        y, j = advance(x, 0, 1, slot)
+        if j:
+            return y
+        fpx = _horner(ds, x)
+        if -POLE_EPSILON <= fpx <= POLE_EPSILON:
+            raise DerivativeZero(x, fpx)
+        return _horner(ns, x) / fpx
 
     return step
 
@@ -83,9 +134,12 @@ class PolynomialProblem:
 
     The derivative and the Newton numerator x*f'(x) - f(x) are computed
     symbolically at construction, and the map is built once from their
-    descending tuples: ``step`` is the scalar entry and ``step_array`` the
-    array entry.  Both evaluate the single fraction (x*f'(x) - f(x)) / f'(x)
-    with Horner's scheme, so they agree bit for bit; it reduces to the
+    descending tuples.  ``advance`` is the fused orbit kernel (see
+    ``_kernel``): it runs the map over a buffer of doubles and stops before
+    a pole or an overflow.  ``step`` is one step of ``advance``, raising
+    DerivativeZero at a pole, and ``step_array`` is the array entry.  All
+    three evaluate the single fraction (x*f'(x) - f(x)) / f'(x) with
+    Horner's scheme, so they agree bit for bit; it reduces to the
     recursions the experiments are defined by, e.g. (x^2+2)/(2x) for x^2-2
     and (x^2-1)/(2x) for x^2+1.
     """
@@ -93,6 +147,7 @@ class PolynomialProblem:
     coefficients: tuple[float, ...]
     derivative: tuple[float, ...] = field(init=False)
     numerator: tuple[float, ...] = field(init=False)
+    advance: Callable = field(init=False, repr=False, compare=False)
     step: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _desc: tuple = field(init=False, repr=False, compare=False)
 
@@ -109,11 +164,14 @@ class PolynomialProblem:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "_desc", (numerator[::-1], derivative[::-1]))
-        object.__setattr__(self, "step", _scalar_step(*self._desc))
+        desc = (numerator[::-1], derivative[::-1])
+        advance = _kernel(*desc)
+        object.__setattr__(self, "_desc", desc)
+        object.__setattr__(self, "advance", advance)
+        object.__setattr__(self, "step", _derived_step(advance, *desc))
 
     def __reduce__(self):
-        # the step closure cannot be pickled; it is rebuilt from the coefficients
+        # the kernel and step closures cannot be pickled; they are rebuilt from the coefficients
         return PolynomialProblem, (self.coefficients,)
 
     @property

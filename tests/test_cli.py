@@ -289,6 +289,10 @@ PINNED_OUTPUTS = [
     (["cycles", "--poly", "x^2+1", "--period", "5", "--format", "csv"], "20e9dc582be6"),
     (["density", "--poly", "x^2+1", "--seed", "1", "--overlay-cauchy", "--format", "svg"],
      "e01b7c084c7b"),
+    # the map of x^2 halves x, so the orbit runs into the pole at 0 again and again: 370 restarts
+    (["density", "--poly", "x^2", "--seed", "3"], "142e9551ed43"),
+    # a degree the orbit kernel does not unroll
+    (["density", "--poly", "x^3-2*x+2", "--seed", "3"], "a13e38499d94"),
 ]
 
 
@@ -354,6 +358,18 @@ def test_ops_check_n_over_cap_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "capped" in json.loads(err)["message"]
     assert stdout == ""
     assert not out.exists()
+
+
+def test_ops_check_sizes_are_all_checked_before_any_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "ops_check", lambda *a, **k: calls.append(a))
+    out = tmp_path / "ops.json"
+    code, stdout, err = run_cli(["ops-check", "--n", "8", "--n", "2048", "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "capped" in json.loads(err)["message"]
+    assert stdout == ""
+    assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("poly", ["x^100000", "(x+1)^100000"])

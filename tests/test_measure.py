@@ -1,7 +1,6 @@
 """Density accumulation, analytic-density comparison, cycles, interference."""
 
 import math
-import operator
 import time
 import tracemalloc
 import types
@@ -244,26 +243,49 @@ def _reference_orbit(problem, x0, n, lo, hi, seed):
     return xs, restarts
 
 
-@pytest.mark.parametrize("n0, n", [(0, 200), (10, 200), (7, 203), (150, 151)])
-def test_accumulate_in_blocks_matches_the_whole_orbit(n0, n, monkeypatch):
+def _assert_blocks_match_the_whole_orbit(problem, x0, n0, n, monkeypatch):
     # blocks of 7: the burn-in ends inside a block for n0 = 10 and 150, on
-    # a block edge for n0 = 0 and 7; x0 = 1 hits the pole 1 -> 0 -> pole
+    # a block edge for n0 = 0 and 7
     monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
-    xs, restarts = _reference_orbit(NO_REAL_ROOT, 1.0, n, -3.0, 3.0, seed=4)
+    xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
     assert restarts >= 1
     expected = EmpiricalDensity.from_samples(xs[n0:], -3.0, 3.0, 12)
-    got = accumulate_density(NO_REAL_ROOT, 1.0, n0, n, -3.0, 3.0, 12, seed=4)
+    got = accumulate_density(problem, x0, n0, n, -3.0, 3.0, 12, seed=4)
     assert np.array_equal(got.counts, expected.counts)
     assert (got.below_count, got.above_count) == (expected.below_count, expected.above_count)
     assert got.restarts == restarts
     assert got.total == n - n0
 
 
+_BLOCK_SPLITS = [(0, 200), (10, 200), (7, 203), (150, 151)]
+
+
+@pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
+def test_accumulate_in_blocks_matches_the_whole_orbit(n0, n, monkeypatch):
+    # x0 = 1 hits the pole 1 -> 0 -> pole
+    _assert_blocks_match_the_whole_orbit(NO_REAL_ROOT, 1.0, n0, n, monkeypatch)
+
+
+@pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
+def test_accumulate_in_blocks_matches_the_whole_orbit_at_a_generic_degree(n0, n, monkeypatch):
+    # x^3 - 2x + 2 runs the kernel's generic Horner loop; the first step
+    # from 1e200 cubes past the overflow bound and restarts the chain
+    cubic = PolynomialProblem((2.0, -2.0, 0.0, 1.0))
+    _assert_blocks_match_the_whole_orbit(cubic, 1e200, n0, n, monkeypatch)
+
+
+def _fixed_point_advance(x, j, k, buf):
+    """An orbit kernel whose map is the identity: it writes x unchanged."""
+    for j in range(j, k):
+        buf[j] = x
+    return x, k
+
+
 def test_accumulate_memory_does_not_grow_with_the_orbit():
-    # a step that returns its argument allocates no float, so what is
+    # a kernel that writes its argument allocates no float, so what is
     # traced is the accumulator's own storage; keeping the 1e6 iterates
     # would take 8 MB as one float64 array, and more as a list
-    fixed = types.SimpleNamespace(step=operator.pos)
+    fixed = types.SimpleNamespace(advance=_fixed_point_advance)
     tracemalloc.start()
     try:
         d = accumulate_density(fixed, 0.7, 1000, 1_000_000, -10, 10, 200, seed=1)

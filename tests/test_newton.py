@@ -18,6 +18,7 @@ from nrq import (
     newton_step,
     overlap_converged,
 )
+from nrq.newton import OVERFLOW_BOUND
 
 SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))  # x^2 - 2
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))  # x^2 + 1
@@ -71,6 +72,10 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def _bits_of(values) -> list[bytes]:
+    return [_bits(v) for v in values]
+
+
 # degree 1 to 6, zero coefficients allowed except the leading one
 _POLYNOMIAL = st.integers(1, 6).flatmap(
     lambda d: st.lists(st.floats(-1e3, 1e3), min_size=d + 1, max_size=d + 1)
@@ -102,6 +107,52 @@ def test_scalar_and_array_steps_agree(coefficients, x):
         assert _bits(from_array) == _bits(y)
     else:
         assert math.isnan(from_array)
+
+
+def _chain(step, x, k):
+    """The iterates of up to k calls of ``step``, stopping where it raises
+    DerivativeZero, returns NaN or leaves the overflow window."""
+    iterates = []
+    for _ in range(k):
+        try:
+            x = step(x)
+        except DerivativeZero:
+            break
+        if not -OVERFLOW_BOUND <= x <= OVERFLOW_BOUND:
+            break
+        iterates.append(x)
+    return iterates
+
+
+@given(
+    _POLYNOMIAL,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
+    st.integers(0, 3),
+    st.integers(1, 40),
+)
+@example([1.0, 0.0, 1.0], 1.0, 0, 5)  # x^2 + 1: 1 -> 0, then the pole
+@example([1.0, 0.0, 1.0], 4e-301, 0, 3)  # f' = 8e-301: a pole although the quotient is finite
+@example([0.0, 0.0, 0.5], 1e-300, 1, 3)  # f' = x equals POLE_EPSILON: a pole
+@example([100.0, 0.0, 1.0], -6e-301, 0, 2)  # the step lands at 8.3e301, finite but out
+@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 2, 40)  # the two-well quartic
+@example([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 0, 2)  # degree 4 with f'(0) = POLE_EPSILON
+@example([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 0, 2)  # degree 4: the step lands at 5e300
+@example([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9)  # x^3 - 2x + 2, generic degree: the 0, 1 cycle
+@example([2.0, -2.0, 0.0, 1.0], 1e200, 0, 3)  # its first step is inf / inf
+@example([20.0, 1e-299], 0.5, 0, 2)  # degree 1: the step lands at -2e300
+@example([0.0, -2.0], 0.5, 0, 4)  # degree 1: the numerator's leading term is -0.0
+@example([1.0, 1e-300], 0.5, 3, 2)  # |f'| equals POLE_EPSILON everywhere: a pole
+def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
+    problem = PolynomialProblem(coefficients)
+    expected = _chain(problem.step, x0, k)
+    # step is derived from the kernel, so the array entry is the independent oracle
+    assert _bits_of(expected) == _bits_of(_chain(lambda x: problem.step_array([x])[0], x0, k))
+    buf = memoryview(bytearray(8 * (j0 + k))).cast("d")
+    x, j = problem.advance(x0, j0, j0 + k, buf)
+    assert j == j0 + len(expected)
+    assert _bits_of(buf[j0:j]) == _bits_of(expected)
+    assert _bits(x) == _bits(expected[-1] if expected else x0)
+    assert not any(buf[:j0]) and not any(buf[j:])  # no slot outside the run is written
 
 
 def test_problem_pickles_with_a_working_step():
