@@ -570,6 +570,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_a(kind, value) -> bool:
+    # bool is an int subclass; a float option takes a JSON int as its flag
+    # takes "1", but only one that converts to a double
+    if isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _check_file_value(key: str, value, default, kwargs: dict) -> None:
+    """Raise ConfigError unless a config-file value is one the option's flag could give."""
+    kind = kwargs.get("type", str)
+    action = kwargs.get("action")
+    if value is None:
+        ok, expected = default is None, "not null"
+    elif action == "store_true":
+        ok, expected = isinstance(value, bool), "true or false"
+    elif action == "append":
+        ok = isinstance(value, list) and all(_is_a(kind, v) for v in value)
+        expected = f"a list of {kind.__name__}"
+    else:
+        ok = _is_a(kind, value) and ("choices" not in kwargs or value in kwargs["choices"])
+        expected = f"one of {list(kwargs['choices'])}" if "choices" in kwargs else kind.__name__
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     """Apply precedence: CLI flags > config file > defaults (+ NRQ_SEED)."""
     command = namespace.command
@@ -585,10 +613,13 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_options, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = set(options) | {"format", "out"}
-        unknown = set(file_options) - known
+        table = {key: (default, kwargs) for key, default, kwargs in spec.options}
+        table.update(format=(None, {"choices": FORMATS}), out=(None, {}))
+        unknown = set(file_options) - set(table)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in file_options.items():
+            _check_file_value(key, value, *table[key])
         options.update(file_options)
     options.update(cli_options)
 

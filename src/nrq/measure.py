@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# newton_step is not called here, but perfbench/spans.py traces nrq.measure.newton_step
+# newton_step is not called here; the name stays because perfbench/spans.py
+# traces nrq.measure.newton_step
 from .newton import PolynomialProblem, newton_step  # noqa: F401
 
 
@@ -99,7 +100,7 @@ class EmpiricalDensity:
         )
 
     @classmethod
-    def from_samples(cls, samples, lo: float, hi: float, bins: int, restarts: int = 0):
+    def from_samples(cls, samples, lo: float, hi: float, bins: int):
         if not lo < hi:
             raise InvalidRange(f"bad range [{lo}, {hi}]")
         arr = np.asarray(samples, dtype=float)
@@ -108,7 +109,7 @@ class EmpiricalDensity:
         counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
         below = int((arr < lo).sum())
         above = int((arr > hi).sum())
-        return cls(lo, hi, bins, counts, below, above, restarts)
+        return cls(lo, hi, bins, counts, below, above)
 
 
 def accumulate_density(

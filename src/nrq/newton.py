@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # |f'(x)| at or below this is a pole of the map: the orbit kernel stops
-# there, the scalar step raises DerivativeZero and the array step returns NaN.
+# there, newton_step raises DerivativeZero and step_array returns NaN.
 POLE_EPSILON = 1e-300
 # An iterate beyond this magnitude counts as an overflow.
 OVERFLOW_BOUND = 1e300
+# iterate_orbit runs the kernel over chunks of this many steps and tests
+# each chunk for convergence at once.
+_ORBIT_CHUNK = 4096
 
 
 class DerivativeZero(ZeroDivisionError):
@@ -106,28 +109,6 @@ def _kernel(ns: tuple, ds: tuple) -> Callable:
     return advance
 
 
-def _derived_step(advance: Callable, ns: tuple, ds: tuple) -> Callable[[float], float]:
-    """One step of ``advance`` as a scalar map.
-
-    The step goes through a 1-slot buffer.  Where the kernel stops, f' is
-    recomputed with ``_horner``, which for finite x gives the kernel's bits:
-    a pole raises DerivativeZero, and otherwise the value that left the
-    overflow window, NaN included, is returned.
-    """
-    slot = memoryview(bytearray(8)).cast("d")
-
-    def step(x: float) -> float:
-        y, j = advance(x, 0, 1, slot)
-        if j:
-            return y
-        fpx = _horner(ds, x)
-        if -POLE_EPSILON <= fpx <= POLE_EPSILON:
-            raise DerivativeZero(x, fpx)
-        return _horner(ns, x) / fpx
-
-    return step
-
-
 @dataclass(frozen=True)
 class PolynomialProblem:
     """Real polynomial f (ascending coefficients) and its Newton map.
@@ -136,19 +117,17 @@ class PolynomialProblem:
     symbolically at construction, and the map is built once from their
     descending tuples.  ``advance`` is the fused orbit kernel (see
     ``_kernel``): it runs the map over a buffer of doubles and stops before
-    a pole or an overflow.  ``step`` is one step of ``advance``, raising
-    DerivativeZero at a pole, and ``step_array`` is the array entry.  All
-    three evaluate the single fraction (x*f'(x) - f(x)) / f'(x) with
-    Horner's scheme, so they agree bit for bit; it reduces to the
-    recursions the experiments are defined by, e.g. (x^2+2)/(2x) for x^2-2
-    and (x^2-1)/(2x) for x^2+1.
+    a pole or an overflow.  ``step_array`` applies the map to an array with
+    ``_horner``, and ``newton_step`` to one float.  Both paths evaluate the
+    single fraction (x*f'(x) - f(x)) / f'(x) with Horner's scheme, so they
+    agree bit for bit; it reduces to the recursions the experiments are
+    defined by, e.g. (x^2+2)/(2x) for x^2-2 and (x^2-1)/(2x) for x^2+1.
     """
 
     coefficients: tuple[float, ...]
     derivative: tuple[float, ...] = field(init=False)
     numerator: tuple[float, ...] = field(init=False)
     advance: Callable = field(init=False, repr=False, compare=False)
-    step: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _desc: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, coefficients):
@@ -165,13 +144,11 @@ class PolynomialProblem:
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "numerator", numerator)
         desc = (numerator[::-1], derivative[::-1])
-        advance = _kernel(*desc)
         object.__setattr__(self, "_desc", desc)
-        object.__setattr__(self, "advance", advance)
-        object.__setattr__(self, "step", _derived_step(advance, *desc))
+        object.__setattr__(self, "advance", _kernel(*desc))
 
     def __reduce__(self):
-        # the kernel and step closures cannot be pickled; they are rebuilt from the coefficients
+        # the kernel closure cannot be pickled; it is rebuilt from the coefficients
         return PolynomialProblem, (self.coefficients,)
 
     @property
@@ -181,7 +158,7 @@ class PolynomialProblem:
     def step_array(self, xs) -> np.ndarray:
         """The map applied to every element of ``xs``.
 
-        NaN where |f'(x)| <= POLE_EPSILON (where ``step`` raises
+        NaN where |f'(x)| <= POLE_EPSILON (where ``newton_step`` raises
         DerivativeZero) and where the result is not finite.
         """
         ns, ds = self._desc
@@ -193,15 +170,15 @@ class PolynomialProblem:
 
 
 def newton_step(problem: PolynomialProblem, x: float) -> float:
-    """One application of the map x - f(x)/f'(x): ``problem.step(x)``."""
-    return problem.step(x)
+    """One application of the map, as ``step_array`` computes it on arrays.
 
-
-def overlap_converged(prev: float, next_value: float, tol: float) -> bool:
-    """Mixed absolute/relative stopping test |next - prev| <= tol*(1+|prev|)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return abs(next_value - prev) <= tol * (1.0 + abs(prev))
+    Raises DerivativeZero at a pole (|f'(x)| <= POLE_EPSILON).
+    """
+    ns, ds = problem._desc
+    fpx = _horner(ds, x)
+    if -POLE_EPSILON <= fpx <= POLE_EPSILON:
+        raise DerivativeZero(x, fpx)
+    return _horner(ns, x) / fpx
 
 
 @dataclass(frozen=True)
@@ -243,24 +220,37 @@ class Orbit:
 
 
 def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy) -> Orbit:
-    """Iterate the map from x0 until convergence, pole, overflow, or max_steps."""
+    """Iterate the map from x0 until convergence, pole, overflow, or max_steps.
+
+    Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
+    orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps
+    in one buffer whose slot 0 holds the previous iterate, and each chunk is
+    tested for convergence at once.  Where the kernel stops early, f' at
+    the last iterate tells a pole from an overflow.
+    """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    step = problem.step
-    bound = OVERFLOW_BOUND
-    tol = policy.convergence_tol
-    xs = [float(x0)]
-    x = xs[0]
-    for i in range(1, policy.max_steps + 1):
-        try:
-            y = step(x)
-        except DerivativeZero:
-            return Orbit(x0, tuple(xs), OrbitStatus.POLE_HIT, step=i - 1)
-        if not (-bound <= y <= bound):  # also catches NaN
-            return Orbit(x0, tuple(xs), OrbitStatus.OVERFLOWED, step=i - 1)
-        xs.append(y)
-        if overlap_converged(x, y, tol):
-            return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=i, value=y)
-        x = y
+    advance, tol = problem.advance, policy.convergence_tol
+    raw = bytearray(8 * (min(_ORBIT_CHUNK, policy.max_steps) + 1))
+    buf = memoryview(raw).cast("d")
+    x = float(x0)
+    xs = [x]
+    while len(xs) <= policy.max_steps:
+        k = min(_ORBIT_CHUNK, policy.max_steps + 1 - len(xs))
+        buf[0] = x
+        x, j = advance(x, 1, k + 1, buf)
+        chunk = np.frombuffer(raw, count=j)
+        prev = chunk[:-1]
+        # a move or threshold past the largest double is inf, as in Python float arithmetic
+        with np.errstate(over="ignore"):
+            hits = np.flatnonzero(np.abs(chunk[1:] - prev) <= tol * (1.0 + np.abs(prev)))
+        if hits.size:
+            xs += chunk[1 : hits[0] + 2].tolist()
+            return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=len(xs) - 1, value=xs[-1])
+        xs += chunk[1:].tolist()
+        if j <= k:
+            fpx = _horner(problem._desc[1], x)
+            pole = -POLE_EPSILON <= fpx <= POLE_EPSILON
+            status = OrbitStatus.POLE_HIT if pole else OrbitStatus.OVERFLOWED
+            return Orbit(x0, tuple(xs), status, step=len(xs) - 1)
     return Orbit(x0, tuple(xs), OrbitStatus.RUNNING)
-

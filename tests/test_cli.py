@@ -293,6 +293,16 @@ PINNED_OUTPUTS = [
     (["density", "--poly", "x^2", "--seed", "3"], "142e9551ed43"),
     # a degree the orbit kernel does not unroll
     (["density", "--poly", "x^3-2*x+2", "--seed", "3"], "a13e38499d94"),
+    # the orbit crosses an edge of iterate_orbit's kernel chunks
+    (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097"], "d7962f4ddd80"),
+    # converges at step 5
+    (["orbit", "--poly", "x^2-2", "--x0", "1", "--steps", "50"], "a2980d29d872"),
+    # converges at step 15, at a degree the orbit kernel does not unroll
+    (["orbit", "--poly", "x^3-2*x+2", "--x0", "0.3", "--steps", "50"], "5612a5981d27"),
+    # hits the pole at 0 on step 1
+    (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
+    # overflows at step 0
+    (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
 ]
 
 
@@ -597,6 +607,33 @@ def test_config_file_precedence(tmp_path, capsys):
     code, _, err = run_cli(base + ["--out", str(out1)], capsys)
     assert code == EXIT_CONFIG
     assert "nonsense" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("density", {"poly": "x^2+1", "iters": "1000"}),
+        ("density", {"poly": "x^2+1", "seed": "abc"}),
+        ("density", {"poly": 5}),
+        ("orbit", {"poly": "x^2+1", "x0": 0.7, "steps": 5.5}),
+        ("orbit", {"poly": "x^2+1", "x0": 10**400}),  # no double holds it
+        ("density", {"poly": "x^2+1", "overlay_cauchy": 1}),
+        ("density", {"poly": "x^2+1", "bins": None}),
+        ("ops-check", {"n": [8, "16"]}),
+        ("dispersion", {"model": "xx"}),
+        ("dispersion", {"samples": True}),
+        ("cycles", {"poly": "x^2+1", "out": 3}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(v),
+)
+def test_mistyped_config_value_exits_2_and_writes_nothing(command, options, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(options))
+    out = tmp_path / "out"
+    code, _, err = run_cli([command, "--config", str(config), "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_report_echoes_effective_config(tmp_path, capsys):

@@ -231,7 +231,7 @@ def _reference_orbit(problem, x0, n, lo, hi, seed):
     x, xs, restarts = x0, [], 0
     for _ in range(n):
         try:
-            y = problem.step(x)
+            y = newton_step(problem, x)
             ok = -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND
         except DerivativeZero:
             ok = False

@@ -12,11 +12,11 @@ from hypothesis import example, given, strategies as st
 from nrq import (
     DerivativeZero,
     IterationPolicy,
+    Orbit,
     OrbitStatus,
     PolynomialProblem,
     iterate_orbit,
     newton_step,
-    overlap_converged,
 )
 from nrq.newton import OVERFLOW_BOUND
 
@@ -96,13 +96,10 @@ def test_scalar_and_array_steps_agree(coefficients, x):
     problem = PolynomialProblem(coefficients)
     from_array = problem.step_array(np.array([x]))[0]
     try:
-        y = problem.step(x)
+        y = newton_step(problem, x)
     except DerivativeZero:
         assert math.isnan(from_array)
-        with pytest.raises(DerivativeZero):
-            newton_step(problem, x)
         return
-    assert _bits(newton_step(problem, x)) == _bits(y)
     if math.isfinite(y):
         assert _bits(from_array) == _bits(y)
     else:
@@ -144,8 +141,7 @@ def _chain(step, x, k):
 @example([1.0, 1e-300], 0.5, 3, 2)  # |f'| equals POLE_EPSILON everywhere: a pole
 def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
     problem = PolynomialProblem(coefficients)
-    expected = _chain(problem.step, x0, k)
-    # step is derived from the kernel, so the array entry is the independent oracle
+    expected = _chain(lambda x: newton_step(problem, x), x0, k)
     assert _bits_of(expected) == _bits_of(_chain(lambda x: problem.step_array([x])[0], x0, k))
     buf = memoryview(bytearray(8 * (j0 + k))).cast("d")
     x, j = problem.advance(x0, j0, j0 + k, buf)
@@ -158,7 +154,9 @@ def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
 def test_problem_pickles_with_a_working_step():
     clone = pickle.loads(pickle.dumps(NO_REAL_ROOT))
     assert clone == NO_REAL_ROOT
-    assert clone.step(0.3) == NO_REAL_ROOT.step(0.3)
+    assert newton_step(clone, 0.3) == newton_step(NO_REAL_ROOT, 0.3)
+    buf = memoryview(bytearray(8)).cast("d")
+    assert clone.advance(0.3, 0, 1, buf) == (newton_step(NO_REAL_ROOT, 0.3), 1)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -181,13 +179,75 @@ def test_fixed_points_are_roots():
 
 
 def test_overlap_converged():
-    assert overlap_converged(1.0, 1.0, 1e-12)
-    assert not overlap_converged(1.0, 2.0, 1e-12)
-    # threshold 1e-12 * (1 + 1e8) ~ 1e-4, so a 1e-5 move counts as converged
-    assert overlap_converged(1e8, 1e8 + 1e-5, 1e-12)
-    assert not overlap_converged(1e8, 1e8 + 1e-3, 1e-12)
-    with pytest.raises(ValueError):
-        overlap_converged(1.0, 1.0, 0.0)
+    # the map of f = x - r sends every x to r, so the first step moves x0 to r
+    # and the second stays there: the orbit converges at step 1 if the move
+    # passes the overlap test and at step 2 if it does not
+    for x0, root, tol, step in [
+        (1.0, 1.0, 1e-12, 1),
+        (1.0, 2.0, 1e-12, 2),
+        # threshold 1e-12 * (1 + 1e8) ~ 1e-4, so a 1e-5 move counts as converged
+        (1e8, 1e8 + 1e-5, 1e-12, 1),
+        (1e8, 1e8 + 1e-3, 1e-12, 2),
+        # a move equal to the threshold 0.5 * (1 + 0) counts as converged
+        (0.0, 0.5, 0.5, 1),
+    ]:
+        policy = IterationPolicy(max_steps=5, convergence_tol=tol)
+        orbit = iterate_orbit(PolynomialProblem((-root, 1.0)), x0, policy)
+        assert (orbit.status, orbit.step, orbit.value) == (OrbitStatus.CONVERGED, step, root)
+
+
+def _scalar_orbit(problem, x0, policy):
+    """iterate_orbit's contract, run one newton_step at a time."""
+    tol = policy.convergence_tol
+    xs = [float(x0)]
+    x = xs[0]
+    for i in range(1, policy.max_steps + 1):
+        try:
+            y = newton_step(problem, x)
+        except DerivativeZero:
+            return Orbit(x0, tuple(xs), OrbitStatus.POLE_HIT, step=i - 1)
+        if not (-OVERFLOW_BOUND <= y <= OVERFLOW_BOUND):  # also catches NaN
+            return Orbit(x0, tuple(xs), OrbitStatus.OVERFLOWED, step=i - 1)
+        xs.append(y)
+        if abs(y - x) <= tol * (1.0 + abs(x)):
+            return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=i, value=y)
+        x = y
+    return Orbit(x0, tuple(xs), OrbitStatus.RUNNING)
+
+
+@given(
+    _POLYNOMIAL,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
+    st.integers(1, 40),
+    st.sampled_from([1e-12, 1e-6, 1e-2, 1e10]),
+    st.sampled_from([1, 3, 7]),
+)
+@example([-1e300, 1.0], 1e300, 10, 1e10, 1)  # tol * (1 + |x|) overflows to inf: converged
+@example([-1e300, 1.0], -1.7976931348623157e308, 10, 1e-12, 3)  # x1 - x0 overflows to inf
+@example([1.0, 0.0, 1.0], 0.0, 5, 1e-12, 1)  # x^2 + 1 at its pole
+@example([1.0, 0.0, 1.0], 4e-301, 5, 1e-12, 3)  # f' = 8e-301: a pole although the quotient is finite
+@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12, 1)  # 1 -> 0, then the pole on a chunk edge
+@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12, 3)  # 1 -> 0, then the pole inside a chunk
+@example([1.0, 1e-300], 0.5, 5, 1e-12, 7)  # |f'| equals POLE_EPSILON everywhere: a pole
+@example([0.0, -2.0], 0.5, 5, 1e-12, 1)  # degree 1: the numerator's leading term is -0.0
+@example([-2.0, 0.0, 1.0], 1e200, 10, 1e-12, 1)  # x^2 - 2 overflows at step 0
+@example([100.0, 0.0, 1.0], -6e-301, 5, 1e-12, 3)  # the step lands at 8.3e301, finite but out
+@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12, 1)  # converges at step 5, every step a chunk
+@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12, 7)  # converges at step 5, inside a chunk
+@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 3)  # converges at step 15, a chunk's last slot
+@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 7)  # converges at step 15, a chunk's first slot
+@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12, 7)  # the two-well quartic
+def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol, chunk):
+    problem = PolynomialProblem(coefficients)
+    policy = IterationPolicy(max_steps=max_steps, convergence_tol=tol)
+    expected = _scalar_orbit(problem, x0, policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nrq.newton._ORBIT_CHUNK", chunk)
+        orbit = iterate_orbit(problem, x0, policy)
+    assert orbit == expected
+    assert _bits_of(orbit.iterates) == _bits_of(expected.iterates)
+    if orbit.value is not None:
+        assert _bits(orbit.value) == _bits(expected.value)
 
 
 def test_orbit_converges_to_sqrt2():
@@ -254,7 +314,7 @@ def test_lyapunov_exponent_is_ln2(x0):
     steps, x, total = 20_000, x0, 0.0
     for _ in range(steps):
         total += math.log(abs((x * x + 1.0) / (2.0 * x * x)))
-        x = NO_REAL_ROOT.step(x)
+        x = newton_step(NO_REAL_ROOT, x)
     assert abs(total / steps - math.log(2.0)) <= 1e-3
 
 
