@@ -30,12 +30,11 @@ import numpy as np
 from . import __version__
 from .measure import (
     EmpiricalDensity,
-    InterferenceConfig,
     accumulate_density,
     bin_masses,
     cauchy_density,
     find_cycles,
-    interference_experiment,
+    interference_polynomial,
     peak_detect,
 )
 from .newton import IterationPolicy, iterate_orbit
@@ -267,6 +266,14 @@ def _problem(options):
         raise ConfigError(f"bad polynomial: {exc}") from exc
 
 
+def _accumulate(problem, opt) -> EmpiricalDensity:
+    """The orbit visit density that density and interfere both write."""
+    lo, hi = _parse_range(opt["range"])
+    return accumulate_density(
+        problem, opt.get("x0"), opt["burnin"], opt["iters"], lo, hi, opt["bins"], seed=opt["seed"]
+    )
+
+
 def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dict, svg, **payload):
     meta = {
         "lo": density.lo,
@@ -314,11 +321,7 @@ def _run_orbit(opt) -> Result:
 
 
 def _run_density(opt) -> Result:
-    problem = _problem(opt)
-    lo, hi = _parse_range(opt["range"])
-    density = accumulate_density(
-        problem, opt.get("x0"), opt["burnin"], opt["iters"], lo, hi, opt["bins"], seed=opt["seed"]
-    )
+    density = _accumulate(_problem(opt), opt)
     statuses = {"in_range": density.in_range, "below": density.below_count, "above": density.above_count}
     overlay = cauchy_density if opt.get("overlay_cauchy") else None
     return _histogram_result(
@@ -357,17 +360,11 @@ def _run_cycles(opt) -> Result:
 
 
 def _run_interfere(opt) -> Result:
-    lo, hi = _parse_range(opt["range"])
-    config = InterferenceConfig(
-        delta=opt["delta"],
-        iterations=opt["iters"],
-        burn_in=opt["burnin"],
-        lo=lo,
-        hi=hi,
-        bins=opt["bins"],
-        x0=opt.get("x0"),
-    )
-    density = interference_experiment(config, seed=opt["seed"])
+    try:
+        problem = interference_polynomial(opt["delta"])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad --delta: {exc}") from exc
+    density = _accumulate(problem, opt)
     peaks = peak_detect(density, opt["min_prominence"])
     peak_list = [[c, h, p] for c, h, p in peaks]
     return _histogram_result(
@@ -404,6 +401,8 @@ def _run_dispersion(opt) -> Result:
     if opt["model"] == "kg":
         if opt["samples"] > MAX_DISPERSION_SAMPLES:
             raise ConfigError(f"--samples is capped at {MAX_DISPERSION_SAMPLES}, got {opt['samples']}")
+        if not math.isfinite(opt["kmax"] - opt["kmin"]):
+            raise ConfigError(f"--kmax minus --kmin must be finite, got {opt['kmax']} - {opt['kmin']}")
         ks = np.linspace(opt["kmin"], opt["kmax"], opt["samples"])
         omegas = klein_gordon_dispersion(ks, opt["mass"], units)
         meta = {"model": "kg", "mass": opt["mass"], "c": opt["c"], "hbar": opt["hbar"]}
@@ -636,9 +635,17 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
         else:
             options["seed"] = 0
 
-    for key in spec.required:
-        if options.get(key) is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    # NaN and inf reach no run, whether from a flag, a config value or a list element
+    for key, _default, kwargs in spec.options:
+        flag = "--" + key.replace("_", "-")
+        value = options.get(key)
+        if value is None:
+            if key in spec.required:
+                raise ConfigError(f"missing required option {flag}")
+        elif kwargs.get("type") is float and not all(
+            map(math.isfinite, value if isinstance(value, list) else [value])
+        ):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     return RunConfig(command, options, output_path, output_format)
 
 

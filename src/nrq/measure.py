@@ -1,4 +1,4 @@
-"""Visit-frequency densities, cycle finding, and the two-well interference run.
+"""Visit-frequency densities, cycle finding, and the two-well quartic.
 
 Long Newton-map orbits are binned into window-normalized histograms and
 compared against analytic stationary densities; cycles of the map are
@@ -7,14 +7,13 @@ located by bracketing sign changes of the iterated map minus identity.
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
 # newton_step is not called here; the name stays because perfbench/spans.py
 # traces nrq.measure.newton_step
 from .newton import PolynomialProblem, newton_step  # noqa: F401
+from .parsing import parse_polynomial
 
 
 class InvalidRange(ValueError):
@@ -132,8 +131,11 @@ def accumulate_density(
     The orbit is run by ``problem.advance``, the fused kernel, which writes
     raw doubles into one ``ACCUMULATE_BLOCK``-slot buffer and stops before
     each pole or overflow, where the restart is stored and the kernel
-    resumed.  Each block is binned straight from that buffer, so memory is
-    bounded by the block and the bins, not by ``n``.
+    resumed.  Each block is binned straight from that buffer into one count
+    array and three tallies, so memory is bounded by the block and the bins,
+    not by ``n``.  No iterate needs a NaN check: the kernel writes only
+    finite iterates within ``OVERFLOW_BOUND``, and a restart is a finite
+    uniform draw.
     """
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
@@ -150,8 +152,8 @@ def accumulate_density(
     raw = bytearray(8 * ACCUMULATE_BLOCK)
     buf = memoryview(raw).cast("d")
     samples = np.frombuffer(raw)
-    restarts = 0
-    density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
+    counts = np.zeros(bins, dtype=np.int64)
+    below = above = restarts = 0
     for start in range(0, n, ACCUMULATE_BLOCK):
         # iterates start+1 .. start+m fill buf[0 .. m-1], then are binned
         m = min(ACCUMULATE_BLOCK, n - start)
@@ -161,10 +163,11 @@ def accumulate_density(
             restarts += 1
             buf[j] = x
             x, j = advance(x, j + 1, m, buf)
-        kept = EmpiricalDensity.from_samples(samples[max(n0 - start, 0) : m], lo, hi, bins)
-        density = density.merge(kept)
-    density.restarts = restarts
-    return density
+        kept = samples[max(n0 - start, 0) : m]
+        counts += np.histogram(kept, bins=bins, range=(lo, hi))[0]
+        below += int(np.count_nonzero(kept < lo))
+        above += int(np.count_nonzero(kept > hi))
+    return EmpiricalDensity(lo, hi, bins, counts, below, above, restarts)
 
 
 def cauchy_density(y):
@@ -438,7 +441,7 @@ def find_cycles(
 
 
 # ---------------------------------------------------------------------------
-# stationarity and interference
+# stationarity and the two-well quartic
 
 
 def pushforward_residual(
@@ -470,52 +473,16 @@ def pushforward_residual(
 
 
 def interference_polynomial(delta: float) -> PolynomialProblem:
-    """The two-well quartic (x^2 + delta)*((x-3)^2 + delta), expanded exactly.
+    """The two-well quartic (x^2 + delta)*((x-3)^2 + delta), parsed from that form.
 
-    Expansion runs in rational arithmetic over delta's shortest decimal
-    representation and converts to float once at the end, so the
-    coefficients (9d + d^2, -6d, 9 + 2d, -6, 1) are correctly rounded and
-    agree bit-for-bit with parsing the product form.
+    The parser expands in rational arithmetic over delta's shortest decimal
+    representation, so the coefficients (9d + d^2, -6d, 9 + 2d, -6, 1) are
+    correctly rounded; one that overflows a double raises OverflowError.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    d = Fraction(Decimal(repr(float(delta))))
-    coeffs = (9 * d + d * d, -6 * d, 9 + 2 * d, Fraction(-6), Fraction(1))
-    return PolynomialProblem(tuple(float(c) for c in coeffs))
-
-
-@dataclass(frozen=True)
-class InterferenceConfig:
-    """Settings for the two-well visit-density experiment."""
-
-    delta: float
-    iterations: int = 201000
-    burn_in: int = 1000
-    lo: float = -2.0
-    hi: float = 5.0
-    bins: int = 280
-    x0: float | None = None
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ValueError("need 0 <= burn_in < iterations")
-
-
-def interference_experiment(config: InterferenceConfig, seed: int = 0) -> EmpiricalDensity:
-    """Accumulate the visit density of the two-well quartic's Newton orbit."""
-    problem = interference_polynomial(config.delta)
-    return accumulate_density(
-        problem,
-        config.x0,
-        config.burn_in,
-        config.iterations,
-        config.lo,
-        config.hi,
-        config.bins,
-        seed=seed,
-    )
+    d = float(delta)
+    return parse_polynomial(f"(x^2+{d!r})*((x-3)^2+{d!r})")
 
 
 # peak_detect smooths the density by a moving average over this many bins.

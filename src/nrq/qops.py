@@ -69,6 +69,9 @@ class Grid:
             raise ValueError(f"n_points capped at {MAX_DENSE_N} for dense algebra")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
+        # positions reach the extent and wavevectors reach pi / spacing
+        if not (math.isfinite(self.extent) and math.isfinite(2.0 * math.pi / self.spacing)):
+            raise ValueError(f"{self.n_points} sites of spacing {self.spacing} overflow the grid arithmetic")
 
     @property
     def extent(self) -> float:

@@ -14,7 +14,6 @@ import pytest
 from nrq import (
     Grid,
     IterationPolicy,
-    InterferenceConfig,
     PolynomialProblem,
     accumulate_density,
     cauchy_density,
@@ -24,7 +23,7 @@ from nrq import (
     expectation,
     gaussian_packet,
     half_width_at_half_max,
-    interference_experiment,
+    interference_polynomial,
     iterate_orbit,
     klein_gordon_plane_wave_residual,
     ops_check,
@@ -48,7 +47,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def interference_001():
-    return interference_experiment(InterferenceConfig(delta=0.01), seed=7)
+    return accumulate_density(interference_polynomial(0.01), None, 1000, 201000, -2.0, 5.0, 280, seed=7)
 
 
 def test_criterion_1_invariant_density():
@@ -95,7 +94,7 @@ def test_criterion_3_interference(interference_001):
         ok &= 0.40 <= left_mass <= 0.50 and 0.40 <= right_mass <= 0.50  # golden band
         detail.append(f"window masses=({left_mass:.3f},{right_mass:.3f})")
 
-    broad = interference_experiment(InterferenceConfig(delta=1.0), seed=7)
+    broad = accumulate_density(interference_polynomial(1.0), None, 1000, 201000, -2.0, 5.0, 280, seed=7)
     mid_peaks = [p for p in peak_detect(broad, min_prominence=0.01) if 0.5 < p[0] < 2.5]
     ok &= len(mid_peaks) >= 1
     detail.append(f"delta=1 mid-range maxima={len(mid_peaks)}")

@@ -28,7 +28,7 @@ import nrq
 from nrq import cli, measure
 from nrq.measure import EmpiricalDensity, cauchy_density
 from nrq.parsing import MAX_POLY_LENGTH
-from nrq.qops import Grid, tight_binding_hamiltonian
+from nrq.qops import MAX_DENSE_N, Grid, tight_binding_hamiltonian
 
 
 def run_cli(args, capsys):
@@ -430,6 +430,10 @@ def test_run_config_rejects_unlisted_format(tmp_path):
         ["density", "--poly", "x^2+1", "--range=-1e308:1e308"],
         ["cycles", "--poly", "x^2+1", "--range=-1e308:1e308"],
         ["orbit", "--poly", "1e400*x+1", "--x0", "1"],
+        # grid positions, wavevectors and the k range overflow to inf
+        ["ops-check", "--n", "4", "--spacing", "1e308"],
+        ["dispersion", "--model", "tb", "--n", "4", "--spacing", "1e-320"],
+        ["dispersion", "--kmin=-1e308", "--kmax", "1e308"],
     ],
     ids=" ".join,
 )
@@ -448,6 +452,7 @@ def test_overflowing_numeric_input_exits_2(args, tmp_path, capsys):
         ["interfere", "--delta", "0.01", "--bins", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--period", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--grid", "1000000000"],
+        ["dispersion", "--model", "tb", "--n", str(MAX_DENSE_N + 1)],
     ],
     ids=" ".join,
 )
@@ -586,6 +591,61 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NRQ_SEED")
     assert run_cli(base + ["--seed", "99", "--out", str(out_flag)], capsys)[0] == EXIT_OK
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+# options every command needs, as config values; a tb dispersion so that --t is used
+_BASE_OPTIONS = {
+    "orbit": {"poly": "x^2+1", "x0": 0.5},
+    "density": {"poly": "x^2+1"},
+    "interfere": {"delta": 0.01},
+    "ops-check": {"n": [4]},
+    "dispersion": {"model": "tb", "n": 8},
+}
+_FLOAT_OPTIONS = [
+    (name, key, kwargs.get("action") == "append")
+    for name, command in cli.COMMANDS.items()
+    for key, _default, kwargs in command.options
+    if kwargs.get("type") is float
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize(
+    "command, key, append", _FLOAT_OPTIONS, ids=[f"{c}-{k}" for c, k, _ in _FLOAT_OPTIONS]
+)
+def test_non_finite_float_option_exits_2_and_writes_nothing(
+    command, key, append, value, source, tmp_path, capsys
+):
+    bad = [1.0, value] if append else value
+    options = {**_BASE_OPTIONS[command], key: bad}
+    if source == "flag":
+        args = [
+            f"--{k.replace('_', '-')}={v}"
+            for k, vs in options.items()
+            for v in (vs if isinstance(vs, list) else [vs])
+        ]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(options))  # NaN and -Infinity, which json.load accepts
+        args = ["--config", str(config)]
+    out = tmp_path / "out"
+    code, stdout, err = run_cli([command, *args, "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    flag = "--" + key.replace("_", "-")
+    assert err.count("\n") == 1 and json.loads(err)["message"].startswith(f"{flag} must be finite")
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["inf", "1e200", "nan", "0", "-1"])
+def test_bad_delta_exits_2_and_writes_nothing(delta, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["interfere", f"--delta={delta}", "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path, capsys):

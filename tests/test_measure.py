@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from nrq import (
     EmpiricalDensity,
-    InterferenceConfig,
     InvalidRange,
     PolynomialProblem,
     accumulate_density,
@@ -23,7 +22,6 @@ from nrq import (
     density_distance,
     find_cycles,
     half_width_at_half_max,
-    interference_experiment,
     interference_polynomial,
     newton_step,
     parse_polynomial,
@@ -676,6 +674,9 @@ def test_interference_polynomial_exact_expansion():
     assert p.coefficients == (0.0901, -0.06, 9.02, -6.0, 1.0)
     parsed = parse_polynomial("(x^2+0.01)*((x-3)^2+0.01)")
     assert parsed.coefficients == p.coefficients
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            interference_polynomial(delta)
 
 
 def test_interference_polynomial_generic_delta():
@@ -686,19 +687,15 @@ def test_interference_polynomial_generic_delta():
     d = Fraction(37, 100)
     expected = (9 * d + d * d, -6 * d, 9 + 2 * d, Fraction(-6), Fraction(1))
     assert p.coefficients == tuple(float(c) for c in expected)
-
-
-def test_interference_config_validation():
-    with pytest.raises(ValueError):
-        InterferenceConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        InterferenceConfig(delta=0.1, iterations=10, burn_in=10)
+    # 9d + d^2 passes the largest double once d exceeds about 1.34e154
+    assert interference_polynomial(1e154).coefficients[0] == 1e308
+    with pytest.raises(OverflowError):
+        interference_polynomial(1e200)
 
 
 def test_interference_density_is_roughly_symmetric():
     # f is symmetric about x = 1.5, so the well masses should roughly agree
-    cfg = InterferenceConfig(delta=0.01, iterations=41000, burn_in=1000)
-    d = interference_experiment(cfg, seed=7)
+    d = accumulate_density(interference_polynomial(0.01), None, 1000, 41000, -2.0, 5.0, 280, seed=7)
     centers = d.centers()
     left = d.counts[(centers >= -1.0) & (centers <= 1.0)].sum()
     right = d.counts[(centers >= 2.0) & (centers <= 4.0)].sum()

@@ -35,7 +35,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
-from nrq.qops import MAX_OPS_CHECK_N
+from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N
 
 
 def test_grid_validation():
@@ -45,6 +45,13 @@ def test_grid_validation():
         Grid(8, 0.0)
     with pytest.raises(ValueError):
         Grid(8192)
+    assert Grid(MAX_DENSE_N).n_points == MAX_DENSE_N
+    with pytest.raises(ValueError, match="capped"):
+        Grid(MAX_DENSE_N + 1)
+    # the extent, or the wavevector scale 2 pi / spacing, overflows a double
+    for n, spacing in [(4, 1e308), (4, 1e-320), (2, 3e-308)]:
+        with pytest.raises(ValueError, match="overflow"):
+            Grid(n, spacing)
     with pytest.raises(ValueError):
         NaturalUnits(hbar=0.0)
 
