@@ -114,6 +114,8 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"the output holds the non-finite value {float(value)}")
         return f"{value:.17g}"
     return str(value)
 
@@ -238,7 +240,7 @@ def _render(result: Result, output_format: str) -> str:
     if output_format == "csv":
         return emit_csv(result.columns, result.rows, result.meta)
     if output_format == "json":
-        return json.dumps(result.payload, sort_keys=True) + "\n"
+        return json.dumps(result.payload, sort_keys=True, allow_nan=False) + "\n"
     return result.svg()
 
 
@@ -524,8 +526,11 @@ def run(config: RunConfig) -> RunReport:
     """Execute one command and write its output atomically."""
     started = time.perf_counter()
     command = COMMANDS[config.command]
-    result = command.runner(config.options)
-    output = _atomic_write(config.output_path, _render(result, config.output_format))
+    # an overflow or an invalid operation is an error, not a warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        result = command.runner(config.options)
+        text = _render(result, config.output_format)
+    output = _atomic_write(config.output_path, text)
     options = {key: config.options.get(key) for key in sorted(command.defaults())}
     echo = {k: None if v is None else _fmt(v) for k, v in options.items()}
     return RunReport(
@@ -658,7 +663,7 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         config = resolve_config(namespace)
         report = run(config)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 3

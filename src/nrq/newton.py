@@ -6,6 +6,7 @@ recorded so downstream histogramming stays exactly reproducible.
 """
 
 import enum
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -17,6 +18,10 @@ import numpy as np
 POLE_EPSILON = 1e-300
 # An iterate beyond this magnitude counts as an overflow.
 OVERFLOW_BOUND = 1e300
+# The largest degree a PolynomialProblem takes.  Its orbit kernel writes
+# Horner's scheme as one expression nested degree deep, and Python's
+# parser allows fewer than 200 nested parentheses.
+MAX_DEGREE = 100
 # iterate_orbit runs the kernel over chunks of this many steps and tests
 # each chunk for convergence at once.
 _ORBIT_CHUNK = 4096
@@ -39,6 +44,46 @@ def _horner(coeffs_desc: tuple, x):
     return acc
 
 
+# The orbit loop of ``_kernel``.  Its coefficients and bounds are closure
+# cells, cheaper than globals; n<i> and d<i> are the coefficients of x^i in
+# the Newton numerator and in f'.
+_ADVANCE_TEMPLATE = """\
+def make(pe, bound, neg_pe, neg_bound, {cells}):
+    def advance(x, j, k, buf):
+        for j in range(j, k):
+            fpx = {fpx}
+            if neg_pe <= fpx <= pe:
+                return x, j
+            y = ({numerator}) / fpx
+            if not neg_bound <= y <= bound:
+                return x, j
+            buf[j] = x = y
+        return x, k
+    return advance
+"""
+
+
+def _horner_source(name: str, degree: int, leading: str) -> str:
+    """Horner's scheme from ``leading`` over name<degree - 1> .. name0, as one expression."""
+    return "(" * degree + leading + "".join(f") * x + {name}{i}" for i in range(degree - 1, -1, -1))
+
+
+@functools.cache
+def _kernel_factory(degree: int) -> Callable:
+    """``make(pe, bound, neg_pe, neg_bound, *ns, *ds)``, which returns ``_kernel``'s loop."""
+    cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
+    source = _ADVANCE_TEMPLATE.format(
+        cells=", ".join(cells),
+        fpx=_horner_source("d", degree - 1, f"d{degree - 1}"),
+        # degree 1's leading numerator coefficient is 0 * c1 = +-0.0, and
+        # 0.0 * x decides the sign of a zero result
+        numerator=_horner_source("n", degree, "0.0 * x + n1" if degree == 1 else f"n{degree}"),
+    )
+    namespace = {}
+    exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
+    return namespace["make"]
+
+
 def _kernel(ns: tuple, ds: tuple) -> Callable:
     """The fused orbit kernel ``advance(x, j, k, buf) -> (x, j)``.
 
@@ -49,64 +94,13 @@ def _kernel(ns: tuple, ds: tuple) -> Callable:
     and returns the current iterate and the slot it did not fill: when the
     next step is a pole (|f'| <= POLE_EPSILON) or its value leaves
     [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  The loop makes no
-    Python call.  Degrees 2 and 4 (the x^2+c and two-well experiments) are
-    unrolled; their leading coefficients are nonzero, so for finite x
-    starting Horner's scheme there instead of at 0.0, as every other degree
-    does, gives the same bits as ``_horner``.
+    Python call: it is compiled once per degree, with Horner's scheme
+    written out from the leading coefficient over closure cells.  For
+    finite x, 0.0 * x + c is c for every nonzero c, so that gives the same
+    bits as ``_horner``, which starts from 0.0.
     """
-    # closure cells, cheaper than globals; the negated bounds are not
-    # recomputed on every iterate
-    pe, bound, neg_pe, neg_bound = POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND
-    degree = len(ds)
-    if degree == 2:
-        n2, n1, n0 = ns
-        b1, b0 = ds
-
-        def advance(x, j, k, buf):
-            for j in range(j, k):
-                fpx = b1 * x + b0
-                if neg_pe <= fpx <= pe:
-                    return x, j
-                y = ((n2 * x + n1) * x + n0) / fpx
-                if not neg_bound <= y <= bound:
-                    return x, j
-                buf[j] = x = y
-            return x, k
-
-    elif degree == 4:
-        n4, n3, n2, n1, n0 = ns
-        b3, b2, b1, b0 = ds
-
-        def advance(x, j, k, buf):
-            for j in range(j, k):
-                fpx = ((b3 * x + b2) * x + b1) * x + b0
-                if neg_pe <= fpx <= pe:
-                    return x, j
-                y = ((((n4 * x + n3) * x + n2) * x + n1) * x + n0) / fpx
-                if not neg_bound <= y <= bound:
-                    return x, j
-                buf[j] = x = y
-            return x, k
-
-    else:
-
-        def advance(x, j, k, buf):
-            for j in range(j, k):
-                fpx = 0.0
-                for c in ds:
-                    fpx = fpx * x + c
-                if neg_pe <= fpx <= pe:
-                    return x, j
-                y = 0.0
-                for c in ns:
-                    y = y * x + c
-                y /= fpx
-                if not neg_bound <= y <= bound:
-                    return x, j
-                buf[j] = x = y
-            return x, k
-
-    return advance
+    make = _kernel_factory(len(ds))
+    return make(POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND, *ns, *ds)
 
 
 @dataclass(frozen=True)
@@ -134,6 +128,8 @@ class PolynomialProblem:
         coeffs = tuple(float(c) for c in coefficients)
         if len(coeffs) < 2:
             raise ValueError("polynomial must have degree >= 1")
+        if len(coeffs) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {len(coeffs) - 1} exceeds the cap of {MAX_DEGREE}")
         if coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         if not all(math.isfinite(c) for c in coeffs):

@@ -9,7 +9,7 @@ import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .newton import PolynomialProblem
+from .newton import MAX_DEGREE, PolynomialProblem
 
 
 class PolynomialSyntaxError(ValueError):
@@ -21,11 +21,6 @@ class PolynomialSyntaxError(ValueError):
 class DegreeZeroError(ValueError):
     pass
 
-
-# Exponents and the degree of every product are capped before expansion,
-# which keeps parsing a short expression fast (exact expansion of
-# (x+1)^k costs O(k^2) rational operations) and bounds its memory.
-MAX_DEGREE = 100
 
 # A number literal's decimal exponent is bounded before any Fraction is
 # built: Fraction(Decimal("1e999999")) builds a million-digit integer, so
@@ -87,6 +82,9 @@ def _pmul(a, b):
 
 
 def _check_degree(degree: int, pos: int):
+    # exponents and the degree of every product are capped before expansion,
+    # which keeps parsing a short expression fast (exact expansion of
+    # (x+1)^k costs O(k^2) rational operations) and bounds its memory
     if degree > MAX_DEGREE:
         raise PolynomialSyntaxError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
 

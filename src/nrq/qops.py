@@ -135,8 +135,6 @@ class LinearOp:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("matrix must be square")
             self._matrix = m
-        self._herm_res: float | None = None
-        self._unit_res: float | None = None
         self._eig = None
 
     @property
@@ -159,28 +157,28 @@ class LinearOp:
     def _real_spectrum(self) -> np.ndarray:
         """A circulant is Hermitian exactly when its eigenvalues are real."""
         worst = float(np.abs(self.spectrum.imag).max())
-        if worst > HERMITIAN_TOL:
+        if not worst <= HERMITIAN_TOL:  # NaN fails too
             raise NonHermitianInput(
                 f"spectrum imaginary part {worst:.3e} exceeds {HERMITIAN_TOL}"
             )
         return self.spectrum.real
 
     def hermiticity_residual(self) -> float:
-        if self._herm_res is None:
-            self._herm_res = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        return self._herm_res
+        return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
     def unitarity_residual(self) -> float:
-        if self._unit_res is None:
-            a = self.matrix.conj().T @ self.matrix
-            self._unit_res = float(np.abs(a - np.eye(self.n)).max())
-        return self._unit_res
+        a = self.matrix.conj().T @ self.matrix
+        return float(np.abs(a - np.eye(self.n)).max())
 
     def _require_hermitian(self):
-        if not self.hermiticity_residual() <= HERMITIAN_TOL:  # NaN fails too
-            raise NonHermitianInput(
-                f"hermiticity residual {self.hermiticity_residual():.3e} exceeds {HERMITIAN_TOL}"
-            )
+        """The one Hermiticity rule: a real spectrum for a circulant, a
+        small matrix residual for a dense operator."""
+        if self.spectrum is not None:
+            self._real_spectrum()
+            return
+        residual = self.hermiticity_residual()
+        if not residual <= HERMITIAN_TOL:  # NaN fails too
+            raise NonHermitianInput(f"hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL}")
 
     def apply(self, state: StateVector) -> np.ndarray:
         if state.dim != self.n:

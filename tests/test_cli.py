@@ -291,13 +291,13 @@ PINNED_OUTPUTS = [
      "e01b7c084c7b"),
     # the map of x^2 halves x, so the orbit runs into the pole at 0 again and again: 370 restarts
     (["density", "--poly", "x^2", "--seed", "3"], "142e9551ed43"),
-    # a degree the orbit kernel does not unroll
+    # degree 3, which the orbit kernel unrolls as it does every degree
     (["density", "--poly", "x^3-2*x+2", "--seed", "3"], "a13e38499d94"),
     # the orbit crosses an edge of iterate_orbit's kernel chunks
     (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097"], "d7962f4ddd80"),
     # converges at step 5
     (["orbit", "--poly", "x^2-2", "--x0", "1", "--steps", "50"], "a2980d29d872"),
-    # converges at step 15, at a degree the orbit kernel does not unroll
+    # converges at step 15, at degree 3
     (["orbit", "--poly", "x^3-2*x+2", "--x0", "0.3", "--steps", "50"], "5612a5981d27"),
     # hits the pole at 0 on step 1
     (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
@@ -434,6 +434,15 @@ def test_run_config_rejects_unlisted_format(tmp_path):
         ["ops-check", "--n", "4", "--spacing", "1e308"],
         ["dispersion", "--model", "tb", "--n", "4", "--spacing", "1e-320"],
         ["dispersion", "--kmin=-1e308", "--kmax", "1e308"],
+        # finite inputs whose results overflow: an inf or NaN reaches no file
+        ["dispersion", "--mass", "1e300", "--format", "json"],
+        ["dispersion", "--mass", "1e300"],
+        ["dispersion", "--c", "1e300"],
+        ["ops-check", "--n", "4", "--spacing", "4e-308"],
+        ["dispersion", "--model", "tb", "--eps", "1e308", "--t", "1e308"],
+        # the Cauchy overlay's mass over this window is 0, and the svg divides by it
+        ["density", "--poly", "x^2+1", "--iters", "3000", "--range=-1e300:1e300",
+         "--overlay-cauchy", "--format", "svg"],
     ],
     ids=" ".join,
 )
@@ -443,6 +452,15 @@ def test_overflowing_numeric_input_exits_2(args, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and json.loads(err)["message"]
     assert not out.exists()
+
+
+def test_tiny_tb_spacing_writes_finite_wavevectors(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["dispersion", "--model", "tb", "--n", "4", "--spacing", "4e-308", "--out", str(out)]
+    code, _, err = run_cli(args, capsys)
+    assert code == EXIT_OK and err == ""
+    k = parse_csv(out.read_text()).values()[:, 0]
+    assert np.isfinite(k).all() and np.abs(k).max() > 1e307
 
 
 @pytest.mark.parametrize(

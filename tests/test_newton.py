@@ -18,7 +18,7 @@ from nrq import (
     iterate_orbit,
     newton_step,
 )
-from nrq.newton import OVERFLOW_BOUND
+from nrq.newton import MAX_DEGREE, OVERFLOW_BOUND
 
 SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))  # x^2 - 2
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))  # x^2 + 1
@@ -45,6 +45,8 @@ def test_problem_validation():
         PolynomialProblem((1.0, 2.0, 0.0))  # zero leading coefficient
     with pytest.raises(ValueError):
         PolynomialProblem((0.0, math.inf))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        PolynomialProblem((1.0,) * (MAX_DEGREE + 2))  # degree MAX_DEGREE + 1
 
 
 def test_derivative_is_exact():
@@ -134,11 +136,12 @@ def _chain(step, x, k):
 @example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 2, 40)  # the two-well quartic
 @example([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 0, 2)  # degree 4 with f'(0) = POLE_EPSILON
 @example([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 0, 2)  # degree 4: the step lands at 5e300
-@example([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9)  # x^3 - 2x + 2, generic degree: the 0, 1 cycle
+@example([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9)  # x^3 - 2x + 2: the 0, 1 cycle
 @example([2.0, -2.0, 0.0, 1.0], 1e200, 0, 3)  # its first step is inf / inf
 @example([20.0, 1e-299], 0.5, 0, 2)  # degree 1: the step lands at -2e300
 @example([0.0, -2.0], 0.5, 0, 4)  # degree 1: the numerator's leading term is -0.0
 @example([1.0, 1e-300], 0.5, 3, 2)  # |f'| equals POLE_EPSILON everywhere: a pole
+@example([1.0] * (MAX_DEGREE + 1), 1.5, 1, 40)  # the kernel's deepest expression
 def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
     problem = PolynomialProblem(coefficients)
     expected = _chain(lambda x: newton_step(problem, x), x0, k)

@@ -274,6 +274,13 @@ def test_uncertainty_rejects_non_hermitian():
     g = Grid(4)
     with pytest.raises(NonHermitianInput):
         uncertainty_product(StateVector(np.ones(4)), shift_operator(g), position_operator(g))
+    # a circulant needs a real spectrum, as eigh and evolve do, although this
+    # one's matrix residual is only 7.8e-14
+    g = Grid(256)
+    k = LinearOp(spectrum=wavevector_values(g) + 1e-11j * (np.arange(256) == 5))
+    assert k.hermiticity_residual() <= 1e-12
+    with pytest.raises(NonHermitianInput):
+        uncertainty_product(gaussian_packet(g, 128.0, 8.0), position_operator(g), k)
 
 
 def test_gaussian_packet_validation():
