@@ -7,8 +7,10 @@ eigenvalue vector in DFT-mode order (mode m is ``fourier_eigenstate(grid,
 m)``), applied as ``ifft(spectrum * fft(psi))`` in O(N log N), evolved by
 phasing that spectrum and diagonalized analytically.  Position, callable
 onsite terms, projectors and commutators are dense matrices.  Either form
-exposes ``.matrix``; a circulant builds it on first access by applying
-itself to the identity's columns.
+exposes ``.matrix``; a circulant builds it on first access as
+``ifft(spectrum * fft(I))`` column by column.  The transformed identity
+``fft(I)`` is the same for every circulant of a size, so ``ops_check``
+computes it once and materializes all its circulants from it.
 """
 
 import math
@@ -34,9 +36,10 @@ class BadRepresentation(ValueError):
 
 
 MAX_DENSE_N = 4096
-# ops_check materializes about eight N x N complex matrices (the five
-# operators, T^dagger T, the DFT matrix and its image): at N = 1024 that is
-# about 134 MB, and at MAX_DENSE_N it would be about 2.1 GB.
+# ops_check holds at most about 4.5 N x N complex matrices at once (in the
+# unitarity residual: the transformed identity, T, T^dagger T and T^dagger
+# T - I with its modulus; the DFT residual holds as much): at N = 1024
+# that is about 76 MB, and at MAX_DENSE_N it would be about 1.2 GB.
 MAX_OPS_CHECK_N = 1024
 
 HERMITIAN_TOL = 1e-12
@@ -81,6 +84,12 @@ class Grid:
         return np.arange(self.n_points) * self.spacing
 
 
+def _require_unit_norm(nrm):
+    """Raise ValueError unless a state's norm^2 lies within NORM_TOL of 1."""
+    if abs(nrm * nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 deviates from 1 by {abs(nrm*nrm-1.0):.3e}")
+
+
 class StateVector:
     """Normalized complex amplitude vector on a periodic grid."""
 
@@ -93,8 +102,8 @@ class StateVector:
             if nrm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
             a = a / nrm
-        elif abs(nrm * nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 deviates from 1 by {abs(nrm*nrm-1.0):.3e}")
+        else:
+            _require_unit_norm(nrm)
         self.amplitudes = a
 
     @property
@@ -117,7 +126,8 @@ class LinearOp:
     Built from a dense ``matrix``, or from the ``spectrum`` of a circulant:
     its eigenvalues in DFT-mode order, applied through the FFT.  The
     residuals are measured on ``.matrix``, which a circulant materializes
-    on first access by applying itself to every basis vector.
+    on first access by applying itself to every basis vector
+    (``_circulant_matrix``).
     """
 
     def __init__(self, matrix=None, *, spectrum=None):
@@ -144,7 +154,7 @@ class LinearOp:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._apply(np.eye(self.n, dtype=complex))
+            self._matrix = _circulant_matrix(self.spectrum, _identity_transform(self.n))
         return self._matrix
 
     def _apply(self, a: np.ndarray) -> np.ndarray:
@@ -200,6 +210,18 @@ class LinearOp:
         return self._eig
 
 
+def _identity_transform(n: int) -> np.ndarray:
+    """fft(I) column by column: every circulant of size n is materialized
+    from it, since the DFT diagonalizes them all."""
+    return np.fft.fft(np.eye(n, dtype=complex), axis=0)
+
+
+def _circulant_matrix(spectrum: np.ndarray, eye_transform: np.ndarray) -> np.ndarray:
+    """The circulant with this spectrum applied to every basis vector:
+    ifft(spectrum * fft(I)), with fft(I) from ``_identity_transform``."""
+    return np.fft.ifft(spectrum[:, None] * eye_transform, axis=0)
+
+
 def _check_same_dim(a: LinearOp, b: LinearOp):
     if a.n != b.n:
         raise DimensionMismatch("operator dimensions differ")
@@ -219,10 +241,14 @@ def shift_operator(grid: Grid) -> LinearOp:
     return LinearOp(spectrum=np.exp(-2j * np.pi * np.arange(n) / n))
 
 
+def _frequency(grid: Grid, m):
+    """Frequency 2*pi*m/(N*dt) of mode m, an int or an integer array."""
+    return 2.0 * np.pi * m / (grid.n_points * grid.spacing)
+
+
 def frequency_values(grid: Grid) -> np.ndarray:
     """Mode frequencies 2*pi*n/(N*dt) for n = 0..N-1."""
-    n = grid.n_points
-    return 2.0 * np.pi * np.arange(n) / (n * grid.spacing)
+    return _frequency(grid, np.arange(grid.n_points))
 
 
 def wavevector_values(grid: Grid) -> np.ndarray:
@@ -233,13 +259,18 @@ def wavevector_values(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * j / grid.extent
 
 
+def _fourier_modes(grid: Grid, m) -> np.ndarray:
+    """Amplitudes exp(i*w_m*t_l)/sqrt(N) of mode m; a column of mode
+    indices, shape (k, 1), gives those k modes as the rows of one array."""
+    w = _frequency(grid, m)
+    return np.exp(1j * w * grid.positions()) / math.sqrt(grid.n_points)
+
+
 def fourier_eigenstate(grid: Grid, n: int) -> StateVector:
     """Shift eigenstate with amplitudes exp(i*w_n*t_l)/sqrt(N)."""
     if not 0 <= n < grid.n_points:
         raise IndexError(f"mode index {n} outside 0..{grid.n_points - 1}")
-    w = frequency_values(grid)[n]
-    amps = np.exp(1j * w * grid.positions()) / math.sqrt(grid.n_points)
-    return StateVector(amps, normalize=False)
+    return StateVector(_fourier_modes(grid, n), normalize=False)
 
 
 def frequency_operator(grid: Grid) -> LinearOp:
@@ -337,6 +368,11 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     return LinearOp(hop.matrix + np.diag(eps))
 
 
+def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
+    """exp(-i*H*tau) of a circulant H: its real spectrum, phased."""
+    return LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
+
+
 def evolve(
     state: StateVector, hamiltonian: LinearOp, time: float, units: NaturalUnits = NaturalUnits()
 ) -> StateVector:
@@ -347,8 +383,7 @@ def evolve(
         raise DimensionMismatch("operator and state dimensions differ")
     tau = time / units.hbar
     if hamiltonian.spectrum is not None:
-        propagator = LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
-        return StateVector(propagator.apply(state), normalize=False)
+        return StateVector(_propagator(hamiltonian, tau).apply(state), normalize=False)
     w, v = hamiltonian.eigh()
     out = v @ (np.exp(-1j * w * tau) * (v.conj().T @ state.amplitudes))
     return StateVector(out, normalize=False)
@@ -469,9 +504,13 @@ def ops_check(
     """Residual report for the operator stack on an n-point grid.
 
     Every residual measures the operators as the library applies them,
-    over all n basis vectors: the structure residuals are taken on the
-    materialized matrices, T^n is formed from the shift's spectrum and
-    materialized, and T is applied to every DFT column.
+    over all n basis vectors.  The shift T, T^n (formed from T's spectrum)
+    and the frequency, wave-vector and tight-binding operators are
+    materialized from one transformed identity, each freed after its
+    residual, and T is applied to every DFT column.  The Born sum runs
+    over the n Fourier modes as rows of one array, and the evolve loop
+    applies one propagator ``evolve_steps`` times, holding each step's
+    norm^2 to NORM_TOL as ``StateVector`` does.
     """
     if n > MAX_OPS_CHECK_N:
         raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
@@ -482,34 +521,46 @@ def ops_check(
     f = _dft_matrix(n)
     lam = np.exp(-1j * frequency_values(grid) * grid.spacing)
     dft_residual = float(np.abs(t._apply(f) - f * lam[None, :]).max())
-    power = LinearOp(spectrum=t.spectrum**n).matrix
+    del f
     freq = frequency_operator(grid)
-    wave = wavevector_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only
     tb = tight_binding_hamiltonian(grid, 2.0, [1.0] if n > 2 else [])
+    eye_transform = _identity_transform(n)
+
+    def dense(spectrum) -> LinearOp:
+        """The circulant as a dense operator, dropped after its one residual."""
+        return LinearOp(_circulant_matrix(spectrum, eye_transform))
+
+    report = {
+        "n": n,
+        "shift_unitarity": dense(t.spectrum).unitarity_residual(),
+        "shift_power_identity": float(np.abs(dense(t.spectrum**n).matrix - np.eye(n)).max()),
+        "dft_eigenpair": dft_residual,
+        "frequency_hermiticity": dense(freq.spectrum).hermiticity_residual(),
+        "wavevector_hermiticity": dense(wavevector_operator(grid).spectrum).hermiticity_residual(),
+        "tight_binding_hermiticity": dense(tb.spectrum).hermiticity_residual(),
+    }
+    del dense, eye_transform
 
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-    born_sum = sum(born_probability(psi, fourier_eigenstate(grid, m)) for m in range(n))
+    modes = _fourier_modes(grid, np.arange(n)[:, None])
+    born_sum = sum(born_probability(psi, StateVector(mode, normalize=False)) for mode in modes)
+    del modes
 
-    state = psi
+    step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
+    a = psi.amplitudes
     drift = 0.0
     for _ in range(evolve_steps):
-        state = evolve(state, freq, 0.05)
-        drift = max(drift, abs(state.norm() ** 2 - 1.0))
+        a = step._apply(a)
+        nrm = np.linalg.norm(a)
+        _require_unit_norm(nrm)
+        drift = max(drift, abs(float(nrm) ** 2 - 1.0))  # StateVector.norm() ** 2
     once = evolve(psi, freq, 0.35)
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     composition = float(np.abs(once.amplitudes - twice.amplitudes).max())
 
-    return {
-        "n": n,
-        "shift_unitarity": t.unitarity_residual(),
-        "shift_power_identity": float(np.abs(power - np.eye(n)).max()),
-        "dft_eigenpair": dft_residual,
-        "frequency_hermiticity": freq.hermiticity_residual(),
-        "wavevector_hermiticity": wave.hermiticity_residual(),
-        "tight_binding_hermiticity": tb.hermiticity_residual(),
-        "born_sum_deviation": abs(born_sum - 1.0),
-        "evolve_norm_drift": drift,
-        "evolve_composition": composition,
-    }
+    report["born_sum_deviation"] = abs(born_sum - 1.0)
+    report["evolve_norm_drift"] = drift
+    report["evolve_composition"] = composition
+    return report

@@ -35,6 +35,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
+from nrq import qops
 from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N
 
 
@@ -460,9 +461,77 @@ def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("ops_check built an operator")
 
-    monkeypatch.setattr("nrq.qops.shift_operator", no_build)
+    for name in (
+        "Grid",
+        "shift_operator",
+        "_dft_matrix",
+        "_identity_transform",
+        "_circulant_matrix",
+        "_fourier_modes",
+        "_propagator",
+    ):
+        monkeypatch.setattr(f"nrq.qops.{name}", no_build)
     with pytest.raises(ValueError):
         ops_check(n, evolve_steps=steps)
+
+
+def _reference_ops_check(n, spacing, seed, steps):
+    """ops_check from public calls only, one operation at a time: each
+    operator materialized through ``.matrix``, T applied to each DFT column
+    alone, one ``fourier_eigenstate`` per Born mode and one ``evolve`` call
+    per step."""
+    grid = Grid(n, spacing)
+    t = shift_operator(grid)
+    freq = frequency_operator(grid)
+    f = freq.eigh()[1]  # the DFT columns in mode order: the spectrum ascends
+    image = np.column_stack([t.apply(StateVector(col, normalize=False)) for col in f.T])
+    lam = np.exp(-1j * frequency_values(grid) * grid.spacing)
+    power = LinearOp(spectrum=t.spectrum**n).matrix
+    tb = tight_binding_hamiltonian(grid, 2.0, [1.0] if n > 2 else [])
+
+    rng = np.random.default_rng(seed)
+    psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    born_sum = sum(born_probability(psi, fourier_eigenstate(grid, m)) for m in range(n))
+    state = psi
+    drift = 0.0
+    for _ in range(steps):
+        state = evolve(state, freq, 0.05)
+        drift = max(drift, abs(state.norm() ** 2 - 1.0))
+    once = evolve(psi, freq, 0.35)
+    twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
+    return {
+        "n": n,
+        "shift_unitarity": t.unitarity_residual(),
+        "shift_power_identity": float(np.abs(power - np.eye(n)).max()),
+        "dft_eigenpair": float(np.abs(image - f * lam[None, :]).max()),
+        "frequency_hermiticity": freq.hermiticity_residual(),
+        "wavevector_hermiticity": wavevector_operator(grid).hermiticity_residual(),
+        "tight_binding_hermiticity": tb.hermiticity_residual(),
+        "born_sum_deviation": abs(born_sum - 1.0),
+        "evolve_norm_drift": drift,
+        "evolve_composition": float(np.abs(once.amplitudes - twice.amplitudes).max()),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+def test_ops_check_matches_the_public_reference_bit_for_bit(n):
+    for spacing in (1.0, 0.37):
+        for seed in (0, 7):
+            for steps in (1, 50):
+                expected = _reference_ops_check(n, spacing, seed, steps)
+                assert ops_check(n, spacing, seed, steps) == expected, (spacing, seed, steps)
+
+
+def test_fourier_eigenstate_is_a_row_of_the_mode_array():
+    g = Grid(64, 0.37)
+    modes = qops._fourier_modes(g, np.arange(64)[:, None])
+    # mode m read out of all N frequencies, written out
+    w = 2.0 * np.pi * np.arange(64) / (64 * 0.37)
+    for m in range(64):
+        amps = fourier_eigenstate(g, m).amplitudes
+        assert amps.tobytes() == modes[m].tobytes(), m
+        full = np.exp(1j * w[m] * (np.arange(64) * 0.37)) / math.sqrt(64)
+        assert amps.tobytes() == full.tobytes(), m
 
 
 # ---------------------------------------------------------------------------
