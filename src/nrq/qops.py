@@ -5,15 +5,19 @@ frequency, wave-vector and constant-onsite tight-binding operators are
 circulant, so the DFT diagonalizes them exactly: they are held as their
 eigenvalue vector in DFT-mode order (mode m is ``fourier_eigenstate(grid,
 m)``), applied as ``ifft(spectrum * fft(psi))`` in O(N log N), evolved by
-phasing that spectrum and diagonalized analytically.  Position, callable
-onsite terms, projectors and commutators are dense matrices.  Either form
-exposes ``.matrix``; a circulant builds it on first access as
-``ifft(spectrum * fft(I))`` column by column.  The transformed identity
-``fft(I)`` is the same for every circulant of a size, so ``ops_check``
-computes it once and materializes all its circulants from it.
+phasing that spectrum and diagonalized analytically.  Every DFT mode, in
+``fourier_eigenstate``, a circulant's ``eigh`` and ``ops_check``, is read
+from one table of the N roots of unity, so mode m has the same bits
+wherever it is built.  Position, callable onsite terms, projectors and
+commutators are dense matrices.  Either form exposes ``.matrix``; a
+circulant builds it on first access as ``ifft(spectrum * fft(I))`` column
+by column.  The transformed identity ``fft(I)`` is the same for every
+circulant of a size, so ``ops_check`` computes it once and materializes
+all its circulants from it.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +131,9 @@ class LinearOp:
     its eigenvalues in DFT-mode order, applied through the FFT.  The
     residuals are measured on ``.matrix``, which a circulant materializes
     on first access by applying itself to every basis vector
-    (``_circulant_matrix``).
+    (``_circulant_matrix``).  A circulant's ``eigh`` basis holds the DFT
+    modes as columns, in the order that sorts its spectrum, each with the
+    bits of ``fourier_eigenstate`` for that mode.
     """
 
     def __init__(self, matrix=None, *, spectrum=None):
@@ -203,7 +209,7 @@ class LinearOp:
             if self.spectrum is not None:
                 w = self._real_spectrum()
                 order = np.argsort(w, kind="stable")
-                self._eig = (w[order], _dft_matrix(self.n)[:, order])
+                self._eig = (w[order], _dft_modes(self.n, order[:, None]).T)
             else:
                 self._require_hermitian()
                 self._eig = np.linalg.eigh(self.matrix)
@@ -227,11 +233,14 @@ def _check_same_dim(a: LinearOp, b: LinearOp):
         raise DimensionMismatch("operator dimensions differ")
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    """Columns are the shift-operator eigenstates (DFT modes)."""
+def _dft_modes(n: int, m) -> np.ndarray:
+    """Amplitudes exp(2*pi*i*m*l/n)/sqrt(n) of DFT mode m, read from one
+    table of the n roots of unity at the reduced index m*l mod n.  An int m
+    gives one mode; a column of mode indices, shape (k, 1), gives those k
+    modes as the rows of one array."""
     idx = np.arange(n)
     roots = np.exp(2j * np.pi * idx / n) / math.sqrt(n)
-    return roots[np.outer(idx, idx) % n]
+    return roots[(m * idx) % n]
 
 
 def shift_operator(grid: Grid) -> LinearOp:
@@ -241,14 +250,9 @@ def shift_operator(grid: Grid) -> LinearOp:
     return LinearOp(spectrum=np.exp(-2j * np.pi * np.arange(n) / n))
 
 
-def _frequency(grid: Grid, m):
-    """Frequency 2*pi*m/(N*dt) of mode m, an int or an integer array."""
-    return 2.0 * np.pi * m / (grid.n_points * grid.spacing)
-
-
 def frequency_values(grid: Grid) -> np.ndarray:
     """Mode frequencies 2*pi*n/(N*dt) for n = 0..N-1."""
-    return _frequency(grid, np.arange(grid.n_points))
+    return 2.0 * np.pi * np.arange(grid.n_points) / (grid.n_points * grid.spacing)
 
 
 def wavevector_values(grid: Grid) -> np.ndarray:
@@ -259,18 +263,14 @@ def wavevector_values(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * j / grid.extent
 
 
-def _fourier_modes(grid: Grid, m) -> np.ndarray:
-    """Amplitudes exp(i*w_m*t_l)/sqrt(N) of mode m; a column of mode
-    indices, shape (k, 1), gives those k modes as the rows of one array."""
-    w = _frequency(grid, m)
-    return np.exp(1j * w * grid.positions()) / math.sqrt(grid.n_points)
-
-
 def fourier_eigenstate(grid: Grid, n: int) -> StateVector:
-    """Shift eigenstate with amplitudes exp(i*w_n*t_l)/sqrt(N)."""
+    """Shift eigenstate with amplitudes exp(i*w_n*t_l)/sqrt(N) =
+    exp(2*pi*i*n*l/N)/sqrt(N): column n of a circulant's ``eigh`` basis,
+    bit for bit.  The index must be an integer."""
+    n = operator.index(n)
     if not 0 <= n < grid.n_points:
         raise IndexError(f"mode index {n} outside 0..{grid.n_points - 1}")
-    return StateVector(_fourier_modes(grid, n), normalize=False)
+    return StateVector(_dft_modes(grid.n_points, n), normalize=False)
 
 
 def frequency_operator(grid: Grid) -> LinearOp:
@@ -507,10 +507,12 @@ def ops_check(
     over all n basis vectors.  The shift T, T^n (formed from T's spectrum)
     and the frequency, wave-vector and tight-binding operators are
     materialized from one transformed identity, each freed after its
-    residual, and T is applied to every DFT column.  The Born sum runs
-    over the n Fourier modes as rows of one array, and the evolve loop
-    applies one propagator ``evolve_steps`` times, holding each step's
-    norm^2 to NORM_TOL as ``StateVector`` does.
+    residual.  T is applied to every column of the DFT table, and the
+    Born sum runs over the same table's rows, which are the n Fourier
+    modes since the table is symmetric; the table is freed before any
+    circulant is materialized.  The evolve loop applies one propagator
+    ``evolve_steps`` times, holding each step's norm^2 to NORM_TOL as
+    ``StateVector`` does.
     """
     if n > MAX_OPS_CHECK_N:
         raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
@@ -518,9 +520,13 @@ def ops_check(
         raise ValueError(f"evolve_steps must be >= 1, got {evolve_steps}")
     grid = Grid(n, spacing)
     t = shift_operator(grid)
-    f = _dft_matrix(n)
+    f = _dft_modes(n, np.arange(n)[:, None])
     lam = np.exp(-1j * frequency_values(grid) * grid.spacing)
     dft_residual = float(np.abs(t._apply(f) - f * lam[None, :]).max())
+    rng = np.random.default_rng(seed)
+    psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    # the table is symmetric, so its rows are the modes too
+    born_sum = sum(born_probability(psi, StateVector(mode, normalize=False)) for mode in f)
     del f
     freq = frequency_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only
@@ -539,14 +545,9 @@ def ops_check(
         "frequency_hermiticity": dense(freq.spectrum).hermiticity_residual(),
         "wavevector_hermiticity": dense(wavevector_operator(grid).spectrum).hermiticity_residual(),
         "tight_binding_hermiticity": dense(tb.spectrum).hermiticity_residual(),
+        "born_sum_deviation": abs(born_sum - 1.0),
     }
     del dense, eye_transform
-
-    rng = np.random.default_rng(seed)
-    psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-    modes = _fourier_modes(grid, np.arange(n)[:, None])
-    born_sum = sum(born_probability(psi, StateVector(mode, normalize=False)) for mode in modes)
-    del modes
 
     step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
     a = psi.amplitudes
@@ -560,7 +561,6 @@ def ops_check(
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     composition = float(np.abs(once.amplitudes - twice.amplitudes).max())
 
-    report["born_sum_deviation"] = abs(born_sum - 1.0)
     report["evolve_norm_drift"] = drift
     report["evolve_composition"] = composition
     return report

@@ -303,6 +303,9 @@ PINNED_OUTPUTS = [
     (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
     # overflows at step 0
     (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
+    # the qops outputs that do not depend on BLAS
+    (["dispersion", "--model", "tb", "--n", "64", "--t", "1", "--t", "0.2"], "567e661fca1e"),
+    (["dispersion", "--model", "kg"], "2fad8bf07a50"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +36,6 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
-from nrq import qops
 from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N
 
 
@@ -111,6 +111,16 @@ def test_fourier_eigenpair_residual():
     assert np.abs(t.apply(s) - lam * s.amplitudes).max() <= 1e-12
     with pytest.raises(IndexError):
         fourier_eigenstate(g, 8)
+
+
+def test_fourier_eigenstate_takes_an_integer_index():
+    g = Grid(8)
+    for index in (1.5, 3.0):
+        with pytest.raises(TypeError):
+            fourier_eigenstate(g, index)
+    assert fourier_eigenstate(g, np.int64(3)).amplitudes.tobytes() == (
+        fourier_eigenstate(g, 3).amplitudes.tobytes()
+    )
 
 
 def test_expectation_values():
@@ -464,10 +474,9 @@ def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
     for name in (
         "Grid",
         "shift_operator",
-        "_dft_matrix",
+        "_dft_modes",
         "_identity_transform",
         "_circulant_matrix",
-        "_fourier_modes",
         "_propagator",
     ):
         monkeypatch.setattr(f"nrq.qops.{name}", no_build)
@@ -522,16 +531,28 @@ def test_ops_check_matches_the_public_reference_bit_for_bit(n):
                 assert ops_check(n, spacing, seed, steps) == expected, (spacing, seed, steps)
 
 
-def test_fourier_eigenstate_is_a_row_of_the_mode_array():
-    g = Grid(64, 0.37)
-    modes = qops._fourier_modes(g, np.arange(64)[:, None])
-    # mode m read out of all N frequencies, written out
-    w = 2.0 * np.pi * np.arange(64) / (64 * 0.37)
-    for m in range(64):
-        amps = fourier_eigenstate(g, m).amplitudes
-        assert amps.tobytes() == modes[m].tobytes(), m
-        full = np.exp(1j * w[m] * (np.arange(64) * 0.37)) / math.sqrt(64)
-        assert amps.tobytes() == full.tobytes(), m
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+def test_fourier_eigenstate_is_a_column_of_the_circulant_basis(n):
+    for spacing in (1.0, 0.37):
+        g = Grid(n, spacing)
+        basis = frequency_operator(g).eigh()[1]  # the spectrum ascends: column m is mode m
+        for m in range(n):
+            assert fourier_eigenstate(g, m).amplitudes.tobytes() == basis[:, m].tobytes(), (spacing, m)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_fourier_eigenstate_matches_mpmath_to_4_ulps(n):
+    """Every amplitude within 4 ulps of 1/sqrt(N) of exp(2*pi*i*m*l/N)/sqrt(N)."""
+    with mpmath.workdps(40):
+        roots = np.array(
+            [complex(mpmath.expjpi(mpmath.mpf(2 * k) / n) / mpmath.sqrt(n)) for k in range(n)]
+        )
+    ulp = np.spacing(1.0 / math.sqrt(n))
+    for m in (1, n // 2 - 1, n - 1):
+        exact = roots[(m * np.arange(n)) % n]
+        amps = fourier_eigenstate(Grid(n), m).amplitudes
+        assert np.abs(amps.real - exact.real).max() <= 4 * ulp, m
+        assert np.abs(amps.imag - exact.imag).max() <= 4 * ulp, m
 
 
 # ---------------------------------------------------------------------------
