@@ -31,7 +31,6 @@ from . import __version__
 from .measure import (
     EmpiricalDensity,
     accumulate_density,
-    bin_masses,
     cauchy_density,
     find_cycles,
     interference_polynomial,
@@ -166,8 +165,7 @@ def emit_svgdata(density: EmpiricalDensity, overlay=None, peaks=None) -> str:
     dens = density.densities()
     curves = [dens]
     if overlay is not None:
-        mass = bin_masses(overlay, density.edges()).sum()
-        curves.append(np.array([float(overlay(c)) for c in centers]) / mass)
+        curves.append(overlay(centers) / overlay.masses(density.edges()).sum())
     ymax = max(float(c.max()) for c in curves) or 1.0
     ymax *= 1.05
 

@@ -24,8 +24,8 @@ class InvalidRange(ValueError):
 # memory does not grow with the orbit's length.
 ACCUMULATE_BLOCK = 65536
 
-# The counts, edges and densities grow with the bin count, and the analytic
-# overlay costs 24 density calls a bin (100000 bins: about 1.5 s), so the
+# The counts, edges and densities grow with the bin count, and an svg writes
+# one polyline point a bin for the density and one for the overlay, so the
 # bin count is capped before anything is allocated.
 MAX_BINS = 100_000
 
@@ -170,87 +170,68 @@ def accumulate_density(
     return EmpiricalDensity(lo, hi, bins, counts, below, above, restarts)
 
 
-def cauchy_density(y):
-    """Standard Cauchy/Lorentzian density 1/(pi*(1+y^2))."""
-    if isinstance(y, float):  # the same arithmetic without numpy's per-call cost
-        y = float(y)
-        return 1.0 / (math.pi * (1.0 + y * y))
-    y = np.asarray(y, dtype=float)
-    out = 1.0 / (np.pi * (1.0 + y * y))
-    return float(out) if out.ndim == 0 else out
+@dataclass(frozen=True)
+class Lorentzian:
+    """The Lorentzian (Cauchy) density of ``center`` m and ``scale`` s.
 
-
-def cauchy_quantile(u):
-    """Inverse CDF of the standard Cauchy: tan(pi*(u - 1/2))."""
-    u = np.asarray(u, dtype=float)
-    out = np.tan(np.pi * (u - 0.5))
-    return float(out) if out.ndim == 0 else out
-
-
-# Composite Gauss-Legendre rule for bin_masses: nodes per (sub)interval, and
-# the relative gap between a piece's one-rule and two-half estimates below
-# which its two-half estimate is accepted.  A piece still apart after
-# MAX_BISECTIONS halvings (a jump of a step density, say) is accepted as it
-# stands, as is every piece once more than MAX_PIECES would be refined, so
-# the work is bounded for any integrand.
-QUADRATURE_NODES = 8
-QUADRATURE_RTOL = 1e-14
-MAX_BISECTIONS = 50
-MAX_PIECES = 4096
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-
-
-def _gauss(analytic, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre estimate of the integral over each [a[i], b[i]]."""
-    half = 0.5 * (b - a)
-    points = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    values = np.array([analytic(x) for x in points.ravel().tolist()], dtype=float)
-    return half * (values.reshape(points.shape) @ _WEIGHTS)
-
-
-def bin_masses(analytic, edges) -> np.ndarray:
-    """The integral of ``analytic`` over every bin between consecutive ``edges``.
-
-    Each bin gets a composite Gauss-Legendre estimate; only the pieces whose
-    whole and two-half estimates differ by more than ``QUADRATURE_RTOL`` of
-    the latter are bisected, all at once, level by level.  ``analytic`` is
-    called on one float at a time.
+    Calling it evaluates 1/(pi*s*(1 + ((y - m)/s)^2)) on a float or an
+    array; ``quantile`` is its inverse CDF and ``masses`` its exact mass on
+    every bin.
     """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    owner = np.arange(a.size)
-    whole = _gauss(analytic, a, b)
-    masses = np.zeros(a.size)
-    for level in range(MAX_BISECTIONS + 1):
-        mid = 0.5 * (a + b)
-        left, right = _gauss(analytic, a, mid), _gauss(analytic, mid, b)
-        halves = left + right
-        split = np.abs(whole - halves) > QUADRATURE_RTOL * np.abs(halves)
-        if level == MAX_BISECTIONS or 2 * np.count_nonzero(split) > MAX_PIECES:
-            split[:] = False
-        np.add.at(masses, owner[~split], halves[~split])
-        if not split.any():
-            break
-        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
-        owner = np.concatenate([owner[split], owner[split]])
-        whole = np.concatenate([left[split], right[split]])
-    return masses
+
+    center: float = 0.0
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"need a finite center and a finite scale > 0, got {self}")
+
+    def __call__(self, y):
+        t = (np.asarray(y, dtype=float) - self.center) / self.scale
+        out = 1.0 / (np.pi * (1.0 + t * t)) / self.scale
+        return float(out) if out.ndim == 0 else out
+
+    def quantile(self, u):
+        """Inverse CDF: m + s*tan(pi*(u - 1/2))."""
+        out = self.center + self.scale * np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5))
+        return float(out) if out.ndim == 0 else out
+
+    def masses(self, edges) -> np.ndarray:
+        """The mass of every bin between consecutive ``edges``, in closed form.
+
+        With u and v a bin's ends in units of the scale about the center, its
+        mass is atan2(v - u, 1 + u*v)/pi: atan2 keeps it in (0, 1) when u*v <
+        -1, and unlike atan(v) - atan(u) it loses no digits in the tails.
+        Both arguments are divided by k, the power of two just above max(1,
+        |u|) (at most 2^1023), so that u*v cannot overflow unless u and v both
+        lie beyond 2^1023; the division is exact, so the masses are those of
+        the plain formula wherever it does not overflow.
+        """
+        t = (np.asarray(edges, dtype=float) - self.center) / self.scale
+        u, v = t[:-1], t[1:]
+        k = np.ldexp(1.0, np.minimum(np.frexp(np.maximum(1.0, np.abs(u)))[1], 1023))
+        return np.arctan2((v - u) / k, 1.0 / k + (u / k) * v) / np.pi
+
+
+cauchy_density = Lorentzian()
+cauchy_quantile = cauchy_density.quantile
 
 
 def density_distance(emp: EmpiricalDensity, analytic, metric: str = "l1") -> float:
     """Distance between a histogram and an analytic density on the window.
 
     Both sides are normalized to unit mass over [lo, hi] before comparison:
-    the histogram's bin shares ``counts / in_range`` against the analytic
-    bin masses (``bin_masses``) divided by their sum, so the distance
-    measures shape mismatch, not out-of-window mass.  L1 is the sum of the
-    per-bin gaps; KS is the largest gap between the two cumulative sums.
+    the histogram's bin shares ``counts / in_range`` against the exact bin
+    masses of ``analytic`` (a ``Lorentzian``) divided by their sum, so the
+    distance measures shape mismatch, not out-of-window mass.  L1 is the sum
+    of the per-bin gaps; KS is the largest gap between the two cumulative
+    sums.
     """
     if emp.in_range == 0:
         raise ValueError("empirical density has no in-range mass")
     if metric not in ("l1", "ks"):
         raise ValueError(f"unknown metric {metric!r}")
-    masses = bin_masses(analytic, emp.edges())
+    masses = analytic.masses(emp.edges())
     mass = masses.sum()
     if not mass > 0:
         raise ValueError("analytic density has non-positive mass on the window")
@@ -454,9 +435,10 @@ def pushforward_residual(
     """L1 distance between one-step pushforward samples and the analytic density.
 
     Samples are drawn by inverse-CDF from ``quantile``, pushed through one
-    Newton step, and binned on [-10, 10] in 200 bins; a zero distance (up
-    to Monte Carlo noise) certifies that ``density`` is a fixed point of
-    the transfer operator at eigenvalue one.
+    Newton step, binned on [-10, 10] in 200 bins, and compared with the bin
+    masses of ``density`` (a ``Lorentzian``); a zero distance (up to Monte
+    Carlo noise) certifies that ``density`` is a fixed point of the transfer
+    operator at eigenvalue one.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")

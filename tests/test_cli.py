@@ -443,7 +443,7 @@ def test_run_config_rejects_unlisted_format(tmp_path):
         ["dispersion", "--c", "1e300"],
         ["ops-check", "--n", "4", "--spacing", "4e-308"],
         ["dispersion", "--model", "tb", "--eps", "1e308", "--t", "1e308"],
-        # the Cauchy overlay's mass over this window is 0, and the svg divides by it
+        # the Cauchy overlay squares bin centers near 1e298, and y^2 overflows
         ["density", "--poly", "x^2+1", "--iters", "3000", "--range=-1e300:1e300",
          "--overlay-cauchy", "--format", "svg"],
     ],

@@ -14,9 +14,9 @@ from scipy.integrate import quad
 from nrq import (
     EmpiricalDensity,
     InvalidRange,
+    Lorentzian,
     PolynomialProblem,
     accumulate_density,
-    bin_masses,
     cauchy_density,
     cauchy_quantile,
     density_distance,
@@ -71,52 +71,66 @@ def test_cauchy_quantile_inverts_cdf():
 
 
 # ---------------------------------------------------------------------------
-# bin masses
+# Lorentzian bin masses
+
+
+def _assert_masses_within_4_ulps(density, edges):
+    """Against atan2(v - u, 1 + u*v)/pi in 70-digit arithmetic, bin by bin."""
+    with np.errstate(all="raise"):
+        masses = density.masses(edges)
+    with mpmath.workdps(70):
+        t = [(mpmath.mpf(e) - density.center) / density.scale for e in edges.tolist()]
+        exact = [mpmath.atan2(v - u, 1 + u * v) / mpmath.pi for u, v in zip(t, t[1:])]
+        ulps = [abs(m - x) / np.spacing(float(x)) for m, x in zip(masses.tolist(), exact)]
+    assert max(ulps) <= 4
 
 
 @pytest.mark.parametrize(
     "lo, hi, bins",
     [(-10.0, 10.0, 200), (-2.0, 5.0, 280), (-1.0, 1.0, 4), (-1e3, 1e3, 200),
-     (-1e4, 1e4, 200), (-1e6, 1e6, 7)],
+     (-1e4, 1e4, 200), (-1e6, 1e6, 7), (-1e15, 1e15, 200), (-1e20, 1e20, 200),
+     (-1e150, 1e150, 200), (-1e300, 1e300, 200), (100.0, 1e6, 999), (-7.3, 1e4, 999),
+     (-1.7e308, 0.0, 1)],  # |u| beyond 2^1023, where the scaling power of two is capped
 )
 def test_bin_masses_match_cauchy_closed_form(lo, hi, bins):
-    # the Cauchy mass of [a, b] is (atan b - atan a)/pi = atan((b-a)/(1+ab))/pi,
-    # taken in (0, pi) by atan2 so that bins straddling 0 with ab < -1 hold
-    edges = np.linspace(lo, hi, bins + 1)
-    a, b = edges[:-1], edges[1:]
-    exact = np.arctan2(b - a, 1.0 + a * b) / math.pi
-    masses = bin_masses(cauchy_density, edges)
-    assert np.max(np.abs(masses / exact - 1.0)) <= 1e-12
+    _assert_masses_within_4_ulps(cauchy_density, np.linspace(lo, hi, bins + 1))
 
 
-def test_bin_masses_of_a_constant_are_exact():
-    edges = np.array([-3.0, -1.0, 0.0, 0.25, 2.0, 7.5])
-    masses = bin_masses(lambda x: 2.5, edges)
-    # exact up to the rounding of the Gauss-Legendre weights
-    assert masses == pytest.approx(2.5 * np.diff(edges), rel=1e-14, abs=0.0)
+@pytest.mark.parametrize(
+    "lo, hi, bins, scale",
+    [(-10.0, 10.0, 200, 0.5), (-10.0, 10.0, 200, 2.0), (-7.3, 1e4, 999, 2.0),
+     (-1e300, 1e300, 200, 0.5)],
+)
+def test_scaled_lorentzian_masses_match_the_closed_form(lo, hi, bins, scale):
+    # the scales are powers of two, so the edges in units of the scale are exact
+    _assert_masses_within_4_ulps(Lorentzian(0.0, scale), np.linspace(lo, hi, bins + 1))
 
 
-def test_bin_masses_of_a_step_density_with_jumps_inside_bins():
-    # edges shifted by 0.0123, so the jumps at -1 and 1 fall inside bins
-    edges = np.linspace(-10.0, 10.0, 201) + 0.0123
-    masses = bin_masses(lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0, edges)
-    assert abs(masses.sum() - 1.0) <= 1e-12
-    assert (masses >= 0.0).all() and np.count_nonzero(masses) == 21
+@pytest.mark.parametrize("R", [1e15, 1e20, 1e50, 1e300])
+def test_lorentzian_masses_keep_a_peak_narrower_than_a_bin(R):
+    with np.errstate(all="raise"):
+        total = cauchy_density.masses(np.linspace(-R, R, 201)).sum()
+    with mpmath.workdps(70):
+        exact = 2 * mpmath.atan(mpmath.mpf(R)) / mpmath.pi
+    assert abs(total - exact) <= 1e-15
 
 
-def test_bin_masses_bounds_its_work_on_an_unresolvable_integrand():
-    # a sawtooth of period 1e-9 never settles, so every piece keeps
-    # splitting until the piece cap stops the refinement
-    calls = []
+def test_lorentzian_scale_family():
+    wide = Lorentzian(3.0, 2.0)
+    ys = np.linspace(-20.0, 20.0, 41)
+    assert np.allclose(wide(ys), cauchy_density((ys - 3.0) / 2.0) / 2.0, rtol=1e-15, atol=0.0)
+    us = np.array([0.05, 0.25, 0.5, 0.9])
+    assert np.allclose(wide.quantile(us), 3.0 + 2.0 * cauchy_quantile(us), rtol=1e-15, atol=0.0)
+    assert type(wide(1.0)) is float and type(wide.quantile(0.3)) is float
 
-    def sawtooth(x):
-        calls.append(x)
-        return (x * 1e9) % 1.0
 
-    masses = bin_masses(sawtooth, np.linspace(0.0, 1.0, 5))
-    assert np.isfinite(masses).all()
-    nodes = measure.QUADRATURE_NODES
-    assert len(calls) <= 3 * nodes * 4 + 2 * nodes * 2 * measure.MAX_PIECES
+@pytest.mark.parametrize(
+    "center, scale",
+    [(math.inf, 1.0), (math.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan)],
+)
+def test_lorentzian_rejects_a_bad_center_or_scale(center, scale):
+    with pytest.raises(ValueError, match="finite"):
+        Lorentzian(center, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +334,10 @@ def test_stationary_density_matches_cauchy_across_seeds():
 
 
 def test_distance_identical_uniform_is_zero():
-    emp = EmpiricalDensity(0.0, 2.0, 8, np.full(8, 125))
-    assert density_distance(emp, lambda x: 3.7) <= 1e-12  # any constant matches uniform
-    assert density_distance(emp, lambda x: 3.7, metric="ks") <= 1e-12
+    # the two bins [1.7, 3.7] and [3.7, 5.7] each hold a quarter of the mass
+    emp = EmpiricalDensity(1.7, 5.7, 2, np.array([125, 125]))
+    assert density_distance(emp, Lorentzian(3.7, 2.0)) <= 1e-12
+    assert density_distance(emp, Lorentzian(3.7, 2.0), metric="ks") <= 1e-12
 
 
 def test_distance_reference_cauchy_sampler():
@@ -643,17 +658,19 @@ def test_find_cycles_matches_the_per_cell_scan_on_workloads(problem, period, lo,
 # pushforward stationarity
 
 
-def test_pushforward_cauchy_is_stationary():
-    residual = pushforward_residual(
-        NO_REAL_ROOT, cauchy_density, cauchy_quantile, 1_000_000, seed=3
-    )
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_pushforward_cauchy_is_stationary(c):
+    # the Newton map of x^2 + c is conjugate by x -> x/sqrt(c) to that of
+    # x^2 + 1, so its invariant density is the Lorentzian of scale sqrt(c)
+    density = Lorentzian(0.0, math.sqrt(c))
+    problem = PolynomialProblem((c, 0.0, 1.0))
+    residual = pushforward_residual(problem, density, density.quantile, 1_000_000, seed=3)
     assert residual <= 0.02
 
 
-def test_pushforward_uniform_is_not_stationary():
-    density = lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0
-    quantile = lambda u: 2.0 * u - 1.0
-    residual = pushforward_residual(NO_REAL_ROOT, density, quantile, 1_000_000, seed=3)
+def test_pushforward_wide_lorentzian_is_not_stationary():
+    density = Lorentzian(0.0, 3.0)
+    residual = pushforward_residual(NO_REAL_ROOT, density, density.quantile, 1_000_000, seed=3)
     assert residual > 0.1
 
 
