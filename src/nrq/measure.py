@@ -106,8 +106,8 @@ class EmpiricalDensity:
         if np.isnan(arr).any():
             raise ValueError("samples contain NaN, which no bin or tail can hold")
         counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
-        below = int((arr < lo).sum())
-        above = int((arr > hi).sum())
+        below = int(np.count_nonzero(arr < lo))
+        above = int(np.count_nonzero(arr > hi))
         return cls(lo, hi, bins, counts, below, above)
 
 
@@ -131,11 +131,9 @@ def accumulate_density(
     The orbit is run by ``problem.advance``, the fused kernel, which writes
     raw doubles into one ``ACCUMULATE_BLOCK``-slot buffer and stops before
     each pole or overflow, where the restart is stored and the kernel
-    resumed.  Each block is binned straight from that buffer into one count
-    array and three tallies, so memory is bounded by the block and the bins,
-    not by ``n``.  No iterate needs a NaN check: the kernel writes only
-    finite iterates within ``OVERFLOW_BOUND``, and a restart is a finite
-    uniform draw.
+    resumed.  Each block is binned straight from that buffer by
+    ``EmpiricalDensity.from_samples`` and merged into the running density,
+    so memory is bounded by the block and the bins, not by ``n``.
     """
     if not lo < hi:
         raise InvalidRange(f"bad range [{lo}, {hi}]")
@@ -152,8 +150,8 @@ def accumulate_density(
     raw = bytearray(8 * ACCUMULATE_BLOCK)
     buf = memoryview(raw).cast("d")
     samples = np.frombuffer(raw)
-    counts = np.zeros(bins, dtype=np.int64)
-    below = above = restarts = 0
+    density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
+    restarts = 0
     for start in range(0, n, ACCUMULATE_BLOCK):
         # iterates start+1 .. start+m fill buf[0 .. m-1], then are binned
         m = min(ACCUMULATE_BLOCK, n - start)
@@ -164,10 +162,9 @@ def accumulate_density(
             buf[j] = x
             x, j = advance(x, j + 1, m, buf)
         kept = samples[max(n0 - start, 0) : m]
-        counts += np.histogram(kept, bins=bins, range=(lo, hi))[0]
-        below += int(np.count_nonzero(kept < lo))
-        above += int(np.count_nonzero(kept > hi))
-    return EmpiricalDensity(lo, hi, bins, counts, below, above, restarts)
+        density = density.merge(EmpiricalDensity.from_samples(kept, lo, hi, bins))
+    density.restarts = restarts
+    return density
 
 
 @dataclass(frozen=True)
@@ -175,8 +172,9 @@ class Lorentzian:
     """The Lorentzian (Cauchy) density of ``center`` m and ``scale`` s.
 
     Calling it evaluates 1/(pi*s*(1 + ((y - m)/s)^2)) on a float or an
-    array; ``quantile`` is its inverse CDF and ``masses`` its exact mass on
-    every bin.
+    array, and where the square overflows the density is exactly 0;
+    ``quantile`` is its inverse CDF and ``masses`` its exact mass on every
+    bin.
     """
 
     center: float = 0.0
@@ -187,8 +185,9 @@ class Lorentzian:
             raise ValueError(f"need a finite center and a finite scale > 0, got {self}")
 
     def __call__(self, y):
-        t = (np.asarray(y, dtype=float) - self.center) / self.scale
-        out = 1.0 / (np.pi * (1.0 + t * t)) / self.scale
+        with np.errstate(over="ignore"):
+            t = (np.asarray(y, dtype=float) - self.center) / self.scale
+            out = 1.0 / (np.pi * (1.0 + t * t)) / self.scale
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
@@ -427,25 +426,22 @@ def find_cycles(
 
 def pushforward_residual(
     problem: PolynomialProblem,
-    density,
-    quantile,
+    density: Lorentzian,
     sample_count: int,
     seed: int = 0,
 ) -> float:
     """L1 distance between one-step pushforward samples and the analytic density.
 
-    Samples are drawn by inverse-CDF from ``quantile``, pushed through one
-    Newton step, binned on [-10, 10] in 200 bins, and compared with the bin
-    masses of ``density`` (a ``Lorentzian``); a zero distance (up to Monte
-    Carlo noise) certifies that ``density`` is a fixed point of the transfer
+    Samples are drawn by inverse-CDF from ``density.quantile``, pushed
+    through one Newton step, binned on [-10, 10] in 200 bins, and compared
+    with the bin masses of ``density``; a zero distance (up to Monte Carlo
+    noise) certifies that ``density`` is a fixed point of the transfer
     operator at eigenvalue one.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    u = rng.random(sample_count)
-    x = np.asarray(quantile(u), dtype=float)
-    y = problem.step_array(x)
+    y = problem.step_array(density.quantile(rng.random(sample_count)))
     y = y[np.isfinite(y)]
     emp = EmpiricalDensity.from_samples(y, -10.0, 10.0, 200)
     return density_distance(emp, density, metric="l1")

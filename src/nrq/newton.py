@@ -36,19 +36,15 @@ class DerivativeZero(ZeroDivisionError):
         self.fprime = fprime
 
 
-def _horner(coeffs_desc: tuple, x):
-    """Horner's scheme from 0.0; ``x`` may be a float or a numpy array."""
-    acc = 0.0
-    for c in coeffs_desc:
-        acc = acc * x + c
-    return acc
-
-
-# The orbit loop of ``_kernel``.  Its coefficients and bounds are closure
-# cells, cheaper than globals; n<i> and d<i> are the coefficients of x^i in
-# the Newton numerator and in f'.
-_ADVANCE_TEMPLATE = """\
+# The map's source.  Its coefficients and bounds are closure cells, cheaper
+# than globals; n<i> and d<i> are the coefficients of x^i in the Newton
+# numerator and in f'.
+_MAP_TEMPLATE = """\
 def make(pe, bound, neg_pe, neg_bound, {cells}):
+    def fprime(x):
+        return {fpx}
+    def numerator(x):
+        return {numerator}
     def advance(x, j, k, buf):
         for j in range(j, k):
             fpx = {fpx}
@@ -59,48 +55,47 @@ def make(pe, bound, neg_pe, neg_bound, {cells}):
                 return x, j
             buf[j] = x = y
         return x, k
-    return advance
+    return advance, fprime, numerator
 """
 
 
-def _horner_source(name: str, degree: int, leading: str) -> str:
-    """Horner's scheme from ``leading`` over name<degree - 1> .. name0, as one expression."""
-    return "(" * degree + leading + "".join(f") * x + {name}{i}" for i in range(degree - 1, -1, -1))
+def _horner_source(name: str, degree: int, lead: str) -> str:
+    """Horner's scheme from ``lead`` name<degree> down to name0, as one expression."""
+    tail = "".join(f") * x + {name}{i}" for i in range(degree - 1, -1, -1))
+    return "(" * degree + f"{lead}{name}{degree}" + tail
 
 
 @functools.cache
-def _kernel_factory(degree: int) -> Callable:
-    """``make(pe, bound, neg_pe, neg_bound, *ns, *ds)``, which returns ``_kernel``'s loop."""
+def _kernel(degree: int) -> Callable:
+    """The map's one definition: ``make(*ns, *ds) -> (advance, fprime, numerator)``.
+
+    Over descending tuples of coefficients, ``fprime(x)`` is f'(x) and
+    ``numerator(x)`` is x*f'(x) - f(x), on a float or a numpy array, each
+    Horner's scheme written out as one expression from the leading
+    coefficient.  ``advance(x, j, k, buf) -> (x, j)`` is the fused orbit
+    kernel: it applies the map numerator(x) / fprime(x), with the same two
+    expressions inline, from ``x`` and writes the iterates to ``buf[j]`` ..
+    ``buf[k - 1]``, where ``buf`` is any buffer of doubles (a ``memoryview``
+    cast to "d", say).  It returns the last iterate written and ``k``, or it
+    stops early and returns the current iterate and the slot it did not
+    fill: when the next step is a pole (|f'| <= POLE_EPSILON) or its value
+    leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  Its loop makes
+    no Python call.  The source is compiled once per degree.
+    """
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
-    source = _ADVANCE_TEMPLATE.format(
+    # at degree 1, f' is the constant d0 and the numerator's leading
+    # coefficient is 0 * c1 = +-0.0: a leading 0.0 * x makes f' of an array
+    # an array, and decides the sign of a zero numerator
+    lead = "0.0 * x + " if degree == 1 else ""
+    source = _MAP_TEMPLATE.format(
         cells=", ".join(cells),
-        fpx=_horner_source("d", degree - 1, f"d{degree - 1}"),
-        # degree 1's leading numerator coefficient is 0 * c1 = +-0.0, and
-        # 0.0 * x decides the sign of a zero result
-        numerator=_horner_source("n", degree, "0.0 * x + n1" if degree == 1 else f"n{degree}"),
+        fpx=_horner_source("d", degree - 1, lead),
+        numerator=_horner_source("n", degree, lead),
     )
     namespace = {}
     exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _kernel(ns: tuple, ds: tuple) -> Callable:
-    """The fused orbit kernel ``advance(x, j, k, buf) -> (x, j)``.
-
-    It applies the map (x*f'(x) - f(x)) / f'(x), over descending tuples,
-    from ``x`` and writes the iterates to ``buf[j]`` .. ``buf[k - 1]``,
-    where ``buf`` is any buffer of doubles (a ``memoryview`` cast to "d",
-    say).  It returns the last iterate written and ``k``, or it stops early
-    and returns the current iterate and the slot it did not fill: when the
-    next step is a pole (|f'| <= POLE_EPSILON) or its value leaves
-    [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  The loop makes no
-    Python call: it is compiled once per degree, with Horner's scheme
-    written out from the leading coefficient over closure cells.  For
-    finite x, 0.0 * x + c is c for every nonzero c, so that gives the same
-    bits as ``_horner``, which starts from 0.0.
-    """
-    make = _kernel_factory(len(ds))
-    return make(POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND, *ns, *ds)
+    make = namespace["make"]
+    return functools.partial(make, POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND)
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,12 @@ class PolynomialProblem:
 
     The derivative and the Newton numerator x*f'(x) - f(x) are computed
     symbolically at construction, and the map is built once from their
-    descending tuples.  ``advance`` is the fused orbit kernel (see
-    ``_kernel``): it runs the map over a buffer of doubles and stops before
-    a pole or an overflow.  ``step_array`` applies the map to an array with
-    ``_horner``, and ``newton_step`` to one float.  Both paths evaluate the
-    single fraction (x*f'(x) - f(x)) / f'(x) with Horner's scheme, so they
+    descending tuples by ``_kernel``, the map's one definition.
+    ``advance`` is the fused orbit kernel: it runs the map over a buffer of
+    doubles and stops before a pole or an overflow.  ``step_array`` applies
+    the map to an array and ``newton_step`` to one float, both through the
+    kernel's generated f'(x) and numerator(x), so every entry evaluates the
+    single fraction (x*f'(x) - f(x)) / f'(x) from the same source and they
     agree bit for bit; it reduces to the recursions the experiments are
     defined by, e.g. (x^2+2)/(2x) for x^2-2 and (x^2-1)/(2x) for x^2+1.
     """
@@ -122,7 +118,8 @@ class PolynomialProblem:
     derivative: tuple[float, ...] = field(init=False)
     numerator: tuple[float, ...] = field(init=False)
     advance: Callable = field(init=False, repr=False, compare=False)
-    _desc: tuple = field(init=False, repr=False, compare=False)
+    _fprime: Callable = field(init=False, repr=False, compare=False)
+    _numer: Callable = field(init=False, repr=False, compare=False)
 
     def __init__(self, coefficients):
         coeffs = tuple(float(c) for c in coefficients)
@@ -139,12 +136,13 @@ class PolynomialProblem:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "numerator", numerator)
-        desc = (numerator[::-1], derivative[::-1])
-        object.__setattr__(self, "_desc", desc)
-        object.__setattr__(self, "advance", _kernel(*desc))
+        advance, fprime, numer = _kernel(len(derivative))(*numerator[::-1], *derivative[::-1])
+        object.__setattr__(self, "advance", advance)
+        object.__setattr__(self, "_fprime", fprime)
+        object.__setattr__(self, "_numer", numer)
 
     def __reduce__(self):
-        # the kernel closure cannot be pickled; it is rebuilt from the coefficients
+        # the kernel's closures cannot be pickled; they are rebuilt from the coefficients
         return PolynomialProblem, (self.coefficients,)
 
     @property
@@ -157,24 +155,23 @@ class PolynomialProblem:
         NaN where |f'(x)| <= POLE_EPSILON (where ``newton_step`` raises
         DerivativeZero) and where the result is not finite.
         """
-        ns, ds = self._desc
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
-            fpx = _horner(ds, xs)
-            y = _horner(ns, xs) / fpx
+            fpx = self._fprime(xs)
+            y = self._numer(xs) / fpx
         return np.where(np.isfinite(y) & (np.abs(fpx) > POLE_EPSILON), y, np.nan)
 
 
 def newton_step(problem: PolynomialProblem, x: float) -> float:
-    """One application of the map, as ``step_array`` computes it on arrays.
+    """One application of the map to a float: the generated numerator(x) /
+    f'(x) that ``step_array`` computes on arrays and ``advance`` inlines.
 
     Raises DerivativeZero at a pole (|f'(x)| <= POLE_EPSILON).
     """
-    ns, ds = problem._desc
-    fpx = _horner(ds, x)
+    fpx = problem._fprime(x)
     if -POLE_EPSILON <= fpx <= POLE_EPSILON:
         raise DerivativeZero(x, fpx)
-    return _horner(ns, x) / fpx
+    return problem._numer(x) / fpx
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
             return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=len(xs) - 1, value=xs[-1])
         xs += chunk[1:].tolist()
         if j <= k:
-            fpx = _horner(problem._desc[1], x)
+            fpx = problem._fprime(x)
             pole = -POLE_EPSILON <= fpx <= POLE_EPSILON
             status = OrbitStatus.POLE_HIT if pole else OrbitStatus.OVERFLOWED
             return Orbit(x0, tuple(xs), status, step=len(xs) - 1)

@@ -18,7 +18,7 @@ from nrq import (
     iterate_orbit,
     newton_step,
 )
-from nrq.newton import MAX_DEGREE, OVERFLOW_BOUND
+from nrq.newton import MAX_DEGREE, OVERFLOW_BOUND, POLE_EPSILON
 
 SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))  # x^2 - 2
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))  # x^2 + 1
@@ -78,6 +78,14 @@ def _bits_of(values) -> list[bytes]:
     return [_bits(v) for v in values]
 
 
+def _horner(coeffs_desc, x):
+    """The map's reference evaluation: Horner's scheme from 0.0 over descending coefficients."""
+    acc = 0.0
+    for c in coeffs_desc:
+        acc = acc * x + c
+    return acc
+
+
 # degree 1 to 6, zero coefficients allowed except the leading one
 _POLYNOMIAL = st.integers(1, 6).flatmap(
     lambda d: st.lists(st.floats(-1e3, 1e3), min_size=d + 1, max_size=d + 1)
@@ -94,18 +102,26 @@ _POLYNOMIAL = st.integers(1, 6).flatmap(
 @example([2.0, -2.0, 0.0, 1.0], 0.0)  # x^3 - 2x + 2, generic degree
 @example([0.0, -2.0], 0.5)  # degree 1: the numerator's leading term is -0.0
 @example([1.0, 1e-300], 0.5)  # |f'| equals POLE_EPSILON everywhere: a pole
+@example([1.0] * (MAX_DEGREE + 1), 1.5)  # the deepest generated expression
 def test_scalar_and_array_steps_agree(coefficients, x):
     problem = PolynomialProblem(coefficients)
-    from_array = problem.step_array(np.array([x]))[0]
-    try:
-        y = newton_step(problem, x)
-    except DerivativeZero:
-        assert math.isnan(from_array)
+    # f' and the map keep an array's shape, at degree 1 too, where f' is the constant d0
+    assert problem._fprime(np.zeros((2, 3))).shape == (2, 3)
+    from_array = problem.step_array(np.full((2, 3), x))
+    assert from_array.shape == (2, 3)
+    assert len(set(_bits_of(from_array.ravel()))) == 1
+    fpx = _horner(problem.derivative[::-1], x)
+    if -POLE_EPSILON <= fpx <= POLE_EPSILON:
+        with pytest.raises(DerivativeZero):
+            newton_step(problem, x)
+        assert np.isnan(from_array).all()
         return
+    y = _horner(problem.numerator[::-1], x) / fpx
+    assert _bits(newton_step(problem, x)) == _bits(y)
     if math.isfinite(y):
-        assert _bits(from_array) == _bits(y)
+        assert _bits(from_array[0, 0]) == _bits(y)
     else:
-        assert math.isnan(from_array)
+        assert math.isnan(from_array[0, 0])
 
 
 def _chain(step, x, k):
