@@ -266,11 +266,12 @@ class CycleScan:
 # degree operations, so grid_points * period * degree bounds its work.  The
 # cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
 MAX_CYCLE_WORK = 600_000
-# The brackets are bisected in lockstep, each level one step_array call per
-# step of O^period, and a call costs about 20 us plus 2 us a degree at any
-# array size, so the period, and the period weighted by the degree, are
-# capped to keep a scan of few brackets near a second.  No x^2+1 cycle
-# above period 60 or so is resolvable in double precision anyway.
+# The brackets are bisected in lockstep, each level one step_array call
+# that runs the period steps of O^period, and on few brackets a step costs
+# about 2.5 us a degree (7 us for x^2+1, 245 us at degree 100), so the
+# period, and the period weighted by the degree, are capped to keep a scan
+# of few brackets under a second.  No x^2+1 cycle above period 60 or so is
+# resolvable in double precision anyway.
 MAX_CYCLE_PERIOD = 1000
 MAX_CYCLE_STEP_WORK = 4000
 # Bisection stops once a bracket is no wider than this relative to its
@@ -282,12 +283,6 @@ _RESIDUAL_TOL = 1e-10
 # Points closer than this are the same point, for the minimal-period check
 # and for deduplicating rotations of one cycle.
 _DISTINCT_TOL = 1e-9
-
-
-def _iterate_vector(problem: PolynomialProblem, xs: np.ndarray, times: int) -> np.ndarray:
-    for _ in range(times):
-        xs = problem.step_array(xs)
-    return xs
 
 
 def _bisect_brackets(
@@ -311,7 +306,7 @@ def _bisect_brackets(
             if active.size == 0:
                 break
             m = 0.5 * (a + b)
-            ym = _iterate_vector(problem, m, period)
+            ym = problem.step_array(m, period)
             gm = ym - m
             take_left = ga * gm <= 0.0
             b = np.where(take_left, m, b)
@@ -321,10 +316,11 @@ def _bisect_brackets(
             done = failed | (b - a <= _BISECT_RTOL * np.maximum(1.0, np.abs(m)))
             if level == _MAX_BISECT_LEVELS - 1:
                 done[:] = True
-            bad[active[failed]] = True
-            roots[active[done]] = 0.5 * (a[done] + b[done])
-            keep = ~done
-            active, a, b, ga = active[keep], a[keep], b[keep], ga[keep]
+            if done.any():
+                bad[active[failed]] = True
+                roots[active[done]] = 0.5 * (a[done] + b[done])
+                keep = ~done
+                active, a, b, ga = active[keep], a[keep], b[keep], ga[keep]
     return roots, bad
 
 
@@ -347,16 +343,21 @@ def find_cycles(
     period properly divides ``period`` are excluded, a root whose orbit hits
     a pole or whose residual stays huge refined onto a pole and its bracket
     joins ``pole_intervals``, and rotations of one cycle are deduplicated.
-    Every evaluation of the map goes through ``problem.step_array``.
-    ``period`` may not exceed ``MAX_CYCLE_PERIOD``, ``period *
-    problem.degree`` may not exceed ``MAX_CYCLE_STEP_WORK``, and
-    ``grid_points * period * problem.degree`` may not exceed
-    ``MAX_CYCLE_WORK``; all three are checked before the grid is built.
+    Every evaluation of the map goes through ``problem.step_array``, O^period
+    in one call.  The window must be finite with lo < hi, and its width
+    finite (else InvalidRange); ``period`` may not exceed
+    ``MAX_CYCLE_PERIOD``, ``period * problem.degree`` may not exceed
+    ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period * problem.degree``
+    may not exceed ``MAX_CYCLE_WORK``; all are checked before the grid is
+    built, the window first.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    # hi - lo is finite only if lo and hi are
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidRange(f"bad range [{lo}, {hi}]")
     if period > MAX_CYCLE_PERIOD:
         raise ValueError(f"period {period} exceeds the cap of {MAX_CYCLE_PERIOD}")
     if period * problem.degree > MAX_CYCLE_STEP_WORK:
@@ -366,10 +367,8 @@ def find_cycles(
     work = grid_points * period * problem.degree
     if work > MAX_CYCLE_WORK:
         raise ValueError(f"grid_points * period * degree = {work} exceeds the cap of {MAX_CYCLE_WORK}")
-    if not lo < hi:
-        raise InvalidRange(f"bad range [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
-    g = _iterate_vector(problem, xs, period) - xs
+    g = problem.step_array(xs, period) - xs
     left, right = xs[:-1], xs[1:]
     finite = np.isfinite(g)
     pole = ~(finite[:-1] & finite[1:])
@@ -406,15 +405,17 @@ def find_cycles(
     keep = ~broken & ~lower
 
     cycles: list[Cycle] = []
+    rows = pts[keep]
+    srt = np.sort(rows, axis=1)
     # the sorted points of every accepted cycle, one row each
-    accepted = np.empty((np.count_nonzero(keep), period))
-    for pts_row, res in zip(pts[keep].tolist(), residual[keep].tolist()):
-        srt = np.sort(pts_row)
-        if (np.abs(accepted[: len(cycles)] - srt).max(axis=1) <= _DISTINCT_TOL).any():
+    accepted = np.empty_like(srt)
+    for row, srt_row, start, res in zip(
+        rows.tolist(), srt, np.argmin(rows, axis=1).tolist(), residual[keep].tolist()
+    ):
+        if (np.abs(accepted[: len(cycles)] - srt_row).max(axis=1) <= _DISTINCT_TOL).any():
             continue
-        accepted[len(cycles)] = srt
-        start = int(np.argmin(pts_row))
-        cycles.append(Cycle(period, tuple(pts_row[start:] + pts_row[:start]), res))
+        accepted[len(cycles)] = srt_row
+        cycles.append(Cycle(period, tuple(row[start:] + row[:start]), res))
 
     cycles.sort(key=lambda c: c.points[0])
     return CycleScan(tuple(cycles), tuple(pole_intervals))

@@ -59,17 +59,47 @@ def make(pe, bound, neg_pe, neg_bound, {cells}):
 """
 
 
-def _horner_source(name: str, degree: int, lead: str) -> str:
-    """Horner's scheme from ``lead`` name<degree> down to name0, as one expression."""
-    tail = "".join(f") * x + {name}{i}" for i in range(degree - 1, -1, -1))
-    return "(" * degree + f"{lead}{name}{degree}" + tail
+def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str:
+    """Horner's scheme over the descending ``coefficients``, as one expression.
+
+    The coefficient of x^i is named name<i>.  ``lead`` (empty, or "0.0 * x")
+    is the value the scheme starts from.  Only terms whose removal is an
+    exact identity are left out: a leading 1.0 is not multiplied, an added
+    -0.0 is dropped, and an added +0.0 is dropped when a lower-order
+    coefficient is nonzero (adding +0.0 only turns a -0.0 into +0.0, and
+    adding that nonzero coefficient later erases the difference).
+    """
+    degree = len(coefficients) - 1
+    expr, summed = lead, False
+    for k, c in enumerate(coefficients):
+        i = degree - k
+        if k:
+            if expr == f"{name}{degree}" and coefficients[0] == 1.0:
+                expr = "x"
+            else:
+                expr = f"({expr}) * x" if summed else f"{expr} * x"
+            summed = False
+        if expr and c == 0.0 and (math.copysign(1.0, c) < 0.0 or any(coefficients[k + 1 :])):
+            continue
+        expr, summed = (f"{expr} + {name}{i}", True) if expr else (f"{name}{i}", False)
+    return expr
 
 
-@functools.cache
-def _kernel(degree: int) -> Callable:
+# Distinct sources are few in practice (one per degree and pattern of unit
+# and zero coefficients), but each is a few kilobytes at degree 100.
+@functools.lru_cache(maxsize=256)
+def _compile(source: str, degree: int) -> Callable:
+    namespace = {}
+    exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
+    return functools.partial(
+        namespace["make"], POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND
+    )
+
+
+def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Callable:
     """The map's one definition: ``make(*ns, *ds) -> (advance, fprime, numerator)``.
 
-    Over descending tuples of coefficients, ``fprime(x)`` is f'(x) and
+    Over the descending tuples of coefficients, ``fprime(x)`` is f'(x) and
     ``numerator(x)`` is x*f'(x) - f(x), on a float or a numpy array, each
     Horner's scheme written out as one expression from the leading
     coefficient.  ``advance(x, j, k, buf) -> (x, j)`` is the fused orbit
@@ -80,22 +110,22 @@ def _kernel(degree: int) -> Callable:
     stops early and returns the current iterate and the slot it did not
     fill: when the next step is a pole (|f'| <= POLE_EPSILON) or its value
     leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  Its loop makes
-    no Python call.  The source is compiled once per degree.
+    no Python call.  The source depends on which coefficients are 1.0 or
+    zero, so it is compiled once per source text, which is also the cache
+    key: coefficient tuples would not do, as 0.0 == -0.0.
     """
+    degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
     # at degree 1, f' is the constant d0 and the numerator's leading
     # coefficient is 0 * c1 = +-0.0: a leading 0.0 * x makes f' of an array
     # an array, and decides the sign of a zero numerator
-    lead = "0.0 * x + " if degree == 1 else ""
+    lead = "0.0 * x" if degree == 1 else ""
     source = _MAP_TEMPLATE.format(
         cells=", ".join(cells),
-        fpx=_horner_source("d", degree - 1, lead),
-        numerator=_horner_source("n", degree, lead),
+        fpx=_horner_source("d", derivative, lead),
+        numerator=_horner_source("n", numerator, lead),
     )
-    namespace = {}
-    exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
-    make = namespace["make"]
-    return functools.partial(make, POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND)
+    return _compile(source, degree)
 
 
 @dataclass(frozen=True)
@@ -104,10 +134,12 @@ class PolynomialProblem:
 
     The derivative and the Newton numerator x*f'(x) - f(x) are computed
     symbolically at construction, and the map is built once from their
-    descending tuples by ``_kernel``, the map's one definition.
-    ``advance`` is the fused orbit kernel: it runs the map over a buffer of
-    doubles and stops before a pole or an overflow.  ``step_array`` applies
-    the map to an array and ``newton_step`` to one float, both through the
+    descending tuples by ``_kernel``, the map's one definition, which
+    leaves out the terms that cannot change a bit (a factor 1.0, an added
+    zero).  ``advance`` is the fused orbit kernel: it runs the map over a
+    buffer of doubles and stops before a pole or an overflow.
+    ``step_array`` applies the map, or its ``times``-th power, to an array
+    and ``newton_step`` applies it to one float, both through the
     kernel's generated f'(x) and numerator(x), so every entry evaluates the
     single fraction (x*f'(x) - f(x)) / f'(x) from the same source and they
     agree bit for bit; it reduces to the recursions the experiments are
@@ -136,7 +168,8 @@ class PolynomialProblem:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "numerator", numerator)
-        advance, fprime, numer = _kernel(len(derivative))(*numerator[::-1], *derivative[::-1])
+        ns, ds = numerator[::-1], derivative[::-1]
+        advance, fprime, numer = _kernel(ns, ds)(*ns, *ds)
         object.__setattr__(self, "advance", advance)
         object.__setattr__(self, "_fprime", fprime)
         object.__setattr__(self, "_numer", numer)
@@ -149,17 +182,30 @@ class PolynomialProblem:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def step_array(self, xs) -> np.ndarray:
-        """The map applied to every element of ``xs``.
+    def step_array(self, xs, times: int = 1) -> np.ndarray:
+        """The map applied ``times`` times to every element of ``xs``.
 
-        NaN where |f'(x)| <= POLE_EPSILON (where ``newton_step`` raises
-        DerivativeZero) and where the result is not finite.
+        NaN where some step meets |f'(x)| <= POLE_EPSILON (where
+        ``newton_step`` raises DerivativeZero) and where the result is not
+        finite; the bits equal those of ``times`` calls of one step.  A
+        value that overflows to +-inf is not masked between steps: the next
+        step makes it +-inf / +-inf = NaN (at degree 1, 0.0 * inf = NaN).
         """
-        xs = np.asarray(xs, dtype=float)
+        if times < 1:
+            raise ValueError("times must be >= 1")
+        y = np.asarray(xs, dtype=float)
+        if y.ndim == 0:
+            # a ufunc returns a 0-d result as a scalar, which cannot be masked
+            return self.step_array(y.reshape(1), times).reshape(())
+        fprime, numer = self._fprime, self._numer
         with np.errstate(all="ignore"):
-            fpx = self._fprime(xs)
-            y = self._numer(xs) / fpx
-        return np.where(np.isfinite(y) & (np.abs(fpx) > POLE_EPSILON), y, np.nan)
+            for _ in range(times):
+                fpx = fprime(y)
+                y = numer(y) / fpx
+                y[np.abs(fpx) <= POLE_EPSILON] = np.nan
+            # every non-finite value, an arithmetic NaN of either sign too
+            y[~np.isfinite(y)] = np.nan
+        return y
 
 
 def newton_step(problem: PolynomialProblem, x: float) -> float:

@@ -27,6 +27,7 @@ from nrq.cli import (
 import nrq
 from nrq import cli, measure
 from nrq.measure import EmpiricalDensity, cauchy_density
+from nrq.newton import PolynomialProblem
 from nrq.parsing import MAX_POLY_LENGTH
 from nrq.qops import MAX_DENSE_N, Grid, tight_binding_hamiltonian
 
@@ -540,7 +541,7 @@ def test_cli_counts_at_their_caps_run(args, expected, tmp_path, capsys):
 
 
 def test_cycles_period_cap_exits_2_before_the_grid(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(measure, "_iterate_vector", lambda *args: pytest.fail("grid evaluated"))
+    monkeypatch.setattr(PolynomialProblem, "step_array", lambda *args: pytest.fail("grid evaluated"))
     out = tmp_path / "out"
     period = str(measure.MAX_CYCLE_PERIOD + 1)
     code, _, err = run_cli(

@@ -456,6 +456,20 @@ def test_find_cycles_validation():
 
 
 @pytest.mark.parametrize(
+    "lo, hi",
+    [(-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0), (-1e308, 1e308)],
+)
+def test_find_cycles_rejects_a_window_that_is_not_finite(lo, hi, monkeypatch):
+    # such a window once gave pole intervals (nan, nan) or (nan, inf) with a warning
+    monkeypatch.setattr(PolynomialProblem, "step_array", lambda *args: pytest.fail("grid evaluated"))
+    with pytest.raises(InvalidRange):
+        find_cycles(NO_REAL_ROOT, 2, lo, hi, 10)
+    # the window is checked before the caps
+    with pytest.raises(InvalidRange):
+        find_cycles(NO_REAL_ROOT, measure.MAX_CYCLE_PERIOD + 1, lo, hi, 10)
+
+
+@pytest.mark.parametrize(
     "problem, period, grid_points",
     [
         (NO_REAL_ROOT, 10**9, 1000),
@@ -469,7 +483,7 @@ def test_find_cycles_validation():
     ],
 )
 def test_find_cycles_work_cap(problem, period, grid_points, monkeypatch):
-    monkeypatch.setattr(measure, "_iterate_vector", lambda *args: pytest.fail("grid evaluated"))
+    monkeypatch.setattr(PolynomialProblem, "step_array", lambda *args: pytest.fail("grid evaluated"))
     with pytest.raises(ValueError, match="exceeds the cap"):
         find_cycles(problem, period, -3.0, 3.0, grid_points)
 

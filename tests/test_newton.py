@@ -1,14 +1,19 @@
 """Newton map unit tests: step arithmetic, orbit statuses."""
 
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import nrq
 from nrq import (
     DerivativeZero,
     IterationPolicy,
@@ -103,6 +108,10 @@ _POLYNOMIAL = st.integers(1, 6).flatmap(
 @example([0.0, -2.0], 0.5)  # degree 1: the numerator's leading term is -0.0
 @example([1.0, 1e-300], 0.5)  # |f'| equals POLE_EPSILON everywhere: a pole
 @example([1.0] * (MAX_DEGREE + 1), 1.5)  # the deepest generated expression
+@example([-0.0, 1.0], -1.0)  # f = x with c0 = -0.0: both +0.0 terms of the numerator are kept
+@example([0.0, 1.0], -1.0)  # f = x: the numerator's -0.0 x^0 term is dropped, its +0.0 x^1 kept
+@example([0.0, -1.0, 0.0, 1.0], 0.5)  # x^3 - x: zero terms dropped from f' and the numerator
+@example([-1.0, 0.0, 1.0], 0.75)  # x^2 - 1: the numerator's leading 1.0 is not multiplied
 def test_scalar_and_array_steps_agree(coefficients, x):
     problem = PolynomialProblem(coefficients)
     # f' and the map keep an array's shape, at degree 1 too, where f' is the constant d0
@@ -122,6 +131,69 @@ def test_scalar_and_array_steps_agree(coefficients, x):
         assert _bits(from_array[0, 0]) == _bits(y)
     else:
         assert math.isnan(from_array[0, 0])
+
+
+# Each pair is equal as tuples, 0.0 == -0.0, but the first one's source
+# drops a zero term whose sign the second one's bits depend on: its
+# numerator at x = -1, or its f' at x = -0.0.
+_SIGNED_ZERO_PAIRS = """
+import struct
+from nrq import PolynomialProblem
+
+def horner(coeffs_desc, x):
+    acc = 0.0
+    for c in coeffs_desc:
+        acc = acc * x + c
+    return acc
+
+bits = lambda v: struct.pack("<d", v)
+for pair in [((0.0, 1.0), (-0.0, 1.0)), ((1.0, -0.0, 1.0), (1.0, 0.0, 1.0))]:
+    for coefficients in pair:
+        problem = PolynomialProblem(coefficients)
+        for x in (-1.0, -0.0, 0.0, 1.0):
+            assert bits(problem._numer(x)) == bits(horner(problem.numerator[::-1], x)), (coefficients, x)
+            assert bits(problem._fprime(x)) == bits(horner(problem.derivative[::-1], x)), (coefficients, x)
+    print("ok")
+"""
+
+
+def test_signed_zero_coefficients_get_their_own_kernels():
+    # in a fresh interpreter, so that the leaner kernel of each pair is built
+    # first: a kernel cached by coefficients would then serve it to the other
+    src = str(Path(nrq.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGNED_ZERO_PAIRS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok", "ok"]
+
+
+@given(
+    _POLYNOMIAL,
+    st.lists(st.one_of(st.floats(), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+    st.integers(1, 12),
+)
+@example([1.0, 0.0, 1.0], [1e200, -1e200, 0.0, 1.0, 0.5], 3)  # +-inf after one step; the pole
+@example([2.0, -2.0, 0.0, 1.0], [1e200, -1e200, 0.0, 1.0], 4)  # x^3 - 2x + 2: inf / inf at once
+@example([1e10, 1e-299], [0.5, math.inf, math.nan], 2)  # degree 1: -inf, then 0.0 * inf = NaN
+@example([0.0901, -0.06, 9.02, -6.0, 1.0], [1e100, 2.9, -0.0], 12)  # the two-well quartic
+def test_step_array_times_matches_a_chain_of_calls(coefficients, xs, times):
+    problem = PolynomialProblem(coefficients)
+    chained = np.array(xs)
+    for _ in range(times):
+        chained = problem.step_array(chained)
+    # the same bits, so NaN in the same places
+    assert _bits_of(problem.step_array(xs, times)) == _bits_of(chained)
+    # a 0-d array stays 0-d
+    single = problem.step_array(np.float64(xs[0]), times)
+    assert single.shape == () and _bits(single) == _bits(chained[0])
+
+
+def test_step_array_needs_a_step():
+    with pytest.raises(ValueError, match="times"):
+        NO_REAL_ROOT.step_array([0.5], 0)
 
 
 def _chain(step, x, k):
