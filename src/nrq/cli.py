@@ -56,10 +56,10 @@ FORMATS = ("csv", "json", "svg")
 # An orbit keeps every iterate and its output is rendered as one string,
 # about 270 B a step, so this bounds orbit's memory to roughly 30 MB.
 MAX_ORBIT_STEPS = 100_000
-# An ops-check evolve step costs about 40 us at n = 8 and 80 us at n = 1024,
-# on top of about 0.75 s a size at n = 1024, so the step count and the
+# An ops-check evolve step costs about 20 us at n = 8 and 25 us at n = 1024,
+# on top of about 0.5 s a size at n = 1024, so the step count and the
 # number of sizes are capped: the slowest admitted run, eight sizes of 1024
-# at 10000 steps each, takes about 14 s on 2 cores.
+# at 10000 steps each, takes about 9 s end to end on 2 cores.
 MAX_OPS_CHECK_STEPS = 10_000
 MAX_OPS_CHECK_SIZES = 8
 # A dispersion sample is one csv row or two json numbers, about 40 B of

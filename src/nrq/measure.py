@@ -49,7 +49,8 @@ class EmpiricalDensity:
     restarts: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        # hi - lo is finite only if lo and hi are
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise InvalidRange(f"bad range [{self.lo}, {self.hi}]")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
@@ -100,7 +101,7 @@ class EmpiricalDensity:
 
     @classmethod
     def from_samples(cls, samples, lo: float, hi: float, bins: int):
-        if not lo < hi:
+        if not (lo < hi and math.isfinite(hi - lo)):
             raise InvalidRange(f"bad range [{lo}, {hi}]")
         arr = np.asarray(samples, dtype=float)
         if np.isnan(arr).any():

@@ -1,19 +1,19 @@
-"""Operators on periodic grids: shift, frequency, wave-vector, tight binding.
+"""Operators on periodic grids: shift, frequency, wave-vector, position, tight binding.
 
-Operators act on an N-point cyclic grid in one of two forms.  Shift,
-frequency, wave-vector and constant-onsite tight-binding operators are
-circulant, so the DFT diagonalizes them exactly: they are held as their
-eigenvalue vector in DFT-mode order (mode m is ``fourier_eigenstate(grid,
-m)``), applied as ``ifft(spectrum * fft(psi))`` in O(N log N), evolved by
-phasing that spectrum and diagonalized analytically.  Every DFT mode, in
-``fourier_eigenstate``, a circulant's ``eigh`` and ``ops_check``, is read
-from one table of the N roots of unity, so mode m has the same bits
-wherever it is built.  Position, callable onsite terms, projectors and
-commutators are dense matrices.  Either form exposes ``.matrix``; a
-circulant builds it on first access as ``ifft(spectrum * fft(I))`` column
-by column.  The transformed identity ``fft(I)`` is the same for every
-circulant of a size, so ``ops_check`` computes it once and materializes
-all its circulants from it.
+Shift, frequency, wave-vector, position and constant-onsite tight-binding
+operators are held as their eigenvalue vector.  All but position are
+circulant, so the DFT diagonalizes them exactly: their eigenvalues are in
+DFT-mode order (mode m is ``fourier_eigenstate(grid, m)``) and they are
+applied as ``ifft(spectrum * fft(psi))`` in O(N log N).  Position is
+diagonal on the sites, applied as ``spectrum * psi``.  Both kinds are
+evolved by phasing the spectrum and diagonalized analytically.  Every DFT
+mode is read from one table of the N roots of unity, so mode m has the
+same bits wherever it is built.  Callable onsite terms, projectors and
+commutators are dense matrices.  Every operator acts through ``_apply``:
+``.matrix`` is the operator applied to the identity's columns, built on
+first access, and ``commutator`` applies each operator to the other's
+matrix.  ``ops_check`` transforms the identity once per size and
+materializes all its circulants from it.
 """
 
 import math
@@ -64,12 +64,13 @@ class NaturalUnits:
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic grid of n_points sites with uniform spacing (dt or dx)."""
+    """Periodic grid of an integer n_points sites with uniform spacing (dt or dx)."""
 
     n_points: int
     spacing: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", operator.index(self.n_points))
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
         if self.n_points > MAX_DENSE_N:
@@ -127,13 +128,13 @@ class StateVector:
 class LinearOp:
     """Complex square operator with lazily verified structure metadata.
 
-    Built from a dense ``matrix``, or from the ``spectrum`` of a circulant:
-    its eigenvalues in DFT-mode order, applied through the FFT.  The
-    residuals are measured on ``.matrix``, which a circulant materializes
-    on first access by applying itself to every basis vector
-    (``_circulant_matrix``).  A circulant's ``eigh`` basis holds the DFT
-    modes as columns, in the order that sorts its spectrum, each with the
-    bits of ``fourier_eigenstate`` for that mode.
+    Built from a dense ``matrix``, or from a ``spectrum``: a circulant's
+    eigenvalues in DFT-mode order, applied through the FFT, or, for
+    position and its propagators, a diagonal's in site order, applied
+    elementwise.  ``.matrix`` is ``_apply`` of the identity, built on first
+    access; the residuals are measured on it.  A spectrum's ``eigh`` basis
+    holds, in the order that sorts it, the DFT modes with the bits of
+    ``fourier_eigenstate``, or the identity's columns.
     """
 
     def __init__(self, matrix=None, *, spectrum=None):
@@ -141,6 +142,7 @@ class LinearOp:
             raise ValueError("give exactly one of matrix and spectrum")
         self.spectrum = None
         self._matrix = None
+        self._on_sites = False
         if spectrum is not None:
             s = np.asarray(spectrum, dtype=complex)
             if s.ndim != 1 or s.size < 1:
@@ -160,7 +162,7 @@ class LinearOp:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _circulant_matrix(self.spectrum, _identity_transform(self.n))
+            self._matrix = self._apply(np.eye(self.n, dtype=complex))
         return self._matrix
 
     def _apply(self, a: np.ndarray) -> np.ndarray:
@@ -168,10 +170,12 @@ class LinearOp:
         if self.spectrum is None:
             return self._matrix @ a
         s = self.spectrum if a.ndim == 1 else self.spectrum[:, None]
+        if self._on_sites:
+            return s * a
         return np.fft.ifft(s * np.fft.fft(a, axis=0), axis=0)
 
     def _real_spectrum(self) -> np.ndarray:
-        """A circulant is Hermitian exactly when its eigenvalues are real."""
+        """An operator held as a spectrum is Hermitian exactly when it is real."""
         worst = float(np.abs(self.spectrum.imag).max())
         if not worst <= HERMITIAN_TOL:  # NaN fails too
             raise NonHermitianInput(
@@ -187,8 +191,8 @@ class LinearOp:
         return float(np.abs(a - np.eye(self.n)).max())
 
     def _require_hermitian(self):
-        """The one Hermiticity rule: a real spectrum for a circulant, a
-        small matrix residual for a dense operator."""
+        """The one Hermiticity rule: a real spectrum, or a small matrix
+        residual for a dense operator."""
         if self.spectrum is not None:
             self._real_spectrum()
             return
@@ -203,29 +207,19 @@ class LinearOp:
 
     def eigh(self):
         """Cached eigendecomposition (ascending eigenvalues, eigenvector
-        columns); requires Hermiticity.  A circulant's is analytic: its
-        sorted real spectrum with the matching DFT columns."""
+        columns); requires Hermiticity.  A spectrum's is analytic: its stably
+        sorted values with the matching DFT or identity columns."""
         if self._eig is None:
             if self.spectrum is not None:
                 w = self._real_spectrum()
                 order = np.argsort(w, kind="stable")
-                self._eig = (w[order], _dft_modes(self.n, order[:, None]).T)
+                modes = (np.eye(self.n, dtype=complex)[order] if self._on_sites
+                         else _dft_modes(self.n, order[:, None]))
+                self._eig = (w[order], modes.T)
             else:
                 self._require_hermitian()
                 self._eig = np.linalg.eigh(self.matrix)
         return self._eig
-
-
-def _identity_transform(n: int) -> np.ndarray:
-    """fft(I) column by column: every circulant of size n is materialized
-    from it, since the DFT diagonalizes them all."""
-    return np.fft.fft(np.eye(n, dtype=complex), axis=0)
-
-
-def _circulant_matrix(spectrum: np.ndarray, eye_transform: np.ndarray) -> np.ndarray:
-    """The circulant with this spectrum applied to every basis vector:
-    ifft(spectrum * fft(I)), with fft(I) from ``_identity_transform``."""
-    return np.fft.ifft(spectrum[:, None] * eye_transform, axis=0)
 
 
 def _check_same_dim(a: LinearOp, b: LinearOp):
@@ -284,7 +278,10 @@ def wavevector_operator(grid: Grid) -> LinearOp:
 
 
 def position_operator(grid: Grid) -> LinearOp:
-    return LinearOp(np.diag(grid.positions().astype(complex)))
+    """Diagonal on the sites, with eigenvalue x_l = l*dx at site l."""
+    x = LinearOp(spectrum=grid.positions())
+    x._on_sites = True
+    return x
 
 
 def expectation(op: LinearOp, state: StateVector) -> complex:
@@ -305,7 +302,7 @@ def born_probability(state: StateVector, outcome: StateVector) -> float:
 
 def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
     _check_same_dim(a, b)
-    return LinearOp(a.matrix @ b.matrix - b.matrix @ a.matrix)
+    return LinearOp(a._apply(b.matrix) - b._apply(a.matrix))
 
 
 def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
@@ -369,16 +366,18 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
 
 
 def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
-    """exp(-i*H*tau) of a circulant H: its real spectrum, phased."""
-    return LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
+    """exp(-i*H*tau) of an H held as its spectrum: that spectrum, phased, in H's basis."""
+    u = LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
+    u._on_sites = hamiltonian._on_sites
+    return u
 
 
 def evolve(
     state: StateVector, hamiltonian: LinearOp, time: float, units: NaturalUnits = NaturalUnits()
 ) -> StateVector:
-    """Apply exp(-i*H*t/hbar): a circulant H phases its own spectrum and
-    applies it through the FFT; a dense H goes through its cached
-    eigendecomposition."""
+    """Apply exp(-i*H*t/hbar): an H held as its spectrum phases it and
+    applies the result as H itself is applied; a dense H goes through its
+    cached eigendecomposition."""
     if state.dim != hamiltonian.n:
         raise DimensionMismatch("operator and state dimensions differ")
     tau = time / units.hbar
@@ -531,11 +530,11 @@ def ops_check(
     freq = frequency_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only
     tb = tight_binding_hamiltonian(grid, 2.0, [1.0] if n > 2 else [])
-    eye_transform = _identity_transform(n)
+    eye_transform = np.fft.fft(np.eye(n, dtype=complex), axis=0)
 
     def dense(spectrum) -> LinearOp:
         """The circulant as a dense operator, dropped after its one residual."""
-        return LinearOp(_circulant_matrix(spectrum, eye_transform))
+        return LinearOp(np.fft.ifft(spectrum[:, None] * eye_transform, axis=0))
 
     report = {
         "n": n,

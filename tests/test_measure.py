@@ -153,6 +153,15 @@ def test_density_validation():
         EmpiricalDensity(0.0, 1.0, 1, np.array([1]))
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_density_rejects_window_of_infinite_width(lo, hi):
+    # a width of inf would give NaN edges and all-zero densities
+    with pytest.raises(InvalidRange):
+        EmpiricalDensity(lo, hi, 4, np.array([1, 0, 0, 0]))
+    with pytest.raises(InvalidRange):
+        EmpiricalDensity.from_samples([0.5], lo, hi, 4)
+
+
 def test_density_empty_range_is_all_zero():
     d = EmpiricalDensity.from_samples([5.0, 7.0], 0.0, 1.0, 4)
     assert d.in_range == 0

@@ -1,6 +1,7 @@
 """Operator-layer tests: shift/DFT structure, uncertainty, dispersion checks."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -53,6 +54,11 @@ def test_grid_validation():
     for n, spacing in [(4, 1e308), (4, 1e-320), (2, 3e-308)]:
         with pytest.raises(ValueError, match="overflow"):
             Grid(n, spacing)
+    # 6.5 sites would give 7 positions but wave numbers 2 pi j / 6.5
+    for n in (6.5, 8.0):
+        with pytest.raises(TypeError):
+            Grid(n)
+    assert Grid(np.int64(8)) == Grid(8) and type(Grid(np.int64(8)).n_points) is int
     with pytest.raises(ValueError):
         NaturalUnits(hbar=0.0)
 
@@ -475,8 +481,6 @@ def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
         "Grid",
         "shift_operator",
         "_dft_modes",
-        "_identity_transform",
-        "_circulant_matrix",
         "_propagator",
     ):
         monkeypatch.setattr(f"nrq.qops.{name}", no_build)
@@ -611,6 +615,7 @@ def test_spectral_ops_match_dense_oracle(n):
             tight_binding_hamiltonian(g, well, hoppings),
             _dense_tight_binding(g, well, hoppings),
         ),
+        "position": (position_operator(g), np.diag(g.positions()).astype(complex)),
     }
     rng = np.random.default_rng(n)
     psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -634,9 +639,29 @@ def test_spectral_ops_match_dense_oracle(n):
 def test_circulant_matrix_is_built_on_demand():
     g = Grid(64)
     w = frequency_operator(g)
+    x = position_operator(g)
     state = gaussian_packet(g, 32.0, 4.0)
-    w.apply(state)
-    evolve(state, w, 0.3)
-    w.eigh()
-    assert w._matrix is None
-    assert np.abs(w.matrix @ state.amplitudes - w.apply(state)).max() <= 1e-12
+    for op in (w, x):
+        op.apply(state)
+        evolve(state, op, 0.3)
+        op.eigh()
+    uncertainty_product(state, x, w)
+    assert w._matrix is None and x._matrix is None
+    for op in (w, x):
+        assert np.abs(op.matrix @ state.amplitudes - op.apply(state)).max() <= 1e-12
+    assert x.matrix.tobytes() == np.diag(g.positions().astype(complex)).tobytes()
+
+
+def test_uncertainty_product_holds_no_square_matrix():
+    # acceptance criterion 7's packet at the grid cap: one N x N complex
+    # matrix would take 268 MB, while the operators and packet take N numbers
+    g = Grid(4096)
+    tracemalloc.start()
+    try:
+        packet = gaussian_packet(g, 2048.0, 32.0)
+        product = uncertainty_product(packet, position_operator(g), wavevector_operator(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(product - 0.5) <= 1e-9
+    assert peak <= 4_000_000
