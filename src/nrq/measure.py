@@ -6,6 +6,7 @@ located by bracketing sign changes of the iterated map minus identity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,14 @@ from .parsing import parse_polynomial
 
 class InvalidRange(ValueError):
     pass
+
+
+def _require_window(lo, hi):
+    """The one window rule: lo < hi and 2*max(|lo|, |hi|) finite, else InvalidRange.
+    It makes the width and every sum of two points, as in a bin center, finite."""
+    bound = sys.float_info.max / 2  # the largest x with 2*x finite
+    if not (lo < hi and max(abs(lo), abs(hi)) <= bound):  # NaN fails too
+        raise InvalidRange(f"need lo < hi and |lo|, |hi| <= {bound:g}, got [{lo}, {hi}]")
 
 
 # accumulate_density bins the orbit in blocks of this many iterates, so its
@@ -38,6 +47,7 @@ class EmpiricalDensity:
     outside the window is kept in ``below_count`` / ``above_count`` so that
     ``total`` is conserved.  Counts form a commutative monoid under
     ``merge``, which is what makes chunked or parallel accumulation exact.
+    The window obeys ``_require_window`` (else InvalidRange).
     """
 
     lo: float
@@ -49,9 +59,7 @@ class EmpiricalDensity:
     restarts: int = 0
 
     def __post_init__(self):
-        # hi - lo is finite only if lo and hi are
-        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
-            raise InvalidRange(f"bad range [{self.lo}, {self.hi}]")
+        _require_window(self.lo, self.hi)
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -101,8 +109,7 @@ class EmpiricalDensity:
 
     @classmethod
     def from_samples(cls, samples, lo: float, hi: float, bins: int):
-        if not (lo < hi and math.isfinite(hi - lo)):
-            raise InvalidRange(f"bad range [{lo}, {hi}]")
+        _require_window(lo, hi)
         arr = np.asarray(samples, dtype=float)
         if np.isnan(arr).any():
             raise ValueError("samples contain NaN, which no bin or tail can hold")
@@ -134,16 +141,16 @@ def accumulate_density(
     each pole or overflow, where the restart is stored and the kernel
     resumed.  Each block is binned straight from that buffer by
     ``EmpiricalDensity.from_samples`` and merged into the running density,
-    so memory is bounded by the block and the bins, not by ``n``.
+    so memory is bounded by the block and the bins, not by ``n``.  The window
+    obeys ``_require_window``, and (n - n0)*(hi - lo)/bins must be finite too.
     """
-    if not lo < hi:
-        raise InvalidRange(f"bad range [{lo}, {hi}]")
+    _require_window(lo, hi)
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
     if not (n > n0 >= 0):
         raise ValueError("need n > n0 >= 0")
-    # bin centers add adjacent edges, and densities divide by samples * bin width
-    if not (math.isfinite(2.0 * max(-lo, hi)) and math.isfinite((n - n0) * ((hi - lo) / bins))):
+    # densities divide by samples * bin width
+    if not math.isfinite((n - n0) * ((hi - lo) / bins)):
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
@@ -345,20 +352,17 @@ def find_cycles(
     a pole or whose residual stays huge refined onto a pole and its bracket
     joins ``pole_intervals``, and rotations of one cycle are deduplicated.
     Every evaluation of the map goes through ``problem.step_array``, O^period
-    in one call.  The window must be finite with lo < hi, and its width
-    finite (else InvalidRange); ``period`` may not exceed
-    ``MAX_CYCLE_PERIOD``, ``period * problem.degree`` may not exceed
-    ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period * problem.degree``
-    may not exceed ``MAX_CYCLE_WORK``; all are checked before the grid is
-    built, the window first.
+    in one call.  The window obeys ``_require_window`` (else InvalidRange);
+    ``period`` may not exceed ``MAX_CYCLE_PERIOD``, ``period * problem.degree``
+    may not exceed ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period *
+    problem.degree`` may not exceed ``MAX_CYCLE_WORK``; all are checked before
+    the grid is built, the window before the caps.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    # hi - lo is finite only if lo and hi are
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise InvalidRange(f"bad range [{lo}, {hi}]")
+    _require_window(lo, hi)
     if period > MAX_CYCLE_PERIOD:
         raise ValueError(f"period {period} exceeds the cap of {MAX_CYCLE_PERIOD}")
     if period * problem.degree > MAX_CYCLE_STEP_WORK:

@@ -58,8 +58,8 @@ class NaturalUnits:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.c > 0):
-            raise ValueError("all unit scales must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.c < math.inf):  # NaN fails too
+            raise ValueError(f"all unit scales must be finite and positive, got {self}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,12 @@ class Grid:
         return np.arange(self.n_points) * self.spacing
 
 
-def _require_unit_norm(nrm):
-    """Raise ValueError unless a state's norm^2 lies within NORM_TOL of 1."""
-    if abs(nrm * nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm^2 deviates from 1 by {abs(nrm*nrm-1.0):.3e}")
+def _require_unit_norm(nrm) -> float:
+    """A state's norm^2 deviation from 1; ValueError unless it is within NORM_TOL."""
+    deviation = abs(float(nrm) ** 2 - 1.0)
+    if not deviation <= NORM_TOL:  # NaN fails too
+        raise ValueError(f"state norm^2 deviates from 1 by {deviation:.3e}")
+    return deviation
 
 
 class StateVector:
@@ -104,8 +106,8 @@ class StateVector:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
         nrm = np.linalg.norm(a)
         if normalize:
-            if nrm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
+            if not 0 < nrm < math.inf:
+                raise ValueError(f"cannot normalize a vector of norm {nrm}")
             a = a / nrm
         else:
             _require_unit_norm(nrm)
@@ -553,9 +555,7 @@ def ops_check(
     drift = 0.0
     for _ in range(evolve_steps):
         a = step._apply(a)
-        nrm = np.linalg.norm(a)
-        _require_unit_norm(nrm)
-        drift = max(drift, abs(float(nrm) ** 2 - 1.0))  # StateVector.norm() ** 2
+        drift = max(drift, _require_unit_norm(np.linalg.norm(a)))
     once = evolve(psi, freq, 0.35)
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     composition = float(np.abs(once.amplitudes - twice.amplitudes).max())

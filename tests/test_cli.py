@@ -26,7 +26,7 @@ from nrq.cli import (
 )
 import nrq
 from nrq import cli, measure
-from nrq.measure import EmpiricalDensity, cauchy_density
+from nrq.measure import EmpiricalDensity, InvalidRange, accumulate_density, cauchy_density, find_cycles
 from nrq.newton import PolynomialProblem
 from nrq.parsing import MAX_POLY_LENGTH
 from nrq.qops import MAX_DENSE_N, Grid, tight_binding_hamiltonian
@@ -586,7 +586,76 @@ def test_bad_polynomial_exits_2_with_json(capsys):
 def test_bad_range_exits_2(capsys):
     code, _, err = run_cli(["density", "--poly", "x^2+1", "--range", "10:-10"], capsys)
     assert code == EXIT_CONFIG
-    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert json.loads(err.strip())["error"] == "InvalidRange"
+
+
+# every entry that takes a window [lo, hi]: a library call returns an array
+# that must be finite, and a CLI run writes to out and returns its exit code
+_X2P1 = (1.0, 0.0, 1.0)
+_WINDOW_ENTRIES = {
+    "EmpiricalDensity": lambda lo, hi, out: EmpiricalDensity(lo, hi, 2, [1, 1]).centers(),
+    "from_samples": lambda lo, hi, out: EmpiricalDensity.from_samples([0.0], lo, hi, 2).centers(),
+    "accumulate_density": lambda lo, hi, out: accumulate_density(
+        PolynomialProblem(_X2P1), 0.7, 0, 1, lo, hi, 2
+    ).centers(),
+    "find_cycles": lambda lo, hi, out: np.array(
+        find_cycles(PolynomialProblem(_X2P1), 1, lo, hi, 10).pole_intervals
+    ),
+    "density": lambda lo, hi, out: main(
+        ["density", "--poly", "x^2+1", "--x0", "0.7", "--iters", "1", "--burnin", "0",
+         "--bins", "2", f"--range={lo!r}:{hi!r}", "--out", out]
+    ),
+    "cycles": lambda lo, hi, out: main(
+        ["cycles", "--poly", "x^2+1", "--period", "1", "--grid", "10",
+         f"--range={lo!r}:{hi!r}", "--out", out]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "lo, hi, admitted",
+    [
+        (10.0, -10.0, False),
+        (1.0, 1.0, False),
+        (math.nan, 1.0, False),
+        (0.0, math.nan, False),
+        (-math.inf, 0.0, False),
+        (0.0, math.inf, False),
+        (-1e308, 1e308, False),  # finite ends, infinite width
+        (1.5e308, 1.7e308, False),  # finite width, infinite bin centers
+        (5e307, 1.7e308, False),  # sums of two points overflow near hi
+        (-8.98e307, 8.98e307, True),  # the widest admitted
+    ],
+)
+@pytest.mark.parametrize("entry", _WINDOW_ENTRIES)
+def test_one_window_rule_everywhere(entry, lo, hi, admitted, tmp_path, capsys, monkeypatch):
+    run, out = _WINDOW_ENTRIES[entry], str(tmp_path / "out")
+    cli_run = entry in ("density", "cycles")
+    if admitted:
+        result = run(lo, hi, out)
+        assert result == EXIT_OK if cli_run else np.isfinite(result).all()
+        return
+
+    def stepped(*args):
+        pytest.fail("the map was stepped before the window was checked")
+
+    init = PolynomialProblem.__init__
+
+    def init_without_advance(self, coefficients):
+        init(self, coefficients)
+        object.__setattr__(self, "advance", stepped)
+
+    monkeypatch.setattr(PolynomialProblem, "step_array", stepped)
+    monkeypatch.setattr(PolynomialProblem, "__init__", init_without_advance)
+    if cli_run:
+        code = run(lo, hi, out)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and err.count("\n") == 1
+        assert json.loads(err)["error"] == "InvalidRange"
+        assert not os.path.exists(out)
+    else:
+        with pytest.raises(InvalidRange):
+            run(lo, hi, out)
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -72,6 +72,41 @@ def test_state_normalization():
         StateVector([1.0, 1.0], normalize=False)  # norm^2 = 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StateVector([math.inf, 1.0]),
+        lambda: StateVector([math.nan, 1.0]),
+        lambda: StateVector([math.nan, 1.0], normalize=False),
+        lambda: gaussian_packet(Grid(8), math.nan, 1.0),
+    ],
+    ids=["inf", "nan", "nan-unnormalized", "nan-packet"],
+)
+def test_non_finite_amplitudes_make_no_state(make):
+    # dividing by a norm of inf or NaN would give [nan, 0] or an all-NaN state
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "hamiltonian",
+    [frequency_operator, lambda g: tight_binding_hamiltonian(g, lambda x: 0.1 * x, [1.0])],
+    ids=["spectral", "dense"],
+)
+def test_evolve_for_a_nan_time_raises(hamiltonian):
+    # the all-NaN result must fail the unit-norm check
+    g = Grid(8)
+    with pytest.raises(ValueError, match="norm"):
+        evolve(gaussian_packet(g, 3.0, 1.0), hamiltonian(g), math.nan)
+
+
+@pytest.mark.parametrize("scales", [{"hbar": math.inf}, {"hbar": math.nan}, {"c": math.inf}, {"c": -math.inf}])
+def test_natural_units_must_be_finite(scales):
+    # hbar = inf would make evolve use tau = 0
+    with pytest.raises(ValueError, match="finite"):
+        NaturalUnits(**scales)
+
+
 def test_shift_swap_matrix():
     t = shift_operator(Grid(2))
     assert np.array_equal(t.matrix.real, [[0.0, 1.0], [1.0, 0.0]])
