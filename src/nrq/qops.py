@@ -10,10 +10,10 @@ evolved by phasing the spectrum and diagonalized analytically.  Every DFT
 mode is read from one table of the N roots of unity, so mode m has the
 same bits wherever it is built.  Callable onsite terms, projectors and
 commutators are dense matrices.  Every operator acts through ``_apply``:
-``.matrix`` is the operator applied to the identity's columns, built on
-first access, and ``commutator`` applies each operator to the other's
-matrix.  ``ops_check`` transforms the identity once per size and
-materializes all its circulants from it.
+``.matrix`` of a spectrum is its ``_apply`` of the identity's columns,
+built on each access and never stored; ``unitarity_residual`` applies the
+operator, then its adjoint; ``commutator`` applies each operator to the
+other's matrix.  ``ops_check`` measures only through these methods.
 """
 
 import math
@@ -40,10 +40,10 @@ class BadRepresentation(ValueError):
 
 
 MAX_DENSE_N = 4096
-# ops_check holds at most about 4.5 N x N complex matrices at once (in the
-# unitarity residual: the transformed identity, T, T^dagger T and T^dagger
-# T - I with its modulus; the DFT residual holds as much): at N = 1024
-# that is about 76 MB, and at MAX_DENSE_N it would be about 1.2 GB.
+# ops_check holds at most about 4 N x N complex matrices at once, in the DFT
+# eigenpair residual (the table, T applied to it through an FFT pair and the
+# table times the eigenvalues): at N = 1024 that is about 68 MB, and at
+# MAX_DENSE_N it would be about 1.1 GB.
 MAX_OPS_CHECK_N = 1024
 
 HERMITIAN_TOL = 1e-12
@@ -133,10 +133,11 @@ class LinearOp:
     Built from a dense ``matrix``, or from a ``spectrum``: a circulant's
     eigenvalues in DFT-mode order, applied through the FFT, or, for
     position and its propagators, a diagonal's in site order, applied
-    elementwise.  ``.matrix`` is ``_apply`` of the identity, built on first
-    access; the residuals are measured on it.  A spectrum's ``eigh`` basis
-    holds, in the order that sorts it, the DFT modes with the bits of
-    ``fourier_eigenstate``, or the identity's columns.
+    elementwise.  ``.matrix`` is a dense operator's own matrix, or a
+    spectrum's ``_apply`` of the identity, built on each access; only a dense
+    operator stores one.  A spectrum's ``eigh`` basis holds, in the order
+    that sorts it, the DFT modes with the bits of ``fourier_eigenstate``, or
+    the identity's columns.
     """
 
     def __init__(self, matrix=None, *, spectrum=None):
@@ -163,9 +164,9 @@ class LinearOp:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self._apply(np.eye(self.n, dtype=complex))
-        return self._matrix
+        if self._matrix is not None:
+            return self._matrix
+        return self._apply(np.eye(self.n, dtype=complex))
 
     def _apply(self, a: np.ndarray) -> np.ndarray:
         """The operator applied to a vector, or to each column of a matrix."""
@@ -185,12 +186,21 @@ class LinearOp:
             )
         return self.spectrum.real
 
+    def _in_basis(self, spectrum) -> "LinearOp":
+        """An operator with this spectrum in this operator's basis."""
+        op = LinearOp(spectrum=spectrum)
+        op._on_sites = self._on_sites
+        return op
+
     def hermiticity_residual(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(np.abs((m := self.matrix) - m.conj().T).max())
 
     def unitarity_residual(self) -> float:
-        a = self.matrix.conj().T @ self.matrix
-        return float(np.abs(a - np.eye(self.n)).max())
+        """max |A^dagger (A I) - I|; a spectrum's adjoint is its conjugate in its basis."""
+        adjoint = (LinearOp(self._matrix.conj().T) if self.spectrum is None
+                   else self._in_basis(self.spectrum.conj()))
+        eye = np.eye(self.n, dtype=complex)
+        return float(np.abs(adjoint._apply(self._apply(eye)) - eye).max())
 
     def _require_hermitian(self):
         """The one Hermiticity rule: a real spectrum, or a small matrix
@@ -369,9 +379,7 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
 
 def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
     """exp(-i*H*tau) of an H held as its spectrum: that spectrum, phased, in H's basis."""
-    u = LinearOp(spectrum=np.exp(-1j * hamiltonian._real_spectrum() * tau))
-    u._on_sites = hamiltonian._on_sites
-    return u
+    return hamiltonian._in_basis(np.exp(-1j * hamiltonian._real_spectrum() * tau))
 
 
 def evolve(
@@ -396,7 +404,7 @@ def evolve(
 
 def klein_gordon_dispersion(k, mass: float, units: NaturalUnits = NaturalUnits()):
     """Positive branch omega = sqrt(c^2 k^2 + (m c^2 / hbar)^2)."""
-    if mass < 0:
+    if not mass >= 0:  # NaN fails too
         raise ValueError("mass must be >= 0")
     k = np.asarray(k, dtype=float)
     rest = mass * units.c * units.c / units.hbar
@@ -505,15 +513,14 @@ def ops_check(
     """Residual report for the operator stack on an n-point grid.
 
     Every residual measures the operators as the library applies them,
-    over all n basis vectors.  The shift T, T^n (formed from T's spectrum)
-    and the frequency, wave-vector and tight-binding operators are
-    materialized from one transformed identity, each freed after its
-    residual.  T is applied to every column of the DFT table, and the
-    Born sum runs over the same table's rows, which are the n Fourier
-    modes since the table is symmetric; the table is freed before any
-    circulant is materialized.  The evolve loop applies one propagator
-    ``evolve_steps`` times, holding each step's norm^2 to NORM_TOL as
-    ``StateVector`` does.
+    over all n basis vectors, through the public ``LinearOp`` methods: T's
+    ``unitarity_residual``, ``.matrix`` of T^n (formed from T's spectrum)
+    and the frequency, wave-vector and tight-binding operators'
+    ``hermiticity_residual``.  T is applied to every column of the DFT
+    table, whose rows, the n Fourier modes as the table is symmetric, carry
+    the Born sum; the table is freed before the other residuals are taken.  The
+    evolve loop applies one propagator ``evolve_steps`` times, holding each
+    step's norm^2 to NORM_TOL as ``StateVector`` does.
     """
     if n > MAX_OPS_CHECK_N:
         raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
@@ -532,23 +539,16 @@ def ops_check(
     freq = frequency_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only
     tb = tight_binding_hamiltonian(grid, 2.0, [1.0] if n > 2 else [])
-    eye_transform = np.fft.fft(np.eye(n, dtype=complex), axis=0)
-
-    def dense(spectrum) -> LinearOp:
-        """The circulant as a dense operator, dropped after its one residual."""
-        return LinearOp(np.fft.ifft(spectrum[:, None] * eye_transform, axis=0))
-
     report = {
         "n": n,
-        "shift_unitarity": dense(t.spectrum).unitarity_residual(),
-        "shift_power_identity": float(np.abs(dense(t.spectrum**n).matrix - np.eye(n)).max()),
+        "shift_unitarity": t.unitarity_residual(),
+        "shift_power_identity": float(np.abs(LinearOp(spectrum=t.spectrum**n).matrix - np.eye(n)).max()),
         "dft_eigenpair": dft_residual,
-        "frequency_hermiticity": dense(freq.spectrum).hermiticity_residual(),
-        "wavevector_hermiticity": dense(wavevector_operator(grid).spectrum).hermiticity_residual(),
-        "tight_binding_hermiticity": dense(tb.spectrum).hermiticity_residual(),
+        "frequency_hermiticity": freq.hermiticity_residual(),
+        "wavevector_hermiticity": wavevector_operator(grid).hermiticity_residual(),
+        "tight_binding_hermiticity": tb.hermiticity_residual(),
         "born_sum_deviation": abs(born_sum - 1.0),
     }
-    del dense, eye_transform
 
     step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
     a = psi.amplitudes

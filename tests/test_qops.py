@@ -37,7 +37,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
-from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N
+from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N, _propagator
 
 
 def test_grid_validation():
@@ -462,6 +462,19 @@ def test_klein_gordon_plane_wave_residual():
     assert klein_gordon_plane_wave_residual(Grid(64, 0.5), 60, 2.0) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: klein_gordon_dispersion(1.0, math.nan),
+        lambda: klein_gordon_plane_wave_residual(Grid(8), 1, math.nan),
+    ],
+    ids=["dispersion", "plane-wave-residual"],
+)
+def test_klein_gordon_rejects_a_nan_mass(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_dirac_algebra_and_rest_frame():
     report = dirac_check((0.0, 0.0, 0.0), 1.0)
     assert max(report.algebra_residuals.values()) <= 1e-12
@@ -685,6 +698,11 @@ def test_circulant_matrix_is_built_on_demand():
     for op in (w, x):
         assert np.abs(op.matrix @ state.amplitudes - op.apply(state)).max() <= 1e-12
     assert x.matrix.tobytes() == np.diag(g.positions().astype(complex)).tobytes()
+    for op in (w, x):
+        op.hermiticity_residual()
+        op.unitarity_residual()
+    commutator(x, w)
+    assert w._matrix is None and x._matrix is None
 
 
 def test_uncertainty_product_holds_no_square_matrix():
@@ -700,3 +718,45 @@ def test_uncertainty_product_holds_no_square_matrix():
         tracemalloc.stop()
     assert abs(product - 0.5) <= 1e-9
     assert peak <= 4_000_000
+
+
+def _dense_unitary_case():
+    rng = np.random.default_rng(50)
+    m = np.linalg.qr(rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50)))[0]
+    return LinearOp(m), float(np.abs(m.conj().T @ m - np.eye(50)).max()), 0.0
+
+
+def _site_phase_case():
+    # read as a circulant, this residual would be 0.99 away from 1.25
+    g = Grid(64)
+    return position_operator(g)._in_basis(1.5 * np.exp(0.3j * g.positions())), 1.25, 4e-15
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *[lambda n=n: (shift_operator(Grid(n)), 0.0, 2e-15) for n in (2, 3, 64, 257)],
+        lambda: (_propagator(position_operator(Grid(64)), 0.3), 0.0, 2e-15),
+        lambda: (LinearOp(spectrum=1.5 * shift_operator(Grid(64)).spectrum), 1.25, 4e-15),
+        _site_phase_case,
+        _dense_unitary_case,
+    ],
+    ids=["shift-2", "shift-3", "shift-64", "shift-257", "position-propagator",
+         "scaled-shift", "scaled-site-phase", "dense-unitary"],
+)
+def test_unitarity_residual_applies_the_adjoint_in_the_operators_basis(case):
+    """max |A^dagger (A I) - I| with the adjoint's spectrum conjugated in
+    A's own basis; a dense operator keeps the bits of its matrix product."""
+    op, expected, tol = case()
+    assert abs(op.unitarity_residual() - expected) <= tol
+
+
+def test_ops_check_at_the_cap_peaks_in_the_dft_table_pass():
+    # about 4 N x N complex arrays at N = 1024, 16.8 MB each
+    tracemalloc.start()
+    try:
+        ops_check(1024, evolve_steps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72_000_000
