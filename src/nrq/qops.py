@@ -14,6 +14,9 @@ commutators are dense matrices.  Every operator acts through ``_apply``:
 built on each access and never stored; ``unitarity_residual`` applies the
 operator, then its adjoint; ``commutator`` applies each operator to the
 other's matrix.  ``ops_check`` measures only through these methods.
+Every state norm and inner product is ``_norm`` or ``_vdot``, numpy's
+pairwise sum of elementwise products, so no BLAS kernel or thread count
+touches their bits.
 """
 
 import math
@@ -89,6 +92,18 @@ class Grid:
         return np.arange(self.n_points) * self.spacing
 
 
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a complex vector: the pairwise sum of its real
+    and imaginary parts squared."""
+    x = np.ascontiguousarray(a).view(np.float64)
+    return math.sqrt(np.add.reduce(x * x))
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b> as the pairwise sum of conj(a) * b."""
+    return complex(np.add.reduce(a.conj() * b))
+
+
 def _require_unit_norm(nrm) -> float:
     """A state's norm^2 deviation from 1; ValueError unless it is within NORM_TOL."""
     deviation = abs(float(nrm) ** 2 - 1.0)
@@ -104,7 +119,7 @@ class StateVector:
         a = np.asarray(amplitudes, dtype=complex)
         if a.ndim != 1 or a.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
-        nrm = np.linalg.norm(a)
+        nrm = _norm(a)
         if normalize:
             if not 0 < nrm < math.inf:
                 raise ValueError(f"cannot normalize a vector of norm {nrm}")
@@ -118,13 +133,13 @@ class StateVector:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         if self.dim != other.dim:
             raise DimensionMismatch("state dimensions differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return _vdot(self.amplitudes, other.amplitudes)
 
 
 class LinearOp:
@@ -298,7 +313,7 @@ def position_operator(grid: Grid) -> LinearOp:
 
 def expectation(op: LinearOp, state: StateVector) -> complex:
     """<psi|O|psi>; real up to rounding when the operator is Hermitian."""
-    return complex(np.vdot(state.amplitudes, op.apply(state)))
+    return _vdot(state.amplitudes, op.apply(state))
 
 
 def projector(onto: StateVector) -> LinearOp:
@@ -324,8 +339,8 @@ def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
 
     def sigma(op: LinearOp) -> float:
         v = op.apply(state)
-        mean = float(np.vdot(state.amplitudes, v).real)
-        var = float(np.vdot(v, v).real) - mean * mean
+        mean = _vdot(state.amplitudes, v).real
+        var = _vdot(v, v).real - mean * mean
         return math.sqrt(max(var, 0.0))
 
     return sigma(a) * sigma(b)
@@ -366,15 +381,20 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     With constant onsite eps it is circulant, with spectrum
     ``tight_binding_band`` on the DFT wave numbers (eps - 2*t_1*cos(k*dx)
     for a single real t_1).  A callable onsite(x) adds a dense diagonal.
+    The onsite energies, the hoppings and the band must be finite.
     """
     hoppings = [complex(t) for t in hoppings]
     check_hopping_range(grid, hoppings)
-    k = wavevector_values(grid)
-    if not callable(onsite):
-        return LinearOp(spectrum=tight_binding_band(k, grid.spacing, float(onsite), hoppings))
-    eps = np.array([float(onsite(x)) for x in grid.positions()])
-    hop = LinearOp(spectrum=tight_binding_band(k, grid.spacing, 0.0, hoppings))
-    return LinearOp(hop.matrix + np.diag(eps))
+    dense = callable(onsite)
+    eps = np.array([float(onsite(x)) for x in grid.positions()]) if dense else float(onsite)
+    if not (np.isfinite(eps).all() and np.isfinite(hoppings).all()):
+        raise ValueError("onsite energies and hoppings must be finite")
+    band = tight_binding_band(wavevector_values(grid), grid.spacing, 0.0 if dense else eps, hoppings)
+    if not np.isfinite(band).all():
+        raise ValueError("the tight-binding band overflows")
+    if not dense:
+        return LinearOp(spectrum=band)
+    return LinearOp(LinearOp(spectrum=band).matrix + np.diag(eps))
 
 
 def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
@@ -403,12 +423,15 @@ def evolve(
 
 
 def klein_gordon_dispersion(k, mass: float, units: NaturalUnits = NaturalUnits()):
-    """Positive branch omega = sqrt(c^2 k^2 + (m c^2 / hbar)^2)."""
+    """Positive branch omega = sqrt(c^2 k^2 + (m c^2 / hbar)^2); ValueError
+    unless every omega is finite."""
     if not mass >= 0:  # NaN fails too
         raise ValueError("mass must be >= 0")
     k = np.asarray(k, dtype=float)
     rest = mass * units.c * units.c / units.hbar
     out = np.sqrt(units.c * units.c * k * k + rest * rest)
+    if not np.isfinite(out).all():
+        raise ValueError("the Klein-Gordon frequency is not finite for these k, mass and units")
     return float(out) if out.ndim == 0 else out
 
 
@@ -421,12 +444,10 @@ def klein_gordon_plane_wave_residual(
     second time derivative of exp(-i w t) is inserted analytically, so the
     residual is pure rounding when omega satisfies the dispersion relation.
     """
-    if not 0 <= mode < grid.n_points:
-        raise IndexError(f"mode index {mode} outside 0..{grid.n_points - 1}")
-    k = wavevector_values(grid)[mode]
-    w = klein_gordon_dispersion(k, mass, units)
-    ksq = LinearOp(spectrum=wavevector_values(grid) ** 2)
     psi = fourier_eigenstate(grid, mode)
+    kv = wavevector_values(grid)
+    w = klein_gordon_dispersion(kv[mode], mass, units)
+    ksq = LinearOp(spectrum=kv**2)
     c, hbar = units.c, units.hbar
     resid = ksq.apply(psi) - (w * w / (c * c)) * psi.amplitudes + (mass * c / hbar) ** 2 * psi.amplitudes
     return float(np.abs(resid).max())
@@ -463,7 +484,9 @@ def dirac_check(
     """Verify the anticommutation algebra and diagonalize c*alpha.k + m c^2 beta.
 
     The eigenvalues come out as +/- sqrt(c^2 k^2 + m^2 c^4), each doubly
-    degenerate, matching the squared (Klein-Gordon) dispersion.
+    degenerate, matching the squared (Klein-Gordon) dispersion.  Non-finite
+    alphas or beta raise BadRepresentation, and a non-finite k or mass
+    ValueError.
     """
     if alphas is None and beta is None:
         alphas, beta = dirac_alpha_beta()
@@ -473,27 +496,33 @@ def dirac_check(
     beta = np.asarray(beta, dtype=complex)
     if len(alphas) != 3 or any(a.shape != (4, 4) for a in alphas) or beta.shape != (4, 4):
         raise BadRepresentation("need three 4x4 alpha matrices and one 4x4 beta")
-    eye = np.eye(4)
     mats = alphas + [beta]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise BadRepresentation("alpha and beta entries must be finite")
+    eye = np.eye(4)
+
+    def worst(residuals) -> float:
+        return float(np.max([np.abs(r).max() for r in residuals]))  # np.max keeps NaN
+
     res = {
-        "hermiticity": max(float(np.abs(m - m.conj().T).max()) for m in mats),
-        "alpha_squares": max(float(np.abs(a @ a - eye).max()) for a in alphas),
-        "beta_square": float(np.abs(beta @ beta - eye).max()),
-        "alpha_anticommute": max(
-            float(np.abs(alphas[i] @ alphas[j] + alphas[j] @ alphas[i]).max())
+        "hermiticity": worst(m - m.conj().T for m in mats),
+        "alpha_squares": worst(a @ a - eye for a in alphas),
+        "beta_square": worst([beta @ beta - eye]),
+        "alpha_anticommute": worst(
+            alphas[i] @ alphas[j] + alphas[j] @ alphas[i]
             for i in range(3)
             for j in range(i + 1, 3)
         ),
-        "alpha_beta_anticommute": max(
-            float(np.abs(a @ beta + beta @ a).max()) for a in alphas
-        ),
+        "alpha_beta_anticommute": worst(a @ beta + beta @ a for a in alphas),
     }
-    worst = max(res.values())
-    if worst > HERMITIAN_TOL:
-        raise BadRepresentation(f"algebra residual {worst:.3e} exceeds {HERMITIAN_TOL}")
+    largest = float(np.max(list(res.values())))
+    if not largest <= HERMITIAN_TOL:  # NaN fails too
+        raise BadRepresentation(f"algebra residual {largest:.3e} exceeds {HERMITIAN_TOL}")
     kvec = np.asarray(k, dtype=float)
     if kvec.shape != (3,):
         raise ValueError("k must be a 3-vector")
+    if not (np.isfinite(kvec).all() and math.isfinite(mass)):
+        raise ValueError(f"k and mass must be finite, got {kvec.tolist()} and {mass}")
     c = units.c
     h = c * sum(kv * a for kv, a in zip(kvec, alphas)) + mass * c * c * beta
     eigs = np.linalg.eigvalsh(h)
@@ -555,7 +584,7 @@ def ops_check(
     drift = 0.0
     for _ in range(evolve_steps):
         a = step._apply(a)
-        drift = max(drift, _require_unit_norm(np.linalg.norm(a)))
+        drift = max(drift, _require_unit_norm(_norm(a)))
     once = evolve(psi, freq, 0.35)
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     composition = float(np.abs(once.amplitudes - twice.amplitudes).max())

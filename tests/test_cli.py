@@ -38,6 +38,13 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    """This environment, with the imported nrq first on PYTHONPATH."""
+    src = str(Path(nrq.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def read_report(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
@@ -276,7 +283,9 @@ def test_dispersion_tb_hopping_range_exits_2(tmp_path, capsys):
 
 
 # Outputs that use only IEEE + - * /, PCG64 draws and repr-style formatting,
-# so their bytes do not depend on BLAS or libm.
+# so their bytes do not depend on BLAS or libm.  ops-check calls no BLAS
+# either, but its FFT applies take a complex multiply whose bits follow numpy's
+# CPU dispatch (FMA under AVX2), so CI pins its digest on one machine type.
 PINNED_OUTPUTS = [
     (["density", "--poly", "x^2+1", "--seed", "1"], "d5cf820c4dee"),
     (["density", "--poly", "x^2+1", "--seed", "1", "--format", "json"], "4cb207a2ef3a"),
@@ -304,7 +313,7 @@ PINNED_OUTPUTS = [
     (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
     # overflows at step 0
     (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
-    # the qops outputs that do not depend on BLAS
+    # the qops outputs that make no complex multiply
     (["dispersion", "--model", "tb", "--n", "64", "--t", "1", "--t", "0.2"], "567e661fca1e"),
     (["dispersion", "--model", "kg"], "2fad8bf07a50"),
 ]
@@ -316,6 +325,31 @@ def test_output_bytes_are_pinned(args, prefix, tmp_path, capsys):
     code, _, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == prefix
+
+
+def _numpy_blas_is_openblas() -> bool:
+    try:  # numpy before 1.25 has no mode="dicts"
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_ops_check_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernel as the process starts
+    env = subprocess_env()
+    env.pop("OPENBLAS_CORETYPE", None)
+    outputs = {}
+    for coretype in (None, "Prescott", "Nehalem"):
+        out = tmp_path / f"ops-{coretype}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nrq.cli", "ops-check", "--n", "64", "--n", "256", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[coretype] = out.read_bytes()
+    assert outputs["Prescott"] == outputs[None] and outputs["Nehalem"] == outputs[None]
 
 
 # ---------------------------------------------------------------------------
@@ -849,12 +883,9 @@ print("ok")
 
 
 def test_runtime_runs_without_scipy(tmp_path):
-    src = str(Path(nrq.__file__).resolve().parents[1])
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "fig.svg")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "ok"

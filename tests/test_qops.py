@@ -347,6 +347,28 @@ def test_tight_binding_four_site_spectrum():
     assert h.hermiticity_residual() == 0.0
 
 
+@pytest.mark.parametrize(
+    "onsite, hoppings",
+    [
+        (math.nan, [1.0]),
+        (2.0, [math.inf]),
+        (2.0, [1.0, complex(0.0, math.nan)]),
+        (lambda x: math.nan if x == 3.0 else 0.1 * x, [1.0]),
+    ],
+    ids=["nan-onsite", "inf-hopping", "nan-imaginary-hopping", "nan-callable-onsite"],
+)
+def test_tight_binding_rejects_non_finite_terms(onsite, hoppings):
+    # a NaN onsite once gave an all-NaN spectrum, and a callable's NaN a
+    # NonHermitianInput only at eigh; an inf hopping gave a spectrum of -inf
+    with pytest.raises(ValueError, match="must be finite"):
+        tight_binding_hamiltonian(Grid(8), onsite, hoppings)
+
+
+def test_tight_binding_rejects_an_overflowing_band():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        tight_binding_hamiltonian(Grid(8), 1e308, [1e308])
+
+
 def test_tight_binding_hopping_range():
     with pytest.raises(HoppingRangeTooLarge):
         tight_binding_hamiltonian(Grid(8), 0.0, [1.0, 0.5, 0.25, 0.1])
@@ -475,6 +497,32 @@ def test_klein_gordon_rejects_a_nan_mass(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "k, units",
+    [
+        (math.inf, NaturalUnits()),
+        (math.nan, NaturalUnits()),
+        ([0.5, math.inf], NaturalUnits()),
+        (1.0, NaturalUnits(1.0, 1e300)),  # c * c overflows
+    ],
+    ids=["inf-k", "nan-k", "inf-k-in-array", "c-1e300"],
+)
+def test_klein_gordon_rejects_a_non_finite_frequency(k, units):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        klein_gordon_dispersion(k, 1.0, units)
+
+
+def test_klein_gordon_plane_wave_residual_takes_an_integer_mode():
+    # the mode rule is fourier_eigenstate's
+    with pytest.raises(TypeError):
+        klein_gordon_plane_wave_residual(Grid(8), 1.5, 1.0)
+    with pytest.raises(IndexError):
+        klein_gordon_plane_wave_residual(Grid(8), 8, 1.0)
+    assert klein_gordon_plane_wave_residual(Grid(8), np.int64(3), 1.0) == (
+        klein_gordon_plane_wave_residual(Grid(8), 3, 1.0)
+    )
+
+
 def test_dirac_algebra_and_rest_frame():
     report = dirac_check((0.0, 0.0, 0.0), 1.0)
     assert max(report.algebra_residuals.values()) <= 1e-12
@@ -504,6 +552,28 @@ def test_dirac_rejects_bad_representation():
         dirac_check((1.0, 0.0, 0.0), 1.0, alphas=broken, beta=beta)
     with pytest.raises(ValueError):
         dirac_check((1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "k, mass",
+    [((math.nan, 0.0, 0.0), 1.0), ((0.0, 0.0, 0.0), math.nan), ((0.0, math.inf, 0.0), 1.0)],
+    ids=["nan-k", "nan-mass", "inf-k"],
+)
+def test_dirac_rejects_a_non_finite_k_or_mass(k, mass):
+    # numpy's eigvalsh raised LinAlgError on the NaN entries these give
+    with pytest.raises(ValueError, match="must be finite"):
+        dirac_check(k, mass)
+
+
+@pytest.mark.parametrize("which, entry", [(2, (0, 2)), (3, (0, 3))], ids=["alpha-3", "beta"])
+def test_dirac_rejects_a_non_finite_alpha_or_beta(which, entry):
+    # a NaN above the diagonal once passed: Python's max dropped the NaN
+    # residuals, and eigvalsh reads only the lower triangle
+    alphas, beta = dirac_alpha_beta()
+    mats = [m.copy() for m in (*alphas, beta)]
+    mats[which][entry] = math.nan
+    with pytest.raises(BadRepresentation):
+        dirac_check((1.0, 0.0, 0.0), 1.0, alphas=mats[:3], beta=mats[3])
 
 
 def test_ops_check_report():
@@ -749,6 +819,23 @@ def test_unitarity_residual_applies_the_adjoint_in_the_operators_basis(case):
     A's own basis; a dense operator keeps the bits of its matrix product."""
     op, expected, tol = case()
     assert abs(op.unitarity_residual() - expected) <= tol
+
+
+def test_state_norms_and_inner_products_call_no_blas(monkeypatch):
+    # every state norm and inner product is numpy's pairwise sum, so the
+    # BLAS kernel cannot change their bits
+    def no_blas(*args, **kwargs):
+        raise AssertionError("a BLAS routine was called")
+
+    monkeypatch.setattr(np, "vdot", no_blas)
+    monkeypatch.setattr(np.linalg, "norm", no_blas)
+    g = Grid(64)
+    packet = gaussian_packet(g, 20.0, 4.0)
+    ops_check(64)
+    expectation(position_operator(g), packet)
+    uncertainty_product(packet, position_operator(g), wavevector_operator(g))
+    born_probability(packet, fourier_eigenstate(g, 3))
+    assert StateVector([3.0, 4.0]).norm() == 1.0
 
 
 def test_ops_check_at_the_cap_peaks_in_the_dft_table_pass():
