@@ -8,15 +8,18 @@ applied as ``ifft(spectrum * fft(psi))`` in O(N log N).  Position is
 diagonal on the sites, applied as ``spectrum * psi``.  Both kinds are
 evolved by phasing the spectrum and diagonalized analytically.  Every DFT
 mode is read from one table of the N roots of unity, so mode m has the
-same bits wherever it is built.  Callable onsite terms, projectors and
-commutators are dense matrices.  Every operator acts through ``_apply``:
-``.matrix`` of a spectrum is its ``_apply`` of the identity's columns,
-built on each access and never stored; ``unitarity_residual`` applies the
-operator, then its adjoint; ``commutator`` applies each operator to the
-other's matrix.  ``ops_check`` measures only through these methods.
-Every state norm and inner product is ``_norm`` or ``_vdot``, numpy's
-pairwise sum of elementwise products, so no BLAS kernel or thread count
-touches their bits.
+same bits wherever it is built.  Commutators and projectors are
+compositions, known by their action alone: [A, B] applies A(Bv) - B(Av)
+and |psi><psi| applies psi <psi|v>.  Only a tight-binding operator with a
+callable onsite term is a dense matrix.  Every operator acts through
+``_apply``, and ``column_blocks`` applies it to the identity's columns
+_BLOCK_COLUMNS at a time: ``.matrix`` of any operator but a dense one is
+filled from those blocks on each access and never stored, and
+``unitarity_residual`` applies the adjoint to each block.  ``ops_check``
+measures only through these methods, and holds one N x N array, the
+matrix whose Hermiticity it compares.  Every state norm and inner
+product is ``_norm`` or ``_vdot``, numpy's pairwise sum of elementwise
+products, so no BLAS kernel or thread count touches their bits.
 """
 
 import math
@@ -43,11 +46,13 @@ class BadRepresentation(ValueError):
 
 
 MAX_DENSE_N = 4096
-# ops_check holds at most about 4 N x N complex matrices at once, in the DFT
-# eigenpair residual (the table, T applied to it through an FFT pair and the
-# table times the eigenvalues): at N = 1024 that is about 68 MB, and at
-# MAX_DENSE_N it would be about 1.1 GB.
+# ops_check holds one N x N complex matrix, 16 N^2 bytes, at a time: the
+# .matrix of the operator whose Hermiticity residual it takes.  Everything
+# else it holds is N x _BLOCK_COLUMNS.  At N = 1024 that matrix is 16.8 MB;
+# at 2048 it would be 67 MB, and at MAX_DENSE_N 268 MB.
 MAX_OPS_CHECK_N = 1024
+# identity columns per block, wherever an operator is applied to the identity
+_BLOCK_COLUMNS = 64
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -92,16 +97,45 @@ class Grid:
         return np.arange(self.n_points) * self.spacing
 
 
-def _norm(a: np.ndarray) -> float:
-    """Euclidean norm of a complex vector: the pairwise sum of its real
-    and imaginary parts squared."""
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, of a complex vector or of each
+    row of a block: the pairwise sum of the real and imaginary parts
+    squared."""
     x = np.ascontiguousarray(a).view(np.float64)
-    return math.sqrt(np.add.reduce(x * x))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a complex vector."""
+    return float(_norms(a))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> along the last axis, as the pairwise sum of conj(a) * b: one
+    inner product of two vectors, or one per row of a block."""
+    return np.add.reduce(a.conj() * b, axis=-1)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> as the pairwise sum of conj(a) * b."""
-    return complex(np.add.reduce(a.conj() * b))
+    """Inner product <a|b> of two vectors."""
+    return complex(_inner(a, b))
+
+
+def _worst(residuals) -> float:
+    """The largest |entry| over a sequence of residual arrays, taken one
+    array at a time; np.max keeps NaN."""
+    return float(np.max([np.abs(r).max() for r in residuals]))
+
+
+def _column_slices(n: int) -> list:
+    """range(n) in consecutive slices of at most _BLOCK_COLUMNS."""
+    return [slice(j, min(j + _BLOCK_COLUMNS, n)) for j in range(0, n, _BLOCK_COLUMNS)]
+
+
+def _less_identity(cols: slice, block: np.ndarray) -> np.ndarray:
+    """A block of an operator's columns cols, minus the identity's, in place."""
+    block[cols] -= np.eye(block.shape[1])
+    return block
 
 
 def _require_unit_norm(nrm) -> float:
@@ -148,8 +182,10 @@ class LinearOp:
     Built from a dense ``matrix``, or from a ``spectrum``: a circulant's
     eigenvalues in DFT-mode order, applied through the FFT, or, for
     position and its propagators, a diagonal's in site order, applied
-    elementwise.  ``.matrix`` is a dense operator's own matrix, or a
-    spectrum's ``_apply`` of the identity, built on each access; only a dense
+    elementwise.  ``commutator`` and ``projector`` build a third kind, a
+    composition known by its ``_apply`` alone.  ``.matrix`` is a dense
+    operator's own matrix; for the other kinds it is filled from
+    ``column_blocks`` on each access and never stored, so only a dense
     operator stores one.  A spectrum's ``eigh`` basis holds, in the order
     that sorts it, the DFT modes with the bits of ``fourier_eigenstate``, or
     the identity's columns.
@@ -181,7 +217,20 @@ class LinearOp:
     def matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
-        return self._apply(np.eye(self.n, dtype=complex))
+        m = np.empty((self.n, self.n), dtype=complex)
+        for cols, block in self.column_blocks():
+            m[:, cols] = block
+        return m
+
+    def column_blocks(self):
+        """Yield (cols, A I[:, cols]) for consecutive slices cols of at most
+        _BLOCK_COLUMNS columns: the operator applied to the identity one
+        N x _BLOCK_COLUMNS block at a time."""
+        n = self.n
+        for cols in _column_slices(n):
+            eye = np.zeros((n, cols.stop - cols.start), dtype=complex)
+            eye[cols] = np.eye(cols.stop - cols.start)
+            yield cols, self._apply(eye)
 
     def _apply(self, a: np.ndarray) -> np.ndarray:
         """The operator applied to a vector, or to each column of a matrix."""
@@ -208,18 +257,23 @@ class LinearOp:
         return op
 
     def hermiticity_residual(self) -> float:
-        return float(np.abs((m := self.matrix) - m.conj().T).max())
+        """max |M - M^dagger| over M = ``.matrix``, each block of columns
+        compared with the conjugate of the matching rows."""
+        m = self.matrix
+        return _worst(m[:, cols] - m[cols].conj().T for cols in _column_slices(self.n))
 
     def unitarity_residual(self) -> float:
-        """max |A^dagger (A I) - I|; a spectrum's adjoint is its conjugate in its basis."""
-        adjoint = (LinearOp(self._matrix.conj().T) if self.spectrum is None
-                   else self._in_basis(self.spectrum.conj()))
-        eye = np.eye(self.n, dtype=complex)
-        return float(np.abs(adjoint._apply(self._apply(eye)) - eye).max())
+        """max |A^dagger (A I) - I| over the identity's column blocks; a
+        spectrum's adjoint is its conjugate in its basis, any other
+        operator's the conjugate transpose of its matrix."""
+        adjoint = (self._in_basis(self.spectrum.conj()) if self.spectrum is not None
+                   else LinearOp(self.matrix.conj().T))
+        return _worst(_less_identity(cols, adjoint._apply(block))
+                      for cols, block in self.column_blocks())
 
     def _require_hermitian(self):
         """The one Hermiticity rule: a real spectrum, or a small matrix
-        residual for a dense operator."""
+        residual for any other operator."""
         if self.spectrum is not None:
             self._real_spectrum()
             return
@@ -247,6 +301,26 @@ class LinearOp:
                 self._require_hermitian()
                 self._eig = np.linalg.eigh(self.matrix)
         return self._eig
+
+
+class _Composition(LinearOp):
+    """An operator on n sites known by its action alone, on a vector or on
+    each column of a block; it holds no matrix."""
+
+    def __init__(self, n: int, action):
+        self.spectrum = None
+        self._matrix = None
+        self._on_sites = False
+        self._eig = None
+        self._n = n
+        self._action = action
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    def _apply(self, a: np.ndarray) -> np.ndarray:
+        return self._action(a)
 
 
 def _check_same_dim(a: LinearOp, b: LinearOp):
@@ -317,9 +391,10 @@ def expectation(op: LinearOp, state: StateVector) -> complex:
 
 
 def projector(onto: StateVector) -> LinearOp:
-    """Rank-1 projector |psi><psi|."""
+    """Rank-1 projector |psi><psi|, applied as psi <psi|v>: to a block,
+    column by column, with one inner product per column."""
     a = onto.amplitudes
-    return LinearOp(np.outer(a, a.conj()))
+    return _Composition(a.size, lambda v: np.multiply.outer(a, _inner(a, v.T)))
 
 
 def born_probability(state: StateVector, outcome: StateVector) -> float:
@@ -328,8 +403,9 @@ def born_probability(state: StateVector, outcome: StateVector) -> float:
 
 
 def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
+    """[A, B], applied as A(Bv) - B(Av)."""
     _check_same_dim(a, b)
-    return LinearOp(a._apply(b.matrix) - b._apply(a.matrix))
+    return _Composition(a.n, lambda v: a._apply(b._apply(v)) - b._apply(a._apply(v)))
 
 
 def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
@@ -500,20 +576,16 @@ def dirac_check(
     if not all(np.isfinite(m).all() for m in mats):
         raise BadRepresentation("alpha and beta entries must be finite")
     eye = np.eye(4)
-
-    def worst(residuals) -> float:
-        return float(np.max([np.abs(r).max() for r in residuals]))  # np.max keeps NaN
-
     res = {
-        "hermiticity": worst(m - m.conj().T for m in mats),
-        "alpha_squares": worst(a @ a - eye for a in alphas),
-        "beta_square": worst([beta @ beta - eye]),
-        "alpha_anticommute": worst(
+        "hermiticity": _worst(m - m.conj().T for m in mats),
+        "alpha_squares": _worst(a @ a - eye for a in alphas),
+        "beta_square": _worst([beta @ beta - eye]),
+        "alpha_anticommute": _worst(
             alphas[i] @ alphas[j] + alphas[j] @ alphas[i]
             for i in range(3)
             for j in range(i + 1, 3)
         ),
-        "alpha_beta_anticommute": worst(a @ beta + beta @ a for a in alphas),
+        "alpha_beta_anticommute": _worst(a @ beta + beta @ a for a in alphas),
     }
     largest = float(np.max(list(res.values())))
     if not largest <= HERMITIAN_TOL:  # NaN fails too
@@ -543,13 +615,14 @@ def ops_check(
 
     Every residual measures the operators as the library applies them,
     over all n basis vectors, through the public ``LinearOp`` methods: T's
-    ``unitarity_residual``, ``.matrix`` of T^n (formed from T's spectrum)
-    and the frequency, wave-vector and tight-binding operators'
-    ``hermiticity_residual``.  T is applied to every column of the DFT
-    table, whose rows, the n Fourier modes as the table is symmetric, carry
-    the Born sum; the table is freed before the other residuals are taken.  The
-    evolve loop applies one propagator ``evolve_steps`` times, holding each
-    step's norm^2 to NORM_TOL as ``StateVector`` does.
+    ``unitarity_residual``, the ``column_blocks`` of T^n (formed from T's
+    spectrum) and the frequency, wave-vector and tight-binding operators'
+    ``hermiticity_residual``.  The DFT table is taken in the same blocks as
+    T^n's identity columns: T is applied to each block of its columns,
+    which are its rows, the Fourier modes, as the table is symmetric, and
+    those modes carry the Born sum, summed in mode order.  The evolve loop
+    applies one propagator ``evolve_steps`` times, holding each step's
+    norm^2 to NORM_TOL as ``StateVector`` does.
     """
     if n > MAX_OPS_CHECK_N:
         raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
@@ -557,26 +630,30 @@ def ops_check(
         raise ValueError(f"evolve_steps must be >= 1, got {evolve_steps}")
     grid = Grid(n, spacing)
     t = shift_operator(grid)
-    f = _dft_modes(n, np.arange(n)[:, None])
     lam = np.exp(-1j * frequency_values(grid) * grid.spacing)
-    dft_residual = float(np.abs(t._apply(f) - f * lam[None, :]).max())
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-    # the table is symmetric, so its rows are the modes too
-    born_sum = sum(born_probability(psi, StateVector(mode, normalize=False)) for mode in f)
-    del f
+    power, eigenpair, born = [], [], []
+    for cols, block in LinearOp(spectrum=t.spectrum**n).column_blocks():
+        power.append(np.abs(_less_identity(cols, block)).max())
+        modes = _dft_modes(n, np.arange(n)[cols, None])
+        eigenpair.append(np.abs(t._apply(modes.T) - modes.T * lam[cols]).max())
+        norms = _norms(modes)
+        _require_unit_norm(norms[np.abs(norms * norms - 1.0).argmax()])
+        born.extend(abs(z) ** 2 for z in _inner(modes, psi.amplitudes).tolist())
+    del block, modes  # free the last blocks before a Hermiticity residual's N x N
     freq = frequency_operator(grid)
     # the hopping range must stay below n/2, so the 2-site ring is onsite-only
     tb = tight_binding_hamiltonian(grid, 2.0, [1.0] if n > 2 else [])
     report = {
         "n": n,
         "shift_unitarity": t.unitarity_residual(),
-        "shift_power_identity": float(np.abs(LinearOp(spectrum=t.spectrum**n).matrix - np.eye(n)).max()),
-        "dft_eigenpair": dft_residual,
+        "shift_power_identity": float(np.max(power)),
+        "dft_eigenpair": float(np.max(eigenpair)),
         "frequency_hermiticity": freq.hermiticity_residual(),
         "wavevector_hermiticity": wavevector_operator(grid).hermiticity_residual(),
         "tight_binding_hermiticity": tb.hermiticity_residual(),
-        "born_sum_deviation": abs(born_sum - 1.0),
+        "born_sum_deviation": abs(sum(born) - 1.0),
     }
 
     step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1

@@ -838,12 +838,82 @@ def test_state_norms_and_inner_products_call_no_blas(monkeypatch):
     assert StateVector([3.0, 4.0]).norm() == 1.0
 
 
-def test_ops_check_at_the_cap_peaks_in_the_dft_table_pass():
-    # about 4 N x N complex arrays at N = 1024, 16.8 MB each
+def test_ops_check_at_the_cap_holds_one_square_matrix():
+    # the Hermiticity residual's N x N complex matrix, 16.8 MB at N = 1024,
+    # plus blocks of N x 64
     tracemalloc.start()
     try:
         ops_check(1024, evolve_steps=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 72_000_000
+    assert peak <= 24_000_000
+
+
+def test_criterion_7_operation_holds_no_square_matrix():
+    # the uncertainty product and <[x, k]> at the grid cap: the commutator
+    # is applied as x(k psi) - k(x psi), with N numbers per operator
+    g = Grid(4096)
+    tracemalloc.start()
+    try:
+        packet = gaussian_packet(g, 2048.0, 32.0)
+        x, k = position_operator(g), wavevector_operator(g)
+        product = uncertainty_product(packet, x, k)
+        comm = expectation(commutator(x, k), packet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(product - 0.5) <= 1e-9
+    assert abs(comm - 1j) <= 0.02
+    assert peak <= 4_000_000
+
+
+def _commutator_cases():
+    g = Grid(8)
+    d1 = LinearOp(np.diag(np.arange(8.0)))
+    d2 = LinearOp(np.diag(np.arange(8.0) ** 2))
+    cases = [(frequency_operator(g), frequency_operator(g)), (d1, d2)]
+    for n in (64, 128, 256):
+        g = Grid(n, 64.0 / n)
+        cases.append((position_operator(g), wavevector_operator(g)))
+    g = Grid(64)
+    return cases + [(position_operator(g), frequency_operator(g))]
+
+
+def test_commutators_and_projectors_hold_no_matrix():
+    """Each is a composition; its .matrix, built on demand, has the bits of
+    the dense product it once stored."""
+    for a, b in _commutator_cases():
+        comm = commutator(a, b)
+        assert comm._matrix is None
+        assert comm.matrix.tobytes() == (a._apply(b.matrix) - b._apply(a.matrix)).tobytes()
+        assert comm._matrix is None
+    rng = np.random.default_rng(3)
+    for amps in ([1.0, 0.0], [1.0, 1.0], [1.0, 0.0, 0.0, 0.0], np.eye(8)[3],
+                 rng.normal(size=64) + 1j * rng.normal(size=64)):
+        a = StateVector(amps).amplitudes
+        p = projector(StateVector(amps))
+        assert p._matrix is None
+        assert p.matrix.tobytes() == np.outer(a, a.conj()).tobytes()
+        assert p._matrix is None
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 200])
+def test_blocked_residuals_match_the_whole_matrix(n):
+    """column_blocks covers the identity once, in order, and the residuals
+    taken block by block are those of the whole matrix, NaN included."""
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = Grid(n)
+    packet = gaussian_packet(g, n / 2.0, 1.0)
+    ops = [LinearOp(m), shift_operator(g), wavevector_operator(g), position_operator(g),
+           commutator(position_operator(g), wavevector_operator(g)), projector(packet)]
+    for op in ops:
+        full = op.matrix
+        assert np.hstack([block for _, block in op.column_blocks()]).tobytes() == (
+            op._apply(np.eye(n, dtype=complex)).tobytes()
+        )
+        assert op.hermiticity_residual() == float(np.abs(full - full.conj().T).max())
+    m[n - 1, 0] = math.nan  # in the last block of columns
+    assert math.isnan(LinearOp(m).hermiticity_residual())
+    assert math.isnan(LinearOp(m).unitarity_residual())
