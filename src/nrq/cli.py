@@ -39,7 +39,7 @@ from .measure import (
 from .newton import IterationPolicy, iterate_orbit
 from .parsing import parse_polynomial
 from .qops import (
-    MAX_OPS_CHECK_N,
+    MAX_DENSE_N,
     Grid,
     NaturalUnits,
     check_hopping_range,
@@ -379,9 +379,8 @@ def _run_ops_check(opt) -> Result:
     if len(sizes) > MAX_OPS_CHECK_SIZES:
         raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_SIZES} sizes, got {len(sizes)}")
     # every size is checked before any runs: a size of 1024 takes a second
-    too_large = [n for n in sizes if n > MAX_OPS_CHECK_N]
-    if too_large:
-        raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_N} to bound memory, got {too_large[0]}")
+    if max(sizes) > MAX_DENSE_N:
+        raise ConfigError(f"--n is capped at {MAX_DENSE_N} to bound memory, got {max(sizes)}")
     reports = [
         ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
         for n in sizes
@@ -394,9 +393,10 @@ def _run_ops_check(opt) -> Result:
 
 def _run_dispersion(opt) -> Result:
     units = NaturalUnits(hbar=opt["hbar"], c=opt["c"])
+    count = "samples" if opt["model"] == "kg" else "n"
+    if opt[count] > MAX_DISPERSION_SAMPLES:
+        raise ConfigError(f"--{count} is capped at {MAX_DISPERSION_SAMPLES}, got {opt[count]}")
     if opt["model"] == "kg":
-        if opt["samples"] > MAX_DISPERSION_SAMPLES:
-            raise ConfigError(f"--samples is capped at {MAX_DISPERSION_SAMPLES}, got {opt['samples']}")
         if not math.isfinite(opt["kmax"] - opt["kmin"]):
             raise ConfigError(f"--kmax minus --kmin must be finite, got {opt['kmax']} - {opt['kmin']}")
         ks = np.linspace(opt["kmin"], opt["kmax"], opt["samples"])

@@ -8,18 +8,18 @@ applied as ``ifft(spectrum * fft(psi))`` in O(N log N).  Position is
 diagonal on the sites, applied as ``spectrum * psi``.  Both kinds are
 evolved by phasing the spectrum and diagonalized analytically.  Every DFT
 mode is read from one table of the N roots of unity, so mode m has the
-same bits wherever it is built.  Commutators and projectors are
-compositions, known by their action alone: [A, B] applies A(Bv) - B(Av)
-and |psi><psi| applies psi <psi|v>.  Only a tight-binding operator with a
-callable onsite term is a dense matrix.  Every operator acts through
-``_apply``, and ``column_blocks`` applies it to the identity's columns
-_BLOCK_COLUMNS at a time: ``.matrix`` of any operator but a dense one is
-filled from those blocks on each access and never stored, and
-``unitarity_residual`` applies the adjoint to each block.  ``ops_check``
-measures only through these methods, and holds one N x N array, the
-matrix whose Hermiticity it compares.  Every state norm and inner
-product is ``_norm`` or ``_vdot``, numpy's pairwise sum of elementwise
-products, so no BLAS kernel or thread count touches their bits.
+same bits wherever it is built.  Commutators, projectors and a
+tight-binding operator with a callable onsite term are compositions, known
+by their action alone: A(Bv) - B(Av), psi <psi|v>, and the circulant
+hopping part plus the onsite diagonal; no builder makes a dense operator.
+``column_blocks`` applies any operator to the identity's columns
+_BLOCK_COLUMNS at a time, which fill ``.matrix`` on each access and carry
+``unitarity_residual``.  An N x N array is made only after
+``_require_dense``: in ``.matrix``, a spectrum's ``eigh`` basis and
+``ops_check``, which holds one, the matrix whose Hermiticity it compares.
+Every state norm and inner product is ``_norm`` or ``_vdot``, numpy's
+pairwise sum of elementwise products, so no BLAS kernel or thread count
+touches their bits.
 """
 
 import math
@@ -45,12 +45,8 @@ class BadRepresentation(ValueError):
     pass
 
 
-MAX_DENSE_N = 4096
-# ops_check holds one N x N complex matrix, 16 N^2 bytes, at a time: the
-# .matrix of the operator whose Hermiticity residual it takes.  Everything
-# else it holds is N x _BLOCK_COLUMNS.  At N = 1024 that matrix is 16.8 MB;
-# at 2048 it would be 67 MB, and at MAX_DENSE_N 268 MB.
-MAX_OPS_CHECK_N = 1024
+# cap on N for an N x N complex array, 16 N^2 bytes: 16.8 MB at N = 1024
+MAX_DENSE_N = 1024
 # identity columns per block, wherever an operator is applied to the identity
 _BLOCK_COLUMNS = 64
 
@@ -81,8 +77,6 @@ class Grid:
         object.__setattr__(self, "n_points", operator.index(self.n_points))
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
-        if self.n_points > MAX_DENSE_N:
-            raise ValueError(f"n_points capped at {MAX_DENSE_N} for dense algebra")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
         # positions reach the extent and wavevectors reach pi / spacing
@@ -138,6 +132,12 @@ def _less_identity(cols: slice, block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _require_dense(n: int):
+    """ValueError unless an N x N array of this n is within MAX_DENSE_N."""
+    if n > MAX_DENSE_N:
+        raise ValueError(f"an N x N array is capped at N = {MAX_DENSE_N} to bound memory, got {n}")
+
+
 def _require_unit_norm(nrm) -> float:
     """A state's norm^2 deviation from 1; ValueError unless it is within NORM_TOL."""
     deviation = abs(float(nrm) ** 2 - 1.0)
@@ -180,23 +180,25 @@ class LinearOp:
     """Complex square operator with lazily verified structure metadata.
 
     Built from a dense ``matrix``, or from a ``spectrum``: a circulant's
-    eigenvalues in DFT-mode order, applied through the FFT, or, for
-    position and its propagators, a diagonal's in site order, applied
-    elementwise.  ``commutator`` and ``projector`` build a third kind, a
-    composition known by its ``_apply`` alone.  ``.matrix`` is a dense
-    operator's own matrix; for the other kinds it is filled from
-    ``column_blocks`` on each access and never stored, so only a dense
-    operator stores one.  A spectrum's ``eigh`` basis holds, in the order
-    that sorts it, the DFT modes with the bits of ``fourier_eigenstate``, or
-    the identity's columns.
+    eigenvalues in DFT-mode order, applied through the FFT, or a site
+    diagonal's values (``_diagonal``), applied elementwise.  ``commutator``,
+    ``projector`` and ``tight_binding_hamiltonian`` with a callable onsite
+    build a third kind, a composition known by its ``_apply`` alone.
+    ``.matrix`` is a dense operator's own matrix; for the other kinds it is
+    filled from ``column_blocks`` on each access and never stored.  A
+    spectrum's ``eigh`` basis holds, in the order that sorts it, the DFT
+    modes with the bits of ``fourier_eigenstate``, or the identity's
+    columns.
     """
+
+    spectrum = None
+    _matrix = None
+    _on_sites = False
+    _eig = None
 
     def __init__(self, matrix=None, *, spectrum=None):
         if (matrix is None) == (spectrum is None):
             raise ValueError("give exactly one of matrix and spectrum")
-        self.spectrum = None
-        self._matrix = None
-        self._on_sites = False
         if spectrum is not None:
             s = np.asarray(spectrum, dtype=complex)
             if s.ndim != 1 or s.size < 1:
@@ -207,7 +209,6 @@ class LinearOp:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("matrix must be square")
             self._matrix = m
-        self._eig = None
 
     @property
     def n(self) -> int:
@@ -217,6 +218,7 @@ class LinearOp:
     def matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
+        _require_dense(self.n)
         m = np.empty((self.n, self.n), dtype=complex)
         for cols, block in self.column_blocks():
             m[:, cols] = block
@@ -252,9 +254,7 @@ class LinearOp:
 
     def _in_basis(self, spectrum) -> "LinearOp":
         """An operator with this spectrum in this operator's basis."""
-        op = LinearOp(spectrum=spectrum)
-        op._on_sites = self._on_sites
-        return op
+        return _diagonal(spectrum) if self._on_sites else LinearOp(spectrum=spectrum)
 
     def hermiticity_residual(self) -> float:
         """max |M - M^dagger| over M = ``.matrix``, each block of columns
@@ -287,45 +287,46 @@ class LinearOp:
         return self._apply(state.amplitudes)
 
     def eigh(self):
-        """Cached eigendecomposition (ascending eigenvalues, eigenvector
-        columns); requires Hermiticity.  A spectrum's is analytic: its stably
-        sorted values with the matching DFT or identity columns."""
+        """Eigendecomposition (ascending eigenvalues, eigenvector columns);
+        requires Hermiticity.  A spectrum's is analytic, built on each call
+        and not stored: its stably sorted values with the matching DFT or
+        identity columns.  Any other operator's is LAPACK's, cached."""
+        if self.spectrum is not None:
+            w = self._real_spectrum()
+            _require_dense(self.n)
+            order = np.argsort(w, kind="stable")
+            modes = (np.eye(self.n, dtype=complex)[order] if self._on_sites
+                     else _dft_modes(self.n, order[:, None]))
+            return w[order], modes.T
         if self._eig is None:
-            if self.spectrum is not None:
-                w = self._real_spectrum()
-                order = np.argsort(w, kind="stable")
-                modes = (np.eye(self.n, dtype=complex)[order] if self._on_sites
-                         else _dft_modes(self.n, order[:, None]))
-                self._eig = (w[order], modes.T)
-            else:
-                self._require_hermitian()
-                self._eig = np.linalg.eigh(self.matrix)
+            self._require_hermitian()
+            self._eig = np.linalg.eigh(self.matrix)
         return self._eig
 
 
 class _Composition(LinearOp):
-    """An operator on n sites known by its action alone, on a vector or on
-    each column of a block; it holds no matrix."""
+    """An operator on n sites known by its action alone, its ``_apply`` on
+    a vector or on each column of a block; it holds no matrix."""
 
     def __init__(self, n: int, action):
-        self.spectrum = None
-        self._matrix = None
-        self._on_sites = False
-        self._eig = None
         self._n = n
-        self._action = action
+        self._apply = action
 
     @property
     def n(self) -> int:
         return self._n
 
-    def _apply(self, a: np.ndarray) -> np.ndarray:
-        return self._action(a)
-
 
 def _check_same_dim(a: LinearOp, b: LinearOp):
     if a.n != b.n:
         raise DimensionMismatch("operator dimensions differ")
+
+
+def _diagonal(values) -> LinearOp:
+    """The operator diagonal on the sites with these values, applied elementwise."""
+    op = LinearOp(spectrum=values)
+    op._on_sites = True
+    return op
 
 
 def _dft_modes(n: int, m) -> np.ndarray:
@@ -380,9 +381,7 @@ def wavevector_operator(grid: Grid) -> LinearOp:
 
 def position_operator(grid: Grid) -> LinearOp:
     """Diagonal on the sites, with eigenvalue x_l = l*dx at site l."""
-    x = LinearOp(spectrum=grid.positions())
-    x._on_sites = True
-    return x
+    return _diagonal(grid.positions())
 
 
 def expectation(op: LinearOp, state: StateVector) -> complex:
@@ -456,21 +455,23 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
 
     With constant onsite eps it is circulant, with spectrum
     ``tight_binding_band`` on the DFT wave numbers (eps - 2*t_1*cos(k*dx)
-    for a single real t_1).  A callable onsite(x) adds a dense diagonal.
-    The onsite energies, the hoppings and the band must be finite.
+    for a single real t_1).  A callable onsite(x) makes it a composition:
+    that circulant with eps 0 plus the diagonal onsite(x_l).  The onsite
+    energies, the hoppings and the band must be finite.
     """
     hoppings = [complex(t) for t in hoppings]
     check_hopping_range(grid, hoppings)
-    dense = callable(onsite)
-    eps = np.array([float(onsite(x)) for x in grid.positions()]) if dense else float(onsite)
+    on_sites = callable(onsite)
+    eps = np.array([float(onsite(x)) for x in grid.positions()]) if on_sites else float(onsite)
     if not (np.isfinite(eps).all() and np.isfinite(hoppings).all()):
         raise ValueError("onsite energies and hoppings must be finite")
-    band = tight_binding_band(wavevector_values(grid), grid.spacing, 0.0 if dense else eps, hoppings)
+    band = tight_binding_band(wavevector_values(grid), grid.spacing, 0.0 if on_sites else eps, hoppings)
     if not np.isfinite(band).all():
         raise ValueError("the tight-binding band overflows")
-    if not dense:
+    if not on_sites:
         return LinearOp(spectrum=band)
-    return LinearOp(LinearOp(spectrum=band).matrix + np.diag(eps))
+    hopping, sites = LinearOp(spectrum=band), _diagonal(eps)
+    return _Composition(grid.n_points, lambda v: hopping._apply(v) + sites._apply(v))
 
 
 def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
@@ -482,8 +483,8 @@ def evolve(
     state: StateVector, hamiltonian: LinearOp, time: float, units: NaturalUnits = NaturalUnits()
 ) -> StateVector:
     """Apply exp(-i*H*t/hbar): an H held as its spectrum phases it and
-    applies the result as H itself is applied; a dense H goes through its
-    cached eigendecomposition."""
+    applies the result as H itself is applied; any other H, dense or a
+    composition, goes through its LAPACK ``eigh``, computed once and cached."""
     if state.dim != hamiltonian.n:
         raise DimensionMismatch("operator and state dimensions differ")
     tau = time / units.hbar
@@ -624,8 +625,7 @@ def ops_check(
     applies one propagator ``evolve_steps`` times, holding each step's
     norm^2 to NORM_TOL as ``StateVector`` does.
     """
-    if n > MAX_OPS_CHECK_N:
-        raise ValueError(f"ops_check n is capped at {MAX_OPS_CHECK_N} to bound memory, got {n}")
+    _require_dense(n)
     if evolve_steps < 1:
         raise ValueError(f"evolve_steps must be >= 1, got {evolve_steps}")
     grid = Grid(n, spacing)

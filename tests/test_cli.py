@@ -29,7 +29,7 @@ from nrq import cli, measure
 from nrq.measure import EmpiricalDensity, InvalidRange, accumulate_density, cauchy_density, find_cycles
 from nrq.newton import PolynomialProblem
 from nrq.parsing import MAX_POLY_LENGTH
-from nrq.qops import MAX_DENSE_N, Grid, tight_binding_hamiltonian
+from nrq.qops import Grid, tight_binding_band, tight_binding_hamiltonian, wavevector_values
 
 
 def run_cli(args, capsys):
@@ -515,7 +515,7 @@ def test_tiny_tb_spacing_writes_finite_wavevectors(tmp_path, capsys):
         ["interfere", "--delta", "0.01", "--bins", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--period", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--grid", "1000000000"],
-        ["dispersion", "--model", "tb", "--n", str(MAX_DENSE_N + 1)],
+        ["dispersion", "--model", "tb", "--n", str(cli.MAX_DISPERSION_SAMPLES + 1)],
     ],
     ids=" ".join,
 )
@@ -525,8 +525,20 @@ def test_work_caps_exit_2_quickly(args, tmp_path, capsys):
     code, _, err = run_cli(args + ["--out", str(out)], capsys)
     assert time.perf_counter() - started < 0.1
     assert code == EXIT_CONFIG
-    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+    # the library caps raise ValueError; the dispersion sample cap is the CLI's own
+    expected = "ConfigError" if args[0] == "dispersion" else "ValueError"
+    assert err.count("\n") == 1 and json.loads(err)["error"] == expected
     assert not out.exists()
+
+
+def test_dispersion_tb_runs_past_the_dense_cap(tmp_path, capsys):
+    out = tmp_path / "tb.csv"
+    code, _, err = run_cli(["dispersion", "--model", "tb", "--n", "8192", "--out", str(out)], capsys)
+    assert code == EXIT_OK and err == ""
+    values = parse_csv(out.read_text()).values()
+    k = np.sort(wavevector_values(Grid(8192)))
+    assert np.array_equal(values[:, 0], k)
+    assert np.array_equal(values[:, 1], tight_binding_band(k, 1.0, 2.0, [1.0]))
 
 
 _EIGHT_SIZES = [a for n in (2, 3, 4, 5, 6, 7, 8, 9) for a in ("--n", str(n))]

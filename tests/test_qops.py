@@ -32,12 +32,13 @@ from nrq import (
     position_operator,
     projector,
     shift_operator,
+    tight_binding_band,
     tight_binding_hamiltonian,
     uncertainty_product,
     wavevector_operator,
     wavevector_values,
 )
-from nrq.qops import MAX_DENSE_N, MAX_OPS_CHECK_N, _propagator
+from nrq.qops import MAX_DENSE_N, _propagator
 
 
 def test_grid_validation():
@@ -45,11 +46,8 @@ def test_grid_validation():
         Grid(1)
     with pytest.raises(ValueError):
         Grid(8, 0.0)
-    with pytest.raises(ValueError):
-        Grid(8192)
-    assert Grid(MAX_DENSE_N).n_points == MAX_DENSE_N
-    with pytest.raises(ValueError, match="capped"):
-        Grid(MAX_DENSE_N + 1)
+    # a grid holds no N x N array, so its size is not capped
+    assert Grid(8192).n_points == 8192
     # the extent, or the wavevector scale 2 pi / spacing, overflows a double
     for n, spacing in [(4, 1e308), (4, 1e-320), (2, 3e-308)]:
         with pytest.raises(ValueError, match="overflow"):
@@ -588,7 +586,7 @@ def test_ops_check_report():
 
 @pytest.mark.parametrize(
     "n, steps",
-    [(8, 0), (8, -5), (MAX_OPS_CHECK_N + 1, 1000)],
+    [(8, 0), (8, -5), (MAX_DENSE_N + 1, 1000)],
     ids=["steps-0", "steps-neg5", "n-over-cap"],
 )
 def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
@@ -851,21 +849,90 @@ def test_ops_check_at_the_cap_holds_one_square_matrix():
 
 
 def test_criterion_7_operation_holds_no_square_matrix():
-    # the uncertainty product and <[x, k]> at the grid cap: the commutator
+    # the uncertainty product and <[x, k]> past the dense cap: the commutator
     # is applied as x(k psi) - k(x psi), with N numbers per operator
-    g = Grid(4096)
+    for n in (4096, 8192):
+        g = Grid(n)
+        tracemalloc.start()
+        try:
+            packet = gaussian_packet(g, n / 2.0, 32.0)
+            x, k = position_operator(g), wavevector_operator(g)
+            product = uncertainty_product(packet, x, k)
+            comm = expectation(commutator(x, k), packet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(product - 0.5) <= 1e-9, n
+        assert abs(comm - 1j) <= 0.02, n
+        assert peak <= 4_000_000, n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [frequency_operator, position_operator,
+     lambda g: commutator(position_operator(g), wavevector_operator(g)),
+     lambda g: tight_binding_hamiltonian(g, math.cos, [1.0])],
+    ids=["frequency", "position", "commutator", "tb-callable-onsite"],
+)
+def test_square_arrays_past_the_dense_cap_raise_before_allocating(build):
+    op = build(Grid(MAX_DENSE_N + 1))
     tracemalloc.start()
     try:
-        packet = gaussian_packet(g, 2048.0, 32.0)
-        x, k = position_operator(g), wavevector_operator(g)
-        product = uncertainty_product(packet, x, k)
-        comm = expectation(commutator(x, k), packet)
+        for method in (lambda: op.matrix, op.eigh, op.hermiticity_residual):
+            with pytest.raises(ValueError, match="capped"):
+                method()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(product - 0.5) <= 1e-9
-    assert abs(comm - 1j) <= 0.02
-    assert peak <= 4_000_000
+    assert peak <= 1_000_000
+
+
+def test_spectral_eigh_stores_no_matrix():
+    op = frequency_operator(Grid(256))
+    w, v = op.eigh()
+    assert v.shape == (256, 256)
+    # the N eigenvalues alone, 4096 B; the N x N basis is the caller's
+    assert vars(op).keys() == {"spectrum"} and op.spectrum.nbytes == 4096
+
+
+def test_no_builder_returns_a_dense_operator():
+    g = Grid(40, 0.5)
+    packet = gaussian_packet(g, 10.0, 2.0)
+    x, k = position_operator(g), wavevector_operator(g)
+    built = {
+        "shift": shift_operator(g),
+        "frequency": frequency_operator(g),
+        "wavevector": k,
+        "position": x,
+        "projector": projector(packet),
+        "commutator": commutator(x, k),
+        "tb-constant": tight_binding_hamiltonian(g, 2.0, [1.0, 0.3j]),
+        "tb-callable": tight_binding_hamiltonian(g, math.cos, [1.0, 0.3j]),
+    }
+    for name, op in built.items():
+        op.apply(packet)
+        assert op._matrix is None, name
+
+
+@pytest.mark.parametrize("n", [8, 64, 200, MAX_DENSE_N])
+def test_callable_onsite_tight_binding_matches_its_dense_build(n):
+    """Hopping circulant plus onsite diagonal, as a composition: its matrix
+    and eigh have the bits of the dense matrix sum of the two."""
+    g = Grid(n, 0.3)
+
+    def onsite(x):
+        return 0.01 * (x - 1.0) ** 2 - math.cos(x)
+
+    eps = [onsite(x) for x in g.positions()]
+    band = tight_binding_band(wavevector_values(g), g.spacing, 0.0, [1.0, 0.25j])
+    h = tight_binding_hamiltonian(g, onsite, [1.0, 0.25j])
+    dense = LinearOp(LinearOp(spectrum=band).matrix + np.diag(eps))
+    assert h.matrix.tobytes() == dense.matrix.tobytes()
+    w, v = h.eigh()
+    w_dense, v_dense = dense.eigh()
+    assert w.tobytes() == w_dense.tobytes() and v.tobytes() == v_dense.tobytes()
+    packet = gaussian_packet(g, n * 0.15, 2.0, 0.4)
+    assert np.abs(h.apply(packet) - dense.apply(packet)).max() <= 1e-12
 
 
 def _commutator_cases():
