@@ -15,6 +15,7 @@ byte-identical files.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,6 +64,11 @@ MAX_OPS_CHECK_SIZES = 8
 # A dispersion sample is one csv row or two json numbers, about 40 B of
 # output; 100000 samples take under a second end to end.
 MAX_DISPERSION_SAMPLES = 100_000
+# A tight-binding band costs four numpy calls on n values per hopping.  n = 4096
+# with the most hoppings its range admits, n/2 - 1 = 2047, takes about 0.7 s
+# end to end; capping n * len(t) there bounds every band, though n itself may
+# reach MAX_DISPERSION_SAMPLES.
+MAX_DISPERSION_WORK = 4096 * 2047
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,6 +102,7 @@ class RunReport:
     restart_count: int
     statuses: dict
     outputs: list = field(default_factory=list)
+    phases: dict = field(default_factory=dict)  # ms: parse, compute, render, write
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -105,6 +112,10 @@ class RunReport:
 # emission
 
 
+def _non_finite(value) -> ValueError:
+    return ValueError(f"the output holds the non-finite value {float(value)}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -112,19 +123,34 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"the output holds the non-finite value {float(value)}")
+            raise _non_finite(value)
         return f"{value:.17g}"
     return str(value)
 
 
-def emit_csv(columns, rows, meta: dict | None = None) -> str:
-    """CSV v1: magic line, '# key=value' metadata, header, 17-digit rows."""
+def _fmt_column(values) -> list:
+    """``_fmt`` of every value; a float64 or integer array is checked once
+    and formatted with one call per value."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise _non_finite(values[~finite][0])
+            return list(map("{:.17g}".format, values.tolist()))
+        if values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+    return list(map(_fmt, values))
+
+
+def emit_csv(header, columns, meta: dict | None = None) -> str:
+    """CSV v1: magic line, '# key=value' metadata, header, then row i holds
+    entry i of each column, floats to 17 digits.  Columns of unequal length
+    raise ValueError."""
+    meta = meta or {}
     lines = [CSV_MAGIC]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={_fmt((meta or {})[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += (f"# {key}={_fmt(meta[key])}" for key in sorted(meta))
+    lines.append(",".join(header))
+    lines += map(",".join, zip(*map(_fmt_column, columns), strict=True))
     return "\n".join(lines) + "\n"
 
 
@@ -138,7 +164,8 @@ class ParsedCsv:
         return np.array([[float(c) for c in row] for row in self.cells], dtype=float)
 
     def reemit(self) -> str:
-        return emit_csv(self.columns, self.cells, self.meta)
+        # string cells are written as they are; rows of unequal length raise ValueError
+        return emit_csv(self.columns, zip(*self.cells, strict=True), self.meta)
 
 
 def parse_csv(text: str) -> ParsedCsv:
@@ -224,8 +251,8 @@ class Result:
 
     statuses: dict
     payload: dict  # the json document
-    columns: tuple = ()
-    rows: Iterable = ()  # read once, by the csv emitter
+    header: tuple = ()
+    columns: tuple = ()  # one sequence per header name, for the csv emitter
     meta: dict = field(default_factory=dict)
     svg: Callable[[], str] | None = None
     restarts: int = 0
@@ -234,7 +261,7 @@ class Result:
 def _render(result: Result, output_format: str) -> str:
     """The one place that picks the output format."""
     if output_format == "csv":
-        return emit_csv(result.columns, result.rows, result.meta)
+        return emit_csv(result.header, result.columns, result.meta)
     if output_format == "json":
         return json.dumps(result.payload, sort_keys=True, allow_nan=False) + "\n"
     return result.svg()
@@ -286,8 +313,8 @@ def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dic
     return Result(
         statuses,
         _with_meta(meta, bin_centers=centers.tolist(), densities=densities.tolist(), **payload),
-        columns=("bin_center", "density"),
-        rows=zip(centers, densities),
+        header=("bin_center", "density"),
+        columns=(centers, densities),
         meta=meta,
         svg=svg,
         restarts=density.restarts,
@@ -310,8 +337,8 @@ def _run_orbit(opt) -> Result:
     return Result(
         statuses,
         _with_meta(meta, iterates=orbit.iterates),
-        columns=("step", "x"),
-        rows=enumerate(orbit.iterates),
+        header=("step", "x"),
+        columns=(np.arange(len(orbit.iterates)), np.array(orbit.iterates)),
         meta=meta,
     )
 
@@ -352,7 +379,9 @@ def _run_cycles(opt) -> Result:
         "cycles": len(scan.cycles),
         "pole_intervals": len(scan.pole_intervals),
     }
-    return Result(statuses, payload, columns=("cycle", "point_index", "x"), rows=rows, meta=meta)
+    return Result(
+        statuses, payload, header=("cycle", "point_index", "x"), columns=tuple(zip(*rows)), meta=meta
+    )
 
 
 def _run_interfere(opt) -> Result:
@@ -403,8 +432,13 @@ def _run_dispersion(opt) -> Result:
         omegas = klein_gordon_dispersion(ks, opt["mass"], units)
         meta = {"model": "kg", "mass": opt["mass"], "c": opt["c"], "hbar": opt["hbar"]}
     else:
-        grid = Grid(opt["n"], opt["spacing"])
         hoppings = opt["t"] or [1.0]
+        if opt["n"] * len(hoppings) > MAX_DISPERSION_WORK:
+            raise ConfigError(
+                f"--n times the number of --t values is capped at {MAX_DISPERSION_WORK}, "
+                f"got {opt['n']} x {len(hoppings)}"
+            )
+        grid = Grid(opt["n"], opt["spacing"])
         check_hopping_range(grid, hoppings)
         ks = np.sort(wavevector_values(grid))
         omegas = tight_binding_band(ks, grid.spacing, opt["eps"], hoppings)
@@ -412,8 +446,8 @@ def _run_dispersion(opt) -> Result:
     return Result(
         {"model": opt["model"], "samples": len(ks)},
         _with_meta(meta, k=np.asarray(ks).tolist(), omega=np.asarray(omegas).tolist()),
-        columns=("k", "omega"),
-        rows=zip(ks, omegas),
+        header=("k", "omega"),
+        columns=(ks, omegas),
         meta=meta,
     )
 
@@ -517,14 +551,19 @@ COMMANDS = {
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute one command and write its output atomically."""
+    """Execute one command and write its output atomically.
+
+    The report's ``phases`` are ms; ``parse`` is 0 here and ``main`` sets it."""
     started = time.perf_counter()
     command = COMMANDS[config.command]
     # an overflow or an invalid operation is an error, not a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         result = command.runner(config.options)
+        computed = time.perf_counter()
         text = _render(result, config.output_format)
+    rendered = time.perf_counter()
     output = _atomic_write(config.output_path, text)
+    written = time.perf_counter()
     options = {key: config.options.get(key) for key in sorted(command.defaults())}
     echo = {k: None if v is None else _fmt(v) for k, v in options.items()}
     return RunReport(
@@ -536,6 +575,12 @@ def run(config: RunConfig) -> RunReport:
         restart_count=result.restarts,
         statuses=result.statuses,
         outputs=[output],
+        phases={
+            "parse": 0.0,
+            "compute": 1e3 * (computed - started),
+            "render": 1e3 * (rendered - computed),
+            "write": 1e3 * (written - rendered),
+        },
     )
 
 
@@ -551,6 +596,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; ``main`` builds one per process and reuses it."""
     parser = _Parser(
         prog="nrq",
         description="Newton-Raphson map experiments and periodic-grid operator checks",
@@ -647,15 +693,24 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     return RunConfig(command, options, output_path, output_format)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, and _Parser.error raises, so a
+    # failed call leaves nothing behind for the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        started = time.perf_counter()
         try:
-            namespace = parser.parse_args(argv)
+            namespace = _parser().parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
         config = resolve_config(namespace)
+        parsed = time.perf_counter()
         report = run(config)
+        report.phases["parse"] = 1e3 * (parsed - started)
     except (ValueError, FloatingPointError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

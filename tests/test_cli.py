@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nrq.cli import (
     CSV_MAGIC,
@@ -55,7 +56,7 @@ def read_report(out: str) -> dict:
 
 def test_emit_csv_two_bin_example():
     d = EmpiricalDensity(0.0, 2.0, 2, np.array([25, 75]))
-    text = emit_csv(("bin_center", "density"), zip(d.centers(), d.densities()), {"total": d.total})
+    text = emit_csv(("bin_center", "density"), (d.centers(), d.densities()), {"total": d.total})
     lines = text.split("\n")
     assert lines[0] == CSV_MAGIC
     assert "# total=100" in lines
@@ -67,7 +68,7 @@ def test_emit_csv_two_bin_example():
 def test_emit_csv_empty_range():
     d = EmpiricalDensity(0.0, 2.0, 2, np.array([0, 0]), below_count=3, above_count=4)
     meta = {"below": d.below_count, "above": d.above_count}
-    text = emit_csv(("bin_center", "density"), zip(d.centers(), d.densities()), meta)
+    text = emit_csv(("bin_center", "density"), (d.centers(), d.densities()), meta)
     assert "# below=3" in text and "# above=4" in text
     assert "0.5,0\n1.5,0\n" in text
 
@@ -80,7 +81,7 @@ def test_csv_round_trip_is_bit_exact():
         (3, 12345.678901234567),
         (4, -math.pi),
     ]
-    text = emit_csv(("step", "x"), rows, {"poly": "x^2+1", "seed": 7})
+    text = emit_csv(("step", "x"), zip(*rows), {"poly": "x^2+1", "seed": 7})
     parsed = parse_csv(text)
     assert parsed.reemit() == text
     values = parsed.values()
@@ -91,6 +92,68 @@ def test_csv_round_trip_is_bit_exact():
 def test_parse_csv_rejects_bad_magic():
     with pytest.raises(ValueError):
         parse_csv("bin_center,density\n0.5,1\n")
+
+
+def _row_wise_emit_csv(header, rows, meta):
+    """The csv emitter as it was when it formatted one cell at a time."""
+    lines = [CSV_MAGIC]
+    for key in sorted(meta):
+        lines.append(f"# {key}={cli._fmt(meta[key])}")
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308, -1.7e308, sys.float_info.max)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# how a column reaches the emitter: a float64 or integer array takes the
+# column-at-once path, any other sequence the per-value one
+_COLUMN_KINDS = {
+    "float64 array": (_FINITE, lambda v: np.array(v, dtype=np.float64)),
+    "int64 array": (_INT64, lambda v: np.array(v, dtype=np.int64)),
+    "uint8 array": (st.integers(0, 255), lambda v: np.array(v, dtype=np.uint8)),
+    "float list": (_FINITE, list),
+    "mixed tuple": (_FINITE | st.integers() | st.booleans() | st.sampled_from(["a", "-0.0"]), tuple),
+}
+
+
+@st.composite
+def _csv_columns(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        values, make = _COLUMN_KINDS[kind]
+        columns.append(make(draw(st.lists(values, min_size=n, max_size=n))))
+    return columns
+
+
+@given(columns=_csv_columns(), meta_value=_FINITE | _INT64)
+@example(columns=[np.array(_EDGE_FLOATS), np.arange(len(_EDGE_FLOATS))], meta_value=-0.0)
+def test_column_emitter_writes_the_row_wise_bytes(columns, meta_value):
+    header = [f"c{i}" for i in range(len(columns))]
+    meta = {"value": meta_value, "rows": len(columns[0])}
+    text = emit_csv(header, columns, meta)
+    assert text == _row_wise_emit_csv(header, zip(*columns), meta)
+    assert parse_csv(text).reemit() == text
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [np.array, list], ids=["array", "list"])
+def test_a_non_finite_value_in_any_column_raises(bad, make):
+    for column in range(2):
+        for row in range(3):
+            values = [np.arange(3.0), np.arange(3.0)]
+            values[column][row] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                emit_csv(("a", "b"), [make(v) for v in values])
+
+
+def test_columns_of_unequal_length_raise():
+    with pytest.raises(ValueError):
+        emit_csv(("a", "b"), [np.arange(3.0), np.arange(2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +385,10 @@ PINNED_OUTPUTS = [
 @pytest.mark.parametrize("args, prefix", PINNED_OUTPUTS, ids=[p for _, p in PINNED_OUTPUTS])
 def test_output_bytes_are_pinned(args, prefix, tmp_path, capsys):
     out = tmp_path / "out"
-    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    code, stdout, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == prefix
+    assert set(read_report(stdout)["phases"]) == {"parse", "compute", "render", "write"}
 
 
 def _numpy_blas_is_openblas() -> bool:
@@ -516,6 +580,11 @@ def test_tiny_tb_spacing_writes_finite_wavevectors(tmp_path, capsys):
         ["cycles", "--poly", "x^2+1", "--period", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--grid", "1000000000"],
         ["dispersion", "--model", "tb", "--n", str(cli.MAX_DISPERSION_SAMPLES + 1)],
+        pytest.param(
+            ["dispersion", "--model", "tb", "--n", str(cli.MAX_DISPERSION_SAMPLES),
+             *["--t", "0.001"] * (cli.MAX_DISPERSION_WORK // cli.MAX_DISPERSION_SAMPLES + 1)],
+            id="dispersion --model tb --n 100000 with n x len(t) past the work cap",
+        ),
     ],
     ids=" ".join,
 )
@@ -575,8 +644,11 @@ def test_cli_count_caps_exit_2_before_any_work(args, tmp_path, capsys, monkeypat
         (["ops-check", "--n", "2", "--steps", str(cli.MAX_OPS_CHECK_STEPS)], {"sizes": [2]}),
         (["dispersion", "--samples", str(cli.MAX_DISPERSION_SAMPLES), "--format", "json"],
          {"samples": cli.MAX_DISPERSION_SAMPLES}),
+        # the old worst case, which the work cap admits
+        (["dispersion", "--model", "tb", "--n", "4096", *["--t", "0.001"] * 2047, "--format", "json"],
+         {"samples": 4096}),
     ],
-    ids=["ops-check sizes", "ops-check steps", "dispersion samples"],
+    ids=["ops-check sizes", "ops-check steps", "dispersion samples", "dispersion tb work"],
 )
 def test_cli_counts_at_their_caps_run(args, expected, tmp_path, capsys):
     out = tmp_path / "out"
@@ -716,6 +788,47 @@ def test_unknown_flag_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for period in (2, 3, 4):
+        out = tmp_path / f"c{period}.json"
+        code, _, _ = run_cli(["cycles", "--poly", "x^2+1", "--period", str(period), "--out", str(out)], capsys)
+        assert code == EXIT_OK
+    assert len(built) == 1
+    assert build() is not build()
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--bogus"], EXIT_CONFIG),
+        (["density", "--poly", "x^2+1", "--bogus"], EXIT_CONFIG),
+        (["density", "--iters", "many"], EXIT_CONFIG),
+        (["--version"], EXIT_OK),
+        (["density", "--help"], EXIT_OK),
+    ],
+    ids=["--bogus", "density --bogus", "density --iters many", "--version", "density --help"],
+)
+def test_an_earlier_call_leaves_the_parser_as_it_was(args, expected, tmp_path, capsys):
+    assert run_cli(args, capsys)[0] == expected
+    out = tmp_path / "d.csv"
+    code, _, _ = run_cli(["density", "--poly", "x^2+1", "--seed", "1", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == "d5cf820c4dee"
+
+
+def test_a_non_finite_output_value_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "klein_gordon_dispersion", lambda ks, mass, units: np.where(ks > 0, np.nan, 1.0))
+    out = tmp_path / "kg.csv"
+    code, stdout, err = run_cli(["dispersion", "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG and stdout == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_3(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run_cli(
@@ -852,6 +965,18 @@ def test_report_echoes_effective_config(tmp_path, capsys):
     assert report["config"]["options"]["bins"] == "20"
     assert report["config"]["options"]["seed"] == "5"
     assert report["command"] == "density"
+
+
+def test_report_phases_sum_to_the_wall_time(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code, stdout, _ = run_cli(["density", "--poly", "x^2+1", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    report = read_report(stdout)
+    phases = report["phases"]
+    assert set(phases) == {"parse", "compute", "render", "write"}
+    assert all(ms > 0 for ms in phases.values())
+    wall_ms = 1e3 * report["wall_time_s"]
+    assert abs(phases["compute"] + phases["render"] + phases["write"] - wall_ms) <= 0.05 * wall_ms
 
 
 # ---------------------------------------------------------------------------
