@@ -256,6 +256,7 @@ class Result:
     meta: dict = field(default_factory=dict)
     svg: Callable[[], str] | None = None
     restarts: int = 0
+    iterates: int = 0  # map iterates run, burn-in included; the report's throughput
 
 
 def _render(result: Result, output_format: str) -> str:
@@ -297,7 +298,9 @@ def _accumulate(problem, opt) -> EmpiricalDensity:
     )
 
 
-def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dict, svg, **payload):
+def _histogram_result(
+    density: EmpiricalDensity, iterates: int, extra_meta: dict, statuses: dict, svg, **payload
+):
     meta = {
         "lo": density.lo,
         "hi": density.hi,
@@ -318,6 +321,7 @@ def _histogram_result(density: EmpiricalDensity, extra_meta: dict, statuses: dic
         meta=meta,
         svg=svg,
         restarts=density.restarts,
+        iterates=iterates,
     )
 
 
@@ -349,6 +353,7 @@ def _run_density(opt) -> Result:
     overlay = cauchy_density if opt.get("overlay_cauchy") else None
     return _histogram_result(
         density,
+        opt["iters"],
         {"poly": opt["poly"], "seed": opt["seed"]},
         statuses,
         lambda: emit_svgdata(density, overlay=overlay),
@@ -394,6 +399,7 @@ def _run_interfere(opt) -> Result:
     peak_list = [[c, h, p] for c, h, p in peaks]
     return _histogram_result(
         density,
+        opt["iters"],
         {"delta": opt["delta"], "seed": opt["seed"]},
         {"peaks": peak_list, "in_range": density.in_range},
         lambda: emit_svgdata(density, peaks=peaks),
@@ -553,7 +559,9 @@ COMMANDS = {
 def run(config: RunConfig) -> RunReport:
     """Execute one command and write its output atomically.
 
-    The report's ``phases`` are ms; ``parse`` is 0 here and ``main`` sets it."""
+    The report's ``phases`` are ms; ``parse`` is 0 here and ``main`` sets it.
+    A command that runs the map adds ``iterates_per_s`` to its statuses: the
+    iterates run over the seconds of the compute phase."""
     started = time.perf_counter()
     command = COMMANDS[config.command]
     # an overflow or an invalid operation is an error, not a warning
@@ -564,6 +572,9 @@ def run(config: RunConfig) -> RunReport:
     rendered = time.perf_counter()
     output = _atomic_write(config.output_path, text)
     written = time.perf_counter()
+    statuses = result.statuses
+    if result.iterates:
+        statuses = {**statuses, "iterates_per_s": result.iterates / (computed - started)}
     options = {key: config.options.get(key) for key in sorted(command.defaults())}
     echo = {k: None if v is None else _fmt(v) for k, v in options.items()}
     return RunReport(
@@ -573,7 +584,7 @@ def run(config: RunConfig) -> RunReport:
                 "output_format": config.output_format},
         wall_time_s=time.perf_counter() - started,
         restart_count=result.restarts,
-        statuses=result.statuses,
+        statuses=statuses,
         outputs=[output],
         phases={
             "parse": 0.0,

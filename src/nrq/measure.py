@@ -139,7 +139,12 @@ def accumulate_density(
     The orbit is run by ``problem.advance``, the fused kernel, which writes
     raw doubles into one ``ACCUMULATE_BLOCK``-slot buffer and stops before
     each pole or overflow, where the restart is stored and the kernel
-    resumed.  Each block is binned straight from that buffer by
+    resumed.  The kernel checks the first 64 steps after each start one at
+    a time, so a chain that stops again soon costs no extra call, and runs
+    the rest in unchecked chunks of 64, 128, 256, ... steps, each checked
+    in one numpy pass after it has run; a stop discards the rest of its
+    chunk and leaves the slots from the stop on as they were.  Each block
+    is binned straight from that buffer by
     ``EmpiricalDensity.from_samples`` and merged into the running density,
     so memory is bounded by the block and the bins, not by ``n``.  The window
     obeys ``_require_window``, and (n - n0)*(hi - lo)/bins must be finite too.

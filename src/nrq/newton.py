@@ -25,6 +25,9 @@ MAX_DEGREE = 100
 # iterate_orbit runs the kernel over chunks of this many steps and tests
 # each chunk for convergence at once.
 _ORBIT_CHUNK = 4096
+# advance tests each of its first this many steps for a pole or an overflow
+# before taking it, and tests the rest a chunk at a time after running them.
+_CHECKED_STEPS = 64
 
 
 class DerivativeZero(ZeroDivisionError):
@@ -38,15 +41,19 @@ class DerivativeZero(ZeroDivisionError):
 
 # The map's source.  Its coefficients and bounds are closure cells, cheaper
 # than globals; n<i> and d<i> are the coefficients of x^i in the Newton
-# numerator and in f'.
+# numerator and in f'.  An unchecked chunk can leave its loop only through
+# ZeroDivisionError, as float *, + and / by nonzero never raise.
 _MAP_TEMPLATE = """\
-def make(pe, bound, neg_pe, neg_bound, {cells}):
+def make(pe, bound, neg_pe, neg_bound, checked, first_stop, asarray, {cells}):
     def fprime(x):
         return {fpx}
     def numerator(x):
         return {numerator}
     def advance(x, j, k, buf):
-        for j in range(j, k):
+        m = j + checked
+        if m > k:
+            m = k
+        for j in range(j, m):
             fpx = {fpx}
             if neg_pe <= fpx <= pe:
                 return x, j
@@ -54,9 +61,43 @@ def make(pe, bound, neg_pe, neg_bound, {cells}):
             if not neg_bound <= y <= bound:
                 return x, j
             buf[j] = x = y
+        if m == k:
+            return x, k
+        j, first, arr = m, m - checked, asarray(buf)
+        while j < k:
+            # as long as every step run before it, so a stop wastes at most that many
+            e = min(j + max(j - first, 1), k)
+            start, saved = x, arr[j:e].copy()
+            try:
+                for i in range(j, e):
+                    buf[i] = x = ({numerator}) / ({fpx})
+            except ZeroDivisionError:
+                # f' is exactly zero at x: the pass below stops here or before
+                pass
+            s = j + first_stop(fprime, start, arr[j:e])
+            if s < e:
+                arr[s:e] = saved[s - j :]
+                return (float(arr[s - 1]) if s > j else start), s
+            j = e
         return x, k
     return advance, fprime, numerator
 """
+
+
+def _first_stop(fprime: Callable, x: float, ys: np.ndarray) -> int:
+    """Where advance's checked loop would have stopped a run from ``x`` that
+    gave the iterates ``ys``: the first step whose start is a pole or whose
+    iterate leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included, or
+    len(ys) if none does.  Slots after a stop may hold anything.  f' of
+    every start after ``x`` is one array call of the kernel's ``fprime``,
+    which has the scalar loop's bits."""
+    if -POLE_EPSILON <= fprime(x) <= POLE_EPSILON:
+        return 0
+    with np.errstate(all="ignore"):
+        stops = ~(np.abs(ys) <= OVERFLOW_BOUND)
+        stops[1:] |= np.abs(fprime(ys[:-1])) <= POLE_EPSILON
+    s = int(stops.argmax())
+    return s if stops[s] else len(ys)
 
 
 def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str:
@@ -92,7 +133,14 @@ def _compile(source: str, degree: int) -> Callable:
     namespace = {}
     exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
     return functools.partial(
-        namespace["make"], POLE_EPSILON, OVERFLOW_BOUND, -POLE_EPSILON, -OVERFLOW_BOUND
+        namespace["make"],
+        POLE_EPSILON,
+        OVERFLOW_BOUND,
+        -POLE_EPSILON,
+        -OVERFLOW_BOUND,
+        _CHECKED_STEPS,
+        _first_stop,
+        np.asarray,
     )
 
 
@@ -109,10 +157,18 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     cast to "d", say).  It returns the last iterate written and ``k``, or it
     stops early and returns the current iterate and the slot it did not
     fill: when the next step is a pole (|f'| <= POLE_EPSILON) or its value
-    leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  Its loop makes
-    no Python call.  The source depends on which coefficients are 1.0 or
-    zero, so it is compiled once per source text, which is also the cache
-    key: coefficient tuples would not do, as 0.0 == -0.0.
+    leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  It tests its
+    first ``_CHECKED_STEPS`` steps one at a time before taking them, so a
+    chain that stops soon after a restart pays no call.  The rest run in
+    unchecked chunks, each as long as all the steps of the call before it
+    (64, 128, 256, ...), whose loops make no Python call; after each chunk
+    ``_first_stop`` finds the first stop in one numpy pass, and the chunk's
+    slots at and past it get back what they held.  So the result, and every
+    slot of ``buf``, are those of the step-at-a-time loop, and a stop wastes
+    at most as many steps as the call kept.  The source depends on which
+    coefficients are 1.0 or zero, so it is compiled once per source text,
+    which is also the cache key: coefficient tuples would not do, as
+    0.0 == -0.0.
     """
     degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
@@ -137,7 +193,9 @@ class PolynomialProblem:
     descending tuples by ``_kernel``, the map's one definition, which
     leaves out the terms that cannot change a bit (a factor 1.0, an added
     zero).  ``advance`` is the fused orbit kernel: it runs the map over a
-    buffer of doubles and stops before a pole or an overflow.
+    buffer of doubles and stops before a pole or an overflow, testing its
+    first 64 steps one at a time and the rest in doubling chunks after they
+    have run, and leaves every slot past the stop as it was.
     ``step_array`` applies the map, or its ``times``-th power, to an array
     and ``newton_step`` applies it to one float, both through the
     kernel's generated f'(x) and numerator(x), so every entry evaluates the
@@ -264,8 +322,11 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
     orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps
     in one buffer whose slot 0 holds the previous iterate, and each chunk is
-    tested for convergence at once.  Where the kernel stops early, f' at
-    the last iterate tells a pole from an overflow.
+    tested for convergence at once.  Within one such call the kernel itself
+    checks its first 64 steps one at a time and the rest in doubling chunks
+    after they have run, and it writes no slot at or past where it stops.
+    Where the kernel stops early, f' at the last iterate tells a pole from
+    an overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")

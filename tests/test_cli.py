@@ -388,7 +388,13 @@ def test_output_bytes_are_pinned(args, prefix, tmp_path, capsys):
     code, stdout, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == prefix
-    assert set(read_report(stdout)["phases"]) == {"parse", "compute", "render", "write"}
+    report = read_report(stdout)
+    assert set(report["phases"]) == {"parse", "compute", "render", "write"}
+    # the commands that run the map report their throughput, and only in the report
+    if args[0] in ("density", "interfere"):
+        assert report["statuses"]["iterates_per_s"] > 0
+    else:
+        assert "iterates_per_s" not in report["statuses"]
 
 
 def _numpy_blas_is_openblas() -> bool:
@@ -977,6 +983,9 @@ def test_report_phases_sum_to_the_wall_time(tmp_path, capsys):
     assert all(ms > 0 for ms in phases.values())
     wall_ms = 1e3 * report["wall_time_s"]
     assert abs(phases["compute"] + phases["render"] + phases["write"] - wall_ms) <= 0.05 * wall_ms
+    # every iterate, burn-in included, over the compute phase
+    iterates = report["statuses"]["iterates_per_s"] * phases["compute"] / 1e3
+    assert iterates == pytest.approx(201000, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import nrq
+from nrq import newton
 from nrq import (
     DerivativeZero,
     IterationPolicy,
@@ -211,26 +212,33 @@ def _chain(step, x, k):
     return iterates
 
 
-@given(
-    _POLYNOMIAL,
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
-    st.integers(0, 3),
-    st.integers(1, 40),
-)
-@example([1.0, 0.0, 1.0], 1.0, 0, 5)  # x^2 + 1: 1 -> 0, then the pole
-@example([1.0, 0.0, 1.0], 4e-301, 0, 3)  # f' = 8e-301: a pole although the quotient is finite
-@example([0.0, 0.0, 0.5], 1e-300, 1, 3)  # f' = x equals POLE_EPSILON: a pole
-@example([100.0, 0.0, 1.0], -6e-301, 0, 2)  # the step lands at 8.3e301, finite but out
-@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 2, 40)  # the two-well quartic
-@example([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 0, 2)  # degree 4 with f'(0) = POLE_EPSILON
-@example([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 0, 2)  # degree 4: the step lands at 5e300
-@example([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9)  # x^3 - 2x + 2: the 0, 1 cycle
-@example([2.0, -2.0, 0.0, 1.0], 1e200, 0, 3)  # its first step is inf / inf
-@example([20.0, 1e-299], 0.5, 0, 2)  # degree 1: the step lands at -2e300
-@example([0.0, -2.0], 0.5, 0, 4)  # degree 1: the numerator's leading term is -0.0
-@example([1.0, 1e-300], 0.5, 3, 2)  # |f'| equals POLE_EPSILON everywhere: a pole
-@example([1.0] * (MAX_DEGREE + 1), 1.5, 1, 40)  # the kernel's deepest expression
-def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
+# (coefficients, x0, j0, k) for advance; each lands where its comment says
+_ADVANCE_EXAMPLES = [
+    ([1.0, 0.0, 1.0], 1.0, 0, 5),  # x^2 + 1: 1 -> 0, then the pole
+    ([1.0, 0.0, 1.0], 4e-301, 0, 3),  # f' = 8e-301: a pole although the quotient is finite
+    ([0.0, 0.0, 0.5], 1e-300, 1, 3),  # f' = x equals POLE_EPSILON: a pole
+    ([100.0, 0.0, 1.0], -6e-301, 0, 2),  # the step lands at 8.3e301, finite but out
+    ([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 2, 40),  # the two-well quartic
+    ([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 0, 2),  # degree 4 with f'(0) = POLE_EPSILON
+    ([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 0, 2),  # degree 4: the step lands at 5e300
+    ([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9),  # x^3 - 2x + 2: the 0, 1 cycle
+    ([2.0, -2.0, 0.0, 1.0], 1e200, 0, 3),  # its first step is inf / inf
+    ([20.0, 1e-299], 0.5, 0, 2),  # degree 1: the step lands at -2e300
+    ([0.0, -2.0], 0.5, 0, 4),  # degree 1: the numerator's leading term is -0.0
+    ([1.0, 1e-300], 0.5, 3, 2),  # |f'| equals POLE_EPSILON everywhere: a pole
+    ([1.0] * (MAX_DEGREE + 1), 1.5, 1, 40),  # the kernel's deepest expression
+    ([0.0, 0.0, 5e-301], 6.0, 0, 10),  # halves x: f' = 1e-300 x is a nonzero pole at step 3
+    ([0.0, 0.0, 1.0], 0.5, 2, 600),  # x^2 halves 0.5 to exactly 0 at step 538, then f' = 0
+]
+
+
+def _with_advance_examples(test):
+    for args in _ADVANCE_EXAMPLES:
+        test = example(*args)(test)
+    return test
+
+
+def _check_advance(coefficients, x0, j0, k):
     problem = PolynomialProblem(coefficients)
     expected = _chain(lambda x: newton_step(problem, x), x0, k)
     assert _bits_of(expected) == _bits_of(_chain(lambda x: problem.step_array([x])[0], x0, k))
@@ -240,6 +248,36 @@ def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
     assert _bits_of(buf[j0:j]) == _bits_of(expected)
     assert _bits(x) == _bits(expected[-1] if expected else x0)
     assert not any(buf[:j0]) and not any(buf[j:])  # no slot outside the run is written
+
+
+@given(
+    _POLYNOMIAL,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
+    st.integers(0, 3),
+    st.integers(1, 40),
+)
+@_with_advance_examples
+def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
+    _check_advance(coefficients, x0, j0, k)
+
+
+@given(
+    _POLYNOMIAL,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
+    st.integers(0, 3),
+    st.integers(1, 200),
+)
+@_with_advance_examples
+def test_advance_matches_a_chain_of_steps_in_unchecked_chunks(coefficients, x0, j0, k):
+    # with no checked steps, advance runs every step in chunks of 1, 1, 2, 4, ...
+    # steps and finds each stop after its chunk has run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nrq.newton._CHECKED_STEPS", 0)
+        newton._compile.cache_clear()
+        try:
+            _check_advance(coefficients, x0, j0, k)
+        finally:
+            newton._compile.cache_clear()
 
 
 def test_problem_pickles_with_a_working_step():
