@@ -24,7 +24,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class RunReport:
     phases: dict = field(default_factory=dict)  # ms: parse, compute, render, write
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

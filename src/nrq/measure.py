@@ -137,17 +137,17 @@ def accumulate_density(
     stream as that step's iterate and the restart count is reported on the
     result.  If ``x0`` is None the start is drawn from the same generator.
     The orbit is run by ``problem.advance``, the fused kernel, which writes
-    raw doubles into one ``ACCUMULATE_BLOCK``-slot buffer and stops before
-    each pole or overflow, where the restart is stored and the kernel
-    resumed.  The kernel checks the first 64 steps after each start one at
-    a time, so a chain that stops again soon costs no extra call, and runs
-    the rest in unchecked chunks of 64, 128, 256, ... steps, each checked
-    in one numpy pass after it has run; a stop discards the rest of its
-    chunk and leaves the slots from the stop on as they were.  Each block
-    is binned straight from that buffer by
-    ``EmpiricalDensity.from_samples`` and merged into the running density,
-    so memory is bounded by the block and the bins, not by ``n``.  The window
-    obeys ``_require_window``, and (n - n0)*(hi - lo)/bins must be finite too.
+    doubles into one ``ACCUMULATE_BLOCK``-slot float64 array and stops
+    before each pole or overflow, where the restart is stored and the
+    kernel resumed from the next slot.  The kernel checks the first 64
+    steps after each start one at a time, so a chain that stops again soon
+    costs no extra call, and runs the rest in unchecked chunks of 64, 128,
+    256, ... steps, each checked in one numpy pass after it has run; a stop
+    discards the rest of its chunk.  Each block is binned straight from
+    that array by ``EmpiricalDensity.from_samples`` and merged into the
+    running density, so memory is bounded by the block and the bins, not
+    by ``n``.  The window obeys ``_require_window``, and
+    (n - n0)*(hi - lo)/bins must be finite too.
     """
     _require_window(lo, hi)
     if not 2 <= bins <= MAX_BINS:
@@ -160,9 +160,8 @@ def accumulate_density(
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
     advance = problem.advance
-    raw = bytearray(8 * ACCUMULATE_BLOCK)
-    buf = memoryview(raw).cast("d")
-    samples = np.frombuffer(raw)
+    samples = np.empty(ACCUMULATE_BLOCK)
+    buf = memoryview(samples)
     density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
     restarts = 0
     for start in range(0, n, ACCUMULATE_BLOCK):

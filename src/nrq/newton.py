@@ -26,7 +26,8 @@ MAX_DEGREE = 100
 # each chunk for convergence at once.
 _ORBIT_CHUNK = 4096
 # advance tests each of its first this many steps for a pole or an overflow
-# before taking it, and tests the rest a chunk at a time after running them.
+# before taking it, and the rest a chunk at a time after running them.  At
+# least 1, as a chunk's pass reads its start from the slot before the chunk.
 _CHECKED_STEPS = 64
 
 
@@ -66,38 +67,33 @@ def make(pe, bound, neg_pe, neg_bound, checked, first_stop, asarray, {cells}):
         j, first, arr = m, m - checked, asarray(buf)
         while j < k:
             # as long as every step run before it, so a stop wastes at most that many
-            e = min(j + max(j - first, 1), k)
-            start, saved = x, arr[j:e].copy()
+            e = min(j + j - first, k)
             try:
                 for i in range(j, e):
                     buf[i] = x = ({numerator}) / ({fpx})
             except ZeroDivisionError:
                 # f' is exactly zero at x: the pass below stops here or before
                 pass
-            s = j + first_stop(fprime, start, arr[j:e])
+            s = j + first_stop(fprime, arr[j - 1 : e])
             if s < e:
-                arr[s:e] = saved[s - j :]
-                return (float(arr[s - 1]) if s > j else start), s
+                return float(arr[s - 1]), s
             j = e
         return x, k
     return advance, fprime, numerator
 """
 
 
-def _first_stop(fprime: Callable, x: float, ys: np.ndarray) -> int:
-    """Where advance's checked loop would have stopped a run from ``x`` that
-    gave the iterates ``ys``: the first step whose start is a pole or whose
-    iterate leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included, or
-    len(ys) if none does.  Slots after a stop may hold anything.  f' of
-    every start after ``x`` is one array call of the kernel's ``fprime``,
-    which has the scalar loop's bits."""
-    if -POLE_EPSILON <= fprime(x) <= POLE_EPSILON:
-        return 0
+def _first_stop(fprime: Callable, xs: np.ndarray) -> int:
+    """The first step i, from ``xs[i]`` to ``xs[i + 1]``, at which advance's
+    checked loop would have stopped (a pole at the start, or an iterate
+    outside [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included), or len(xs) - 1
+    if none.  Slots after a stop may hold anything.  The kernel's ``fprime``
+    of an array has the scalar loop's bits."""
     with np.errstate(all="ignore"):
-        stops = ~(np.abs(ys) <= OVERFLOW_BOUND)
-        stops[1:] |= np.abs(fprime(ys[:-1])) <= POLE_EPSILON
+        stops = np.abs(fprime(xs[:-1])) <= POLE_EPSILON
+        stops |= ~(np.abs(xs[1:]) <= OVERFLOW_BOUND)
     s = int(stops.argmax())
-    return s if stops[s] else len(ys)
+    return s if stops[s] else len(stops)
 
 
 def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str:
@@ -130,6 +126,8 @@ def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str
 # and zero coefficients), but each is a few kilobytes at degree 100.
 @functools.lru_cache(maxsize=256)
 def _compile(source: str, degree: int) -> Callable:
+    if _CHECKED_STEPS < 1:
+        raise ValueError(f"advance needs at least 1 checked step, not {_CHECKED_STEPS}")
     namespace = {}
     exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
     return functools.partial(
@@ -154,21 +152,21 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     kernel: it applies the map numerator(x) / fprime(x), with the same two
     expressions inline, from ``x`` and writes the iterates to ``buf[j]`` ..
     ``buf[k - 1]``, where ``buf`` is any buffer of doubles (a ``memoryview``
-    cast to "d", say).  It returns the last iterate written and ``k``, or it
-    stops early and returns the current iterate and the slot it did not
-    fill: when the next step is a pole (|f'| <= POLE_EPSILON) or its value
-    leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  It tests its
-    first ``_CHECKED_STEPS`` steps one at a time before taking them, so a
-    chain that stops soon after a restart pays no call.  The rest run in
-    unchecked chunks, each as long as all the steps of the call before it
-    (64, 128, 256, ...), whose loops make no Python call; after each chunk
-    ``_first_stop`` finds the first stop in one numpy pass, and the chunk's
-    slots at and past it get back what they held.  So the result, and every
-    slot of ``buf``, are those of the step-at-a-time loop, and a stop wastes
-    at most as many steps as the call kept.  The source depends on which
-    coefficients are 1.0 or zero, so it is compiled once per source text,
-    which is also the cache key: coefficient tuples would not do, as
-    0.0 == -0.0.
+    of a float64 array, say).  It returns the last iterate written and
+    ``k``, or it stops early and returns the current iterate and the slot
+    it did not fill: when the next step is a pole (|f'| <= POLE_EPSILON) or
+    its value leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  It
+    tests its first ``_CHECKED_STEPS`` steps one at a time before taking
+    them, so a chain that stops soon after a restart pays no call.  The
+    rest run in unchecked chunks, each as long as all the steps of the call
+    before it (64, 128, 256, ...), whose loops make no Python call; after
+    each chunk ``_first_stop`` finds the first stop in one numpy pass over
+    the chunk and the slot before it.  So the result, and the slots it
+    filled, are those of the step-at-a-time loop; the slots at and past the
+    returned one are unspecified, and a stop wastes at most as many steps
+    as the call kept.  The source depends on which coefficients are 1.0 or
+    zero, so it is compiled once per source text, which is also the cache
+    key: coefficient tuples would not do, as 0.0 == -0.0.
     """
     degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
@@ -195,7 +193,7 @@ class PolynomialProblem:
     zero).  ``advance`` is the fused orbit kernel: it runs the map over a
     buffer of doubles and stops before a pole or an overflow, testing its
     first 64 steps one at a time and the rest in doubling chunks after they
-    have run, and leaves every slot past the stop as it was.
+    have run; the slots from the stop on are unspecified.
     ``step_array`` applies the map, or its ``times``-th power, to an array
     and ``newton_step`` applies it to one float, both through the
     kernel's generated f'(x) and numerator(x), so every entry evaluates the
@@ -322,24 +320,24 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
     orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps
     in one buffer whose slot 0 holds the previous iterate, and each chunk is
-    tested for convergence at once.  Within one such call the kernel itself
-    checks its first 64 steps one at a time and the rest in doubling chunks
-    after they have run, and it writes no slot at or past where it stops.
-    Where the kernel stops early, f' at the last iterate tells a pole from
-    an overflow.
+    tested for convergence at once, up to the slot where the kernel
+    stopped.  Within one such call the kernel itself checks its first 64
+    steps one at a time and the rest in doubling chunks after they have
+    run.  Where it stops early, f' at the last iterate tells a pole from an
+    overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     advance, tol = problem.advance, policy.convergence_tol
-    raw = bytearray(8 * (min(_ORBIT_CHUNK, policy.max_steps) + 1))
-    buf = memoryview(raw).cast("d")
+    arr = np.empty(min(_ORBIT_CHUNK, policy.max_steps) + 1)
+    buf = memoryview(arr)
     x = float(x0)
     xs = [x]
     while len(xs) <= policy.max_steps:
         k = min(_ORBIT_CHUNK, policy.max_steps + 1 - len(xs))
         buf[0] = x
         x, j = advance(x, 1, k + 1, buf)
-        chunk = np.frombuffer(raw, count=j)
+        chunk = arr[:j]
         prev = chunk[:-1]
         # a move or threshold past the largest double is inf, as in Python float arithmetic
         with np.errstate(over="ignore"):

@@ -408,15 +408,16 @@ def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
 
 
 def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
-    """sigma_A * sigma_B with sigma^2 = <A^2> - <A>^2; Hermitian inputs only."""
+    """sigma_A * sigma_B with sigma = ||(A - <A>) psi||, the centered form of
+    sqrt(<A^2> - <A>^2), which would cancel when |<A>| >> sigma; Hermitian
+    inputs only."""
     a._require_hermitian()
     b._require_hermitian()
 
     def sigma(op: LinearOp) -> float:
         v = op.apply(state)
         mean = _vdot(state.amplitudes, v).real
-        var = _vdot(v, v).real - mean * mean
-        return math.sqrt(max(var, 0.0))
+        return _norm(v - mean * state.amplitudes)
 
     return sigma(a) * sigma(b)
 

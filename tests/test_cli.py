@@ -1,5 +1,6 @@
 """End-to-end CLI runs: emission formats, determinism, precedence, exit codes."""
 
+import dataclasses
 import json
 import hashlib
 import math
@@ -376,6 +377,13 @@ PINNED_OUTPUTS = [
     (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
     # overflows at step 0
     (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
+    # the map halves x, and f' = 1e-300 x is a pole from x = 0.75 on: at slot 65, the
+    # first step of the orbit kernel's first unchecked chunk, and at slot 129, the
+    # first step of its second
+    (["orbit", "--poly", "5e-301*x^2", "--x0", "13835058055282163712", "--steps", "200"],
+     "f02174f79ec5"),
+    (["orbit", "--poly", "5e-301*x^2", "--x0", "2.5521177519070385e+38", "--steps", "200"],
+     "1b03b3a054e0"),
     # the qops outputs that make no complex multiply
     (["dispersion", "--model", "tb", "--n", "64", "--t", "1", "--t", "0.2"], "567e661fca1e"),
     (["dispersion", "--model", "kg"], "2fad8bf07a50"),
@@ -395,6 +403,14 @@ def test_output_bytes_are_pinned(args, prefix, tmp_path, capsys):
         assert report["statuses"]["iterates_per_s"] > 0
     else:
         assert "iterates_per_s" not in report["statuses"]
+
+
+@pytest.mark.parametrize("args, prefix", PINNED_OUTPUTS, ids=[p for _, p in PINNED_OUTPUTS])
+def test_report_json_is_that_of_a_deep_copy(args, prefix, tmp_path):
+    # to_json dumps the report's own fields; asdict would copy them first
+    config = cli.resolve_config(cli.build_parser().parse_args(args + ["--out", str(tmp_path / "out")]))
+    report = cli.run(config)
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True)
 
 
 def _numpy_blas_is_openblas() -> bool:

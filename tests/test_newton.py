@@ -1,5 +1,6 @@
 """Newton map unit tests: step arithmetic, orbit statuses."""
 
+import contextlib
 import math
 import os
 import pickle
@@ -229,6 +230,18 @@ _ADVANCE_EXAMPLES = [
     ([1.0] * (MAX_DEGREE + 1), 1.5, 1, 40),  # the kernel's deepest expression
     ([0.0, 0.0, 5e-301], 6.0, 0, 10),  # halves x: f' = 1e-300 x is a nonzero pole at step 3
     ([0.0, 0.0, 1.0], 0.5, 2, 600),  # x^2 halves 0.5 to exactly 0 at step 538, then f' = 0
+    # from 0.75 * 2^64, f' = 1e-300 x first reaches POLE_EPSILON at x = 0.75, on
+    # step 65: the first step of the first unchecked chunk under the default prefix
+    ([0.0, 0.0, 5e-301], 13835058055282163712.0, 0, 200),
+    ([4.0, 2e-300, 1.0], 2.0, 0, 5),  # 2 -> 0, then f' = 2e-300 sends 0 to -2e300: out
+    ([1e10, 2e-299, 1.0], 1e5, 0, 5),  # 1e5 -> 0, then 0 -> -inf
+    ([16.0, 1.6e-199, 0.0, 1.0], 2.0, 0, 5),  # 2 -> 0 -> -1e200, then -inf / inf = NaN
+    # the same map from starts whose orbits land exactly on -2 and 2 (built
+    # backwards, searching the doubles around each real preimage), so they
+    # reach 0 and overflow on steps 65 and 101: the first step of the first
+    # unchecked chunk and a step inside it
+    ([4.0, 2e-300, 1.0], -8.358407126781496e16, 0, 200),
+    ([4.0, 2e-300, 1.0], 5.743853640988776e27, 1, 200),
 ]
 
 
@@ -236,6 +249,18 @@ def _with_advance_examples(test):
     for args in _ADVANCE_EXAMPLES:
         test = example(*args)(test)
     return test
+
+
+@contextlib.contextmanager
+def _checked_steps(n):
+    """Kernels compiled inside the block test their first n steps one at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nrq.newton._CHECKED_STEPS", n)
+        newton._compile.cache_clear()
+        try:
+            yield
+        finally:
+            newton._compile.cache_clear()
 
 
 def _check_advance(coefficients, x0, j0, k):
@@ -247,7 +272,7 @@ def _check_advance(coefficients, x0, j0, k):
     assert j == j0 + len(expected)
     assert _bits_of(buf[j0:j]) == _bits_of(expected)
     assert _bits(x) == _bits(expected[-1] if expected else x0)
-    assert not any(buf[:j0]) and not any(buf[j:])  # no slot outside the run is written
+    assert not any(buf[:j0])  # no slot before the run is written
 
 
 @given(
@@ -269,15 +294,16 @@ def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
 )
 @_with_advance_examples
 def test_advance_matches_a_chain_of_steps_in_unchecked_chunks(coefficients, x0, j0, k):
-    # with no checked steps, advance runs every step in chunks of 1, 1, 2, 4, ...
-    # steps and finds each stop after its chunk has run
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nrq.newton._CHECKED_STEPS", 0)
-        newton._compile.cache_clear()
-        try:
-            _check_advance(coefficients, x0, j0, k)
-        finally:
-            newton._compile.cache_clear()
+    # with the smallest prefix, one checked step, advance runs every later step
+    # in chunks of 1, 2, 4, ... steps and finds each stop after its chunk has run
+    with _checked_steps(1):
+        _check_advance(coefficients, x0, j0, k)
+
+
+def test_advance_needs_a_checked_step():
+    # a chunk's pass reads its start from the slot the checked steps wrote last
+    with _checked_steps(0), pytest.raises(ValueError, match="checked step"):
+        PolynomialProblem((1.0, 0.0, 1.0))
 
 
 def test_problem_pickles_with_a_working_step():
@@ -366,6 +392,7 @@ def _scalar_orbit(problem, x0, policy):
 @example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 3)  # converges at step 15, a chunk's last slot
 @example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 7)  # converges at step 15, a chunk's first slot
 @example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12, 7)  # the two-well quartic
+@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12, 4096)  # out on step 65, in a kernel chunk
 def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol, chunk):
     problem = PolynomialProblem(coefficients)
     policy = IterationPolicy(max_steps=max_steps, convergence_tol=tol)

@@ -320,6 +320,70 @@ def test_uncertainty_width_sweep():
         assert product >= 0.45
 
 
+def _theta_uncertainty_product(n: int, sigma: float) -> float:
+    """sigma_x * sigma_k, at 30 digits, of a packet sampled on a unit grid of
+    n sites and centered on a grid point, with negligible mass at the edges.
+    With q = exp(-1/(2 sigma^2)), |psi_l|^2 = q^((l - m)^2), so sigma_x^2 =
+    -theta_3''(0, q) / (4 theta_3(0, q)); the DFT of the samples is
+    theta_3(k/2, sqrt(q)) up to a phase, so sigma_k^2 is the second central
+    moment of theta_3(k_j/2, sqrt(q))^2 over the grid's wave numbers k_j."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(-1 / (2 * mpmath.mpf(sigma) ** 2))
+        var_x = -mpmath.jtheta(3, 0, q, 2) / (4 * mpmath.jtheta(3, 0, q))
+        # theta_3 is even in k, and k_j = 2 pi j / n on the branch -n/2 < j <= n/2
+        weight = [mpmath.jtheta(3, mpmath.pi * j / n, mpmath.sqrt(q)) ** 2 for j in range(n // 2 + 1)]
+        js = [j if j <= n // 2 else j - n for j in range(n)]
+        ks = [2 * mpmath.pi * j / n for j in js]
+        ws = [weight[abs(j)] for j in js]
+        total = mpmath.fsum(ws)
+        mean = mpmath.fsum(k * w for k, w in zip(ks, ws)) / total
+        var_k = mpmath.fsum((k - mean) ** 2 * w for k, w in zip(ks, ws)) / total
+        return float(mpmath.sqrt(var_x * var_k))
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 2.0, 8.0])
+def test_uncertainty_product_matches_the_theta_oracle(n, sigma):
+    # the packet sits near 0.7 L, so <x> >> sigma_x: sqrt(<x^2> - <x>^2) would
+    # lose about (<x> / sigma_x)^2 ulps there, up to 6e-8 relative at n = 4096
+    g = Grid(n, 1.0)
+    packet = gaussian_packet(g, float(round(0.7 * n)), sigma)
+    product = uncertainty_product(packet, position_operator(g), wavevector_operator(g))
+    assert product == pytest.approx(_theta_uncertainty_product(n, sigma), rel=1e-12, abs=0)
+
+
+def _dft_commutator_expectation(psi: np.ndarray, xs: np.ndarray, ks: np.ndarray) -> complex:
+    """<psi|[x, k]|psi> at 30 digits: 2i Im <x psi|k psi> for Hermitian x and
+    k, where <x psi|k psi> = sum_j conj(F(x psi)_j) k_j F(psi)_j / n for the
+    unnormalized DFT F, summed term by term."""
+    n = len(psi)
+    with mpmath.workdps(30):
+        roots = [mpmath.expjpi(mpmath.mpf(-2 * j) / n) for j in range(n)]
+        a = [mpmath.mpc(complex(z)) for z in psi]
+        xa = [mpmath.mpf(float(x)) * z for x, z in zip(xs, a)]
+
+        def dft(v):
+            return [mpmath.fsum(v[l] * roots[j * l % n] for l in range(n)) for j in range(n)]
+
+        inner = mpmath.fsum(mpmath.conj(f) * mpmath.mpf(float(k)) * h for f, k, h in zip(dft(xa), ks, dft(a)))
+        return complex(2j * (inner / n).imag)
+
+
+@pytest.mark.parametrize(
+    "center, sigma, carrier",
+    [(128.0, 8.0, 0.0), (179.0, 0.4, 1.0)],
+    ids=["criterion-7-packet", "narrow-with-carrier"],
+)
+def test_commutator_expectation_matches_a_30_digit_dft(center, sigma, carrier):
+    # the narrow packet's <[x, k]> is far from i (0.458i): the discrete value, not i
+    g = Grid(256, 1.0)
+    packet = gaussian_packet(g, center, sigma, carrier)
+    value = expectation(commutator(position_operator(g), wavevector_operator(g)), packet)
+    oracle = _dft_commutator_expectation(packet.amplitudes, g.positions(), wavevector_values(g))
+    # rounding of terms as large as |x| |k| <= 256 pi
+    assert abs(value - oracle) <= 1e-13
+
+
 def test_uncertainty_rejects_non_hermitian():
     g = Grid(4)
     with pytest.raises(NonHermitianInput):
