@@ -55,10 +55,10 @@ CSV_MAGIC = "# nrq-csv v1"
 # An orbit keeps every iterate and its output is rendered as one string,
 # about 270 B a step, so this bounds orbit's memory to roughly 30 MB.
 MAX_ORBIT_STEPS = 100_000
-# An ops-check evolve step costs about 20 us at n = 8 and 25 us at n = 1024,
-# on top of about 0.5 s a size at n = 1024, so the step count and the
+# An ops-check evolve step costs about 9 us at n = 8 and 40 us at n = 1024,
+# on top of about 0.2 s a size at n = 1024, so the step count and the
 # number of sizes are capped: the slowest admitted run, eight sizes of 1024
-# at 10000 steps each, takes about 9 s end to end on 2 cores.
+# at 10000 steps each, takes about 5.5 s end to end on 2 cores.
 MAX_OPS_CHECK_STEPS = 10_000
 MAX_OPS_CHECK_SIZES = 8
 # A dispersion sample is one csv row or two json numbers, about 40 B of
@@ -413,17 +413,19 @@ def _run_ops_check(opt) -> Result:
     sizes = opt["n"] or [64]
     if len(sizes) > MAX_OPS_CHECK_SIZES:
         raise ConfigError(f"--n is capped at {MAX_OPS_CHECK_SIZES} sizes, got {len(sizes)}")
-    # every size is checked before any runs: a size of 1024 takes a second
+    # every size is checked before any runs: a size of 1024 takes about 0.2 s
     if max(sizes) > MAX_DENSE_N:
         raise ConfigError(f"--n is capped at {MAX_DENSE_N} to bound memory, got {max(sizes)}")
-    reports = [
-        ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"])
-        for n in sizes
-    ]
+    reports, ms_per_size = [], []
+    for n in sizes:
+        started = time.perf_counter()
+        reports.append(ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"]))
+        ms_per_size.append(1e3 * (time.perf_counter() - started))
     worst = max(
         v for r in reports for k, v in r.items() if k != "n"
     )
-    return Result({"sizes": list(sizes), "worst_residual": worst}, {"reports": reports})
+    statuses = {"sizes": list(sizes), "worst_residual": worst, "ms_per_size": ms_per_size}
+    return Result(statuses, {"reports": reports})
 
 
 def _run_dispersion(opt) -> Result:

@@ -232,16 +232,20 @@ class LinearOp:
         for cols in _column_slices(n):
             eye = np.zeros((n, cols.stop - cols.start), dtype=complex)
             eye[cols] = np.eye(cols.stop - cols.start)
-            yield cols, self._apply(eye)
+            yield cols, self._apply(eye, out=eye)
 
-    def _apply(self, a: np.ndarray) -> np.ndarray:
-        """The operator applied to a vector, or to each column of a matrix."""
+    def _apply(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The operator applied to a vector, or to each column of a matrix,
+        written into out when it is given (out may be a) and returned.  A
+        circulant transforms, multiplies and transforms back in one array."""
         if self.spectrum is None:
-            return self._matrix @ a
+            return np.matmul(self._matrix, a, out=out)
         s = self.spectrum if a.ndim == 1 else self.spectrum[:, None]
         if self._on_sites:
-            return s * a
-        return np.fft.ifft(s * np.fft.fft(a, axis=0), axis=0)
+            return np.multiply(s, a, out=out)
+        f = np.fft.fft(a, axis=0, out=out)
+        np.multiply(s, f, out=f)
+        return np.fft.ifft(f, axis=0, out=f)
 
     def _real_spectrum(self) -> np.ndarray:
         """An operator held as a spectrum is Hermitian exactly when it is real."""
@@ -268,7 +272,7 @@ class LinearOp:
         operator's the conjugate transpose of its matrix."""
         adjoint = (self._in_basis(self.spectrum.conj()) if self.spectrum is not None
                    else LinearOp(self.matrix.conj().T))
-        return _worst(_less_identity(cols, adjoint._apply(block))
+        return _worst(_less_identity(cols, adjoint._apply(block, out=block))
                       for cols, block in self.column_blocks())
 
     def _require_hermitian(self):
@@ -306,7 +310,8 @@ class LinearOp:
 
 class _Composition(LinearOp):
     """An operator on n sites known by its action alone, its ``_apply`` on
-    a vector or on each column of a block; it holds no matrix."""
+    a vector or on each column of a block, action(a, out=None), whose last
+    ufunc writes into out; it holds no matrix."""
 
     def __init__(self, n: int, action):
         self._n = n
@@ -393,7 +398,7 @@ def projector(onto: StateVector) -> LinearOp:
     """Rank-1 projector |psi><psi|, applied as psi <psi|v>: to a block,
     column by column, with one inner product per column."""
     a = onto.amplitudes
-    return _Composition(a.size, lambda v: np.multiply.outer(a, _inner(a, v.T)))
+    return _Composition(a.size, lambda v, out=None: np.multiply.outer(a, _inner(a, v.T), out=out))
 
 
 def born_probability(state: StateVector, outcome: StateVector) -> float:
@@ -404,7 +409,9 @@ def born_probability(state: StateVector, outcome: StateVector) -> float:
 def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
     """[A, B], applied as A(Bv) - B(Av)."""
     _check_same_dim(a, b)
-    return _Composition(a.n, lambda v: a._apply(b._apply(v)) - b._apply(a._apply(v)))
+    return _Composition(
+        a.n, lambda v, out=None: np.subtract(a._apply(b._apply(v)), b._apply(a._apply(v)), out=out)
+    )
 
 
 def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
@@ -472,7 +479,9 @@ def tight_binding_hamiltonian(grid: Grid, onsite, hoppings) -> LinearOp:
     if not on_sites:
         return LinearOp(spectrum=band)
     hopping, sites = LinearOp(spectrum=band), _diagonal(eps)
-    return _Composition(grid.n_points, lambda v: hopping._apply(v) + sites._apply(v))
+    return _Composition(
+        grid.n_points, lambda v, out=None: np.add(hopping._apply(v), sites._apply(v), out=out)
+    )
 
 
 def _propagator(hamiltonian: LinearOp, tau: float) -> LinearOp:
@@ -623,8 +632,10 @@ def ops_check(
     T^n's identity columns: T is applied to each block of its columns,
     which are its rows, the Fourier modes, as the table is symmetric, and
     those modes carry the Born sum, summed in mode order.  The evolve loop
-    applies one propagator ``evolve_steps`` times, holding each step's
-    norm^2 to NORM_TOL as ``StateVector`` does.
+    applies one propagator ``evolve_steps`` times, writing each step into
+    the next row of one _BLOCK_COLUMNS x n block; after each block it takes
+    every row's norm in one ``_norms`` call and holds each step's norm^2 to
+    NORM_TOL as ``StateVector`` does, in step order.
     """
     _require_dense(n)
     if evolve_steps < 1:
@@ -658,11 +669,15 @@ def ops_check(
     }
 
     step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
+    block = np.empty((_BLOCK_COLUMNS, n), dtype=complex)
     a = psi.amplitudes
     drift = 0.0
-    for _ in range(evolve_steps):
-        a = step._apply(a)
-        drift = max(drift, _require_unit_norm(_norm(a)))
+    for start in range(0, evolve_steps, _BLOCK_COLUMNS):
+        rows = block[:evolve_steps - start]
+        for row in rows:
+            a = step._apply(a, out=row)
+        for nrm in _norms(rows):
+            drift = max(drift, _require_unit_norm(nrm))
     once = evolve(psi, freq, 0.35)
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     composition = float(np.abs(once.amplitudes - twice.amplitudes).max())

@@ -31,7 +31,7 @@ from nrq import cli, measure
 from nrq.measure import EmpiricalDensity, InvalidRange, accumulate_density, cauchy_density, find_cycles
 from nrq.newton import PolynomialProblem
 from nrq.parsing import MAX_POLY_LENGTH
-from nrq.qops import Grid, tight_binding_band, tight_binding_hamiltonian, wavevector_values
+from nrq.qops import Grid, ops_check, tight_binding_band, tight_binding_hamiltonian, wavevector_values
 
 
 def run_cli(args, capsys):
@@ -278,6 +278,11 @@ def test_ops_check_command(tmp_path, capsys):
         ["ops-check", "--n", "8", "--n", "16", "--steps", "50", "--out", str(out)], capsys
     )
     assert code == EXIT_OK
+    # one compute time per size, in the report alone: the file holds the reports
+    ms_per_size = read_report(stdout)["statuses"]["ms_per_size"]
+    assert len(ms_per_size) == 2 and all(ms > 0 for ms in ms_per_size)
+    reports = [ops_check(n, evolve_steps=50) for n in (8, 16)]
+    assert out.read_text() == json.dumps({"reports": reports}, sort_keys=True) + "\n"
     payload = json.loads(out.read_text())
     assert [r["n"] for r in payload["reports"]] == [8, 16]
     for report in payload["reports"]:

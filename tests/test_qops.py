@@ -38,7 +38,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
-from nrq.qops import MAX_DENSE_N, _propagator
+from nrq.qops import _BLOCK_COLUMNS, MAX_DENSE_N, _norm, _norms, _propagator
 
 
 def test_grid_validation():
@@ -708,11 +708,69 @@ def _reference_ops_check(n, spacing, seed, steps):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
 def test_ops_check_matches_the_public_reference_bit_for_bit(n):
+    # 63, 64, 65 and 129 steps end the evolve loop on either side of its block edges
     for spacing in (1.0, 0.37):
         for seed in (0, 7):
-            for steps in (1, 50):
+            for steps in (1, 50, 63, 64, 65, 129):
                 expected = _reference_ops_check(n, spacing, seed, steps)
                 assert ops_check(n, spacing, seed, steps) == expected, (spacing, seed, steps)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_ops_check_raises_at_the_step_a_step_at_a_time_loop_fails(n, monkeypatch):
+    """A propagator whose spectrum is scaled by 1 + 6e-13 grows norm^2 by
+    about 1.2e-12 a step, past NORM_TOL in the second block of 64 steps;
+    ops_check raises the ValueError that one evolve call per step raises."""
+    def grown(hamiltonian, tau):
+        return LinearOp(spectrum=_propagator(hamiltonian, tau).spectrum * (1 + 6e-13))
+
+    monkeypatch.setattr("nrq.qops._propagator", grown)
+    freq = frequency_operator(Grid(n))
+    rng = np.random.default_rng(0)
+    state = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    with pytest.raises(ValueError) as step_at_a_time:
+        for step in range(1, 1000):
+            state = evolve(state, freq, 0.05)
+    assert _BLOCK_COLUMNS < step <= 2 * _BLOCK_COLUMNS
+    with pytest.raises(ValueError) as blocked:
+        ops_check(n, evolve_steps=3 * _BLOCK_COLUMNS)
+    assert str(blocked.value) == str(step_at_a_time.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1000, 1024, 4097])
+def test_norms_of_a_block_are_the_norms_of_its_rows(n):
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(_BLOCK_COLUMNS, n)) + 1j * rng.normal(size=(_BLOCK_COLUMNS, n))
+    for rows in (block, block[:1], block[:5]):
+        assert _norms(rows).tobytes() == np.array([_norm(row) for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+def test_apply_into_a_buffer_has_the_bits_of_a_fresh_apply(n):
+    """_apply(a, out=buf) returns buf with the bytes of _apply(a) and leaves
+    a alone; written into a itself, as column_blocks does, the bytes hold."""
+    g = Grid(n)
+    rng = np.random.default_rng(n)
+    ops = {
+        "circulant": shift_operator(g),
+        "site-diagonal": position_operator(g),
+        "dense": LinearOp(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
+        "commutator": commutator(position_operator(g), wavevector_operator(g)),
+        "projector": projector(gaussian_packet(g, n / 2.0, 1.0)),
+        # the hopping range must stay below n/2, so the 2-site ring is onsite-only
+        "callable-onsite": tight_binding_hamiltonian(g, lambda x: 0.1 * x, [1.0] if n > 2 else []),
+    }
+    for kind, op in ops.items():
+        for shape in ((n,), (n, _BLOCK_COLUMNS)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            kept = a.tobytes()
+            expected = op._apply(a).tobytes()
+            buf = np.empty_like(a)
+            assert op._apply(a, out=buf) is buf, (kind, shape)
+            assert buf.tobytes() == expected, (kind, shape)
+            assert a.tobytes() == kept, (kind, shape)
+            assert op._apply(a, out=a) is a, (kind, shape)
+            assert a.tobytes() == expected, (kind, shape)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 257])
