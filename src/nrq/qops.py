@@ -47,7 +47,9 @@ class BadRepresentation(ValueError):
 
 # cap on N for an N x N complex array, 16 N^2 bytes: 16.8 MB at N = 1024
 MAX_DENSE_N = 1024
-# identity columns per block, wherever an operator is applied to the identity
+# columns or rows per block: the identity's column blocks, wherever an
+# operator is applied to the identity, and ops_check's evolve steps per
+# norm pass
 _BLOCK_COLUMNS = 64
 
 HERMITIAN_TOL = 1e-12
