@@ -38,6 +38,10 @@ ACCUMULATE_BLOCK = 65536
 # bin count is capped before anything is allocated.
 MAX_BINS = 100_000
 
+# _Tally bins its samples this many at a time, into work buffers of this
+# length made once, so binning allocates nothing that grows with a block.
+_TALLY_BLOCK = 8192
+
 
 @dataclass(eq=False)
 class EmpiricalDensity:
@@ -109,14 +113,76 @@ class EmpiricalDensity:
 
     @classmethod
     def from_samples(cls, samples, lo: float, hi: float, bins: int):
+        """``np.histogram(samples, bins, range=(lo, hi))`` with the two tails,
+        counted by ``_Tally``; a NaN sample raises ValueError."""
+        tally = _Tally(lo, hi, bins)
+        tally.add(np.asarray(samples, dtype=float).reshape(-1))
+        return tally.density()
+
+
+class _Tally:
+    """``np.histogram`` on uniform bins, with its counts to the bit, and tails.
+
+    ``add`` counts sample arrays into bins + 2 slots: below lo, the bins of
+    ``np.linspace(lo, hi, bins + 1)`` (``EmpiricalDensity.edges``), above
+    hi.  A slot is found by numpy's uniform-bin steps, shifted up one: k =
+    (x - lo)/(hi - lo)*bins truncated, with bins taken as bins - 1; then k
+    + 1, less one where x < edges[k]; then one more where x >= edges[k +
+    1] and k is not the last bin.  The tails fall out of the same steps: x
+    < lo = edges[0] steps down from k = 0 to slot 0, and the last bin steps
+    up to slot bins + 1 where x >= the double after hi, that is where x >
+    hi.  Samples are taken ``_TALLY_BLOCK`` at a time, and every pass
+    writes into work buffers made once.
+    """
+
+    def __init__(self, lo: float, hi: float, bins: int):
         _require_window(lo, hi)
-        arr = np.asarray(samples, dtype=float)
-        if np.isnan(arr).any():
-            raise ValueError("samples contain NaN, which no bin or tail can hold")
-        counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
-        below = int(np.count_nonzero(arr < lo))
-        above = int(np.count_nonzero(arr > hi))
-        return cls(lo, hi, bins, counts, below, above)
+        if bins < 2:
+            raise ValueError("bins must be >= 2")
+        edges = np.linspace(lo, hi, bins + 1)
+        if not (edges[:-1] < edges[1:]).all():
+            # np.histogram's own error for this window
+            raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+        self.lo, self.hi, self.bins = lo, hi, bins
+        self._edges = edges
+        # _upper[k + 1] is the edge that bin k steps up at; slot 0 (below lo)
+        # never steps up
+        self._upper = np.concatenate(([np.inf], edges[1:-1], [np.nextafter(hi, np.inf)]))
+        self._counts = np.zeros(bins + 2, dtype=np.int64)
+        self._f = np.empty(_TALLY_BLOCK)
+        self._k = np.empty(_TALLY_BLOCK, dtype=np.intp)
+        self._b = np.empty(_TALLY_BLOCK, dtype=bool)
+
+    def add(self, samples: np.ndarray) -> None:
+        """Bin a 1-D float64 array; a NaN in it raises ValueError."""
+        lo, hi, bins = self.lo, self.hi, self.bins
+        width = hi - lo
+        # a sample far outside the window may overflow its estimate to +-inf
+        with np.errstate(over="ignore"):
+            for i in range(0, samples.size, _TALLY_BLOCK):
+                x = samples[i : i + _TALLY_BLOCK]
+                f, k, b = self._f[: x.size], self._k[: x.size], self._b[: x.size]
+                if np.isnan(x, out=b).any():
+                    raise ValueError("samples contain NaN, which no bin or tail can hold")
+                np.subtract(x, lo, out=f)
+                np.divide(f, width, out=f)
+                np.multiply(f, bins, out=f)
+                # an in-window estimate lies in [0, bins], so truncating it
+                # clipped to [0, bins - 1] is numpy's truncation with bins
+                # taken to bins - 1; a tail's estimate is clipped to an end
+                np.clip(f, 0, bins - 1, out=f)
+                np.copyto(k, f, casting="unsafe")
+                # take writes to out unbuffered unless mode="raise"; every
+                # index is in range
+                np.take(self._edges, k, out=f, mode="clip")
+                np.add(k, np.greater_equal(x, f, out=b), out=k)
+                np.take(self._upper, k, out=f, mode="clip")
+                np.add(k, np.greater_equal(x, f, out=b), out=k)
+                self._counts += np.bincount(k, minlength=bins + 2)
+
+    def density(self, restarts: int = 0) -> EmpiricalDensity:
+        c = self._counts
+        return EmpiricalDensity(self.lo, self.hi, self.bins, c[1:-1].copy(), int(c[0]), int(c[-1]), restarts)
 
 
 def accumulate_density(
@@ -143,11 +209,14 @@ def accumulate_density(
     steps after each start one at a time, so a chain that stops again soon
     costs no extra call, and runs the rest in unchecked chunks of 64, 128,
     256, ... steps, each checked in one numpy pass after it has run; a stop
-    discards the rest of its chunk.  Each block is binned straight from
-    that array by ``EmpiricalDensity.from_samples`` and merged into the
-    running density, so memory is bounded by the block and the bins, not
-    by ``n``.  The window obeys ``_require_window``, and
-    (n - n0)*(hi - lo)/bins must be finite too.
+    discards the rest of its chunk.  Each block's kept iterates are added
+    straight from that array to one ``_Tally``, which counts them as
+    ``np.histogram`` would, to the bit, in work buffers made once; the
+    density is built from it at the end, so memory is bounded by the
+    block and the bins, not by ``n``.  The window obeys
+    ``_require_window``, and (n - n0)*(hi - lo)/bins must be finite too; a
+    window too narrow for ``bins`` distinct edges raises numpy's "Too many
+    bins" ValueError before the orbit runs.
     """
     _require_window(lo, hi)
     if not 2 <= bins <= MAX_BINS:
@@ -160,9 +229,9 @@ def accumulate_density(
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
     advance = problem.advance
-    samples = np.empty(ACCUMULATE_BLOCK)
+    tally = _Tally(lo, hi, bins)
+    samples = np.empty(min(ACCUMULATE_BLOCK, n))
     buf = memoryview(samples)
-    density = EmpiricalDensity(lo, hi, bins, np.zeros(bins, dtype=np.int64))
     restarts = 0
     for start in range(0, n, ACCUMULATE_BLOCK):
         # iterates start+1 .. start+m fill buf[0 .. m-1], then are binned
@@ -173,10 +242,8 @@ def accumulate_density(
             restarts += 1
             buf[j] = x
             x, j = advance(x, j + 1, m, buf)
-        kept = samples[max(n0 - start, 0) : m]
-        density = density.merge(EmpiricalDensity.from_samples(kept, lo, hi, bins))
-    density.restarts = restarts
-    return density
+        tally.add(samples[max(n0 - start, 0) : m])
+    return tally.density(restarts)
 
 
 @dataclass(frozen=True)

@@ -734,6 +734,23 @@ def test_bad_range_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "InvalidRange"
 
 
+def test_window_too_narrow_for_its_bins_exits_2_with_numpys_message(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(
+        ["density", "--poly", "x^2+1", "--iters", "100", "--burnin", "0", "--bins", "100",
+         "--range=1e15:1000000000000002", "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "Too many bins for data range. Cannot create 100 finite-sized bins.",
+    }
+    assert stdout == ""
+    assert not out.exists()
+
+
 # every entry that takes a window [lo, hi]: a library call returns an array
 # that must be finite, and a CLI run writes to out and returns its exit code
 _X2P1 = (1.0, 0.0, 1.0)

@@ -1,9 +1,13 @@
 """Density accumulation, analytic-density comparison, cycles, interference."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+import nrq
 from nrq import (
     EmpiricalDensity,
     InvalidRange,
@@ -175,6 +180,75 @@ def test_from_samples_rejects_nan():
         EmpiricalDensity.from_samples([0.5, math.nan, 0.7], 0.0, 1.0, 2)
 
 
+def _numpy_tally(x, lo, hi, bins):
+    """np.histogram's counts on the window and the two tails, or its error."""
+    try:
+        counts, _ = np.histogram(x, bins, range=(lo, hi))
+    except ValueError as e:
+        return str(e)
+    return counts.tolist(), int(np.count_nonzero(x < lo)), int(np.count_nonzero(x > hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-300, max_value=299),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=1e-6, max_value=4.0),
+    st.integers(min_value=2, max_value=measure.MAX_BINS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(-300, -1.0, 4.0, 2, 0)  # [-1e-300, 3e-300]
+@example(300, -1.0, 2.0, measure.MAX_BINS, 1)  # [-1e300, 1e300]
+@example(-300, -1.0, 4.0, 1000, 2)
+@example(0, 0.0, 1.0, 3, 3)
+def test_tally_matches_numpy_histogram(exponent, a, w, bins, seed):
+    # lo = a * 10^exponent, hi = lo + w * 10^exponent; the samples are every
+    # edge and its two neighbours, signed zeros, infinities, the extreme
+    # doubles and uniform draws around the window, added in two pieces
+    scale = 10.0**exponent
+    lo = a * scale
+    hi = lo + w * scale
+    if not lo < hi:
+        return
+    edges = np.linspace(lo, hi, bins + 1)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308],
+        rng.uniform(lo - (hi - lo), hi + (hi - lo), 5000),
+    ])
+    rng.shuffle(x)
+    expected = _numpy_tally(x, lo, hi, bins)
+    try:
+        tally = measure._Tally(lo, hi, bins)
+    except ValueError as e:
+        assert str(e) == expected
+        return
+    cut = int(rng.integers(0, x.size + 1))
+    tally.add(x[:cut])
+    tally.add(x[cut:])
+    got = tally.density()
+    assert (got.counts.tolist(), got.below_count, got.above_count) == expected
+
+
+def test_narrow_window_raises_numpys_error_before_the_orbit_runs():
+    lo, hi, bins = 1e15, 1e15 + 2, 100
+    message = _numpy_tally(np.array([lo]), lo, hi, bins)
+    assert message.startswith("Too many bins")
+    with pytest.raises(ValueError) as raised:
+        EmpiricalDensity.from_samples([lo], lo, hi, bins)
+    assert str(raised.value) == message
+
+    def no_orbit(*args):
+        raise AssertionError("the orbit ran")
+
+    with pytest.raises(ValueError) as raised:
+        accumulate_density(types.SimpleNamespace(advance=no_orbit), lo, 0, 10, lo, hi, bins)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("lo, hi, bins", [(0.0, 1e308, 200), (0.0, 1e308, 4), (-1e308, 1e308, 200)])
 def test_accumulate_rejects_window_whose_bin_arithmetic_overflows(lo, hi, bins):
     with pytest.raises(InvalidRange):
@@ -295,6 +369,22 @@ def test_accumulate_in_blocks_matches_the_whole_orbit_at_a_generic_degree(n0, n,
     _assert_blocks_match_the_whole_orbit(cubic, 1e200, n0, n, monkeypatch)
 
 
+@pytest.mark.parametrize("tally_block", [3, 8])
+@pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
+@pytest.mark.parametrize("problem, x0", [(NO_REAL_ROOT, 1.0), (PolynomialProblem((2.0, -2.0, 0.0, 1.0)), 1e200)])
+def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, n, tally_block, monkeypatch):
+    # np.histogram of the whole kept orbit, independent of the tally; the
+    # tally's sub-blocks of 3 do not divide the blocks of 7, and those of 8
+    # are longer than a block
+    monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
+    monkeypatch.setattr("nrq.measure._TALLY_BLOCK", tally_block)
+    xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
+    kept = np.array(xs[n0:])
+    got = accumulate_density(problem, x0, n0, n, -3.0, 3.0, 12, seed=4)
+    assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(kept, -3.0, 3.0, 12)
+    assert got.restarts == restarts
+
+
 def _fixed_point_advance(x, j, k, buf):
     """An orbit kernel whose map is the identity: it writes x unchanged."""
     for j in range(j, k):
@@ -315,6 +405,44 @@ def test_accumulate_memory_does_not_grow_with_the_orbit():
         tracemalloc.stop()
     assert d.in_range == 999_000
     assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("n", [201_000, 2_001_000])
+def test_accumulate_peak_memory_does_not_grow_with_iters(n):
+    # the density command's x^2+1 run: one block of samples, the kernel's
+    # chunk arrays and the tally's work buffers, whatever n is
+    tracemalloc.start()
+    try:
+        d = accumulate_density(NO_REAL_ROOT, None, 1000, n, -10.0, 10.0, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.total == n - 1000
+    assert peak <= 1_500_000
+
+
+_SECOND_RUN_FAULTS = """
+import resource
+from nrq.measure import accumulate_density
+from nrq.newton import PolynomialProblem
+run = lambda: accumulate_density(PolynomialProblem((1.0, 0.0, 1.0)), None, 1000, 201000, -10.0, 10.0, 200, seed=1)
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the Linux minor faults of a fresh process")
+def test_accumulate_binning_takes_no_fresh_pages():
+    # np.histogram made about 2.3 MB of temporaries a block, which the
+    # allocator handed back to the OS each time, so a second run faulted
+    # about 1800 fresh pages; the tally's buffers are reused, and what is
+    # left is mostly the kernel's chunk arrays
+    src = str(Path(nrq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 400
 
 
 def test_accumulate_deterministic():
