@@ -53,7 +53,7 @@ from .qops import (
 CSV_MAGIC = "# nrq-csv v1"
 
 # An orbit keeps every iterate and its output is rendered as one string,
-# about 270 B a step, so this bounds orbit's memory to roughly 30 MB.
+# about 260 B a step of peak RSS for csv, so this bounds it to roughly 26 MB.
 MAX_ORBIT_STEPS = 100_000
 # An ops-check evolve step costs about 9 us at n = 8 and 40 us at n = 1024,
 # on top of about 0.2 s a size at n = 1024, so the step count and the
@@ -260,11 +260,11 @@ class Result:
 
 
 def _render(result: Result, output_format: str) -> str:
-    """The one place that picks the output format."""
+    """The one place that picks the output format, and where a payload array becomes a list."""
     if output_format == "csv":
         return emit_csv(result.header, result.columns, result.meta)
     if output_format == "json":
-        return json.dumps(result.payload, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(result.payload, sort_keys=True, allow_nan=False, default=np.ndarray.tolist) + "\n"
     return result.svg()
 
 
@@ -292,6 +292,8 @@ def _problem(options):
 
 def _accumulate(problem, opt) -> EmpiricalDensity:
     """The orbit visit density that density and interfere both write."""
+    if not opt["iters"] > opt["burnin"] >= 0:
+        raise ConfigError(f"need --iters > --burnin >= 0, got {opt['iters']} and {opt['burnin']}")
     lo, hi = _parse_range(opt["range"])
     return accumulate_density(
         problem, opt.get("x0"), opt["burnin"], opt["iters"], lo, hi, opt["bins"], seed=opt["seed"]
@@ -315,7 +317,7 @@ def _histogram_result(
     centers, densities = density.centers(), density.densities()
     return Result(
         statuses,
-        _with_meta(meta, bin_centers=centers.tolist(), densities=densities.tolist(), **payload),
+        _with_meta(meta, bin_centers=centers, densities=densities, **payload),
         header=("bin_center", "density"),
         columns=(centers, densities),
         meta=meta,
@@ -335,14 +337,14 @@ def _run_orbit(opt) -> Result:
         "status": orbit.status.value,
         "steps_recorded": len(orbit.iterates) - 1,
         "event_step": orbit.step,
-        "final": orbit.iterates[-1],
+        "final": float(orbit.iterates[-1]),
     }
     meta = {"poly": opt["poly"], "x0": opt["x0"], "status": orbit.status.value}
     return Result(
         statuses,
         _with_meta(meta, iterates=orbit.iterates),
         header=("step", "x"),
-        columns=(np.arange(len(orbit.iterates)), np.array(orbit.iterates)),
+        columns=(np.arange(len(orbit.iterates)), orbit.iterates),
         meta=meta,
     )
 
@@ -370,8 +372,8 @@ def _run_cycles(opt) -> Result:
     }
     payload = {
         "period": opt["period"],
-        "cycles": [{"points": list(c.points), "residual": c.residual} for c in scan.cycles],
-        "pole_intervals": [list(iv) for iv in scan.pole_intervals],
+        "cycles": [{"points": c.points, "residual": c.residual} for c in scan.cycles],
+        "pole_intervals": scan.pole_intervals,
     }
     rows = (
         (ci, pi, p)
@@ -396,14 +398,13 @@ def _run_interfere(opt) -> Result:
         raise ConfigError(f"bad --delta: {exc}") from exc
     density = _accumulate(problem, opt)
     peaks = peak_detect(density, opt["min_prominence"])
-    peak_list = [[c, h, p] for c, h, p in peaks]
     return _histogram_result(
         density,
         opt["iters"],
         {"delta": opt["delta"], "seed": opt["seed"]},
-        {"peaks": peak_list, "in_range": density.in_range},
+        {"peaks": peaks, "in_range": density.in_range},
         lambda: emit_svgdata(density, peaks=peaks),
-        peaks=peak_list,
+        peaks=peaks,
     )
 
 
@@ -453,7 +454,7 @@ def _run_dispersion(opt) -> Result:
         meta = {"model": "tb", "eps": opt["eps"], "n": opt["n"], "spacing": opt["spacing"]}
     return Result(
         {"model": opt["model"], "samples": len(ks)},
-        _with_meta(meta, k=np.asarray(ks).tolist(), omega=np.asarray(omegas).tolist()),
+        _with_meta(meta, k=ks, omega=omegas),
         header=("k", "omega"),
         columns=(ks, omegas),
         meta=meta,

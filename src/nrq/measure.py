@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# newton_step is not called here; the name stays because perfbench/spans.py
-# traces nrq.measure.newton_step
-from .newton import PolynomialProblem, newton_step  # noqa: F401
+from .newton import PolynomialProblem
 from .parsing import parse_polynomial
 
 

@@ -297,58 +297,59 @@ class OrbitStatus(enum.Enum):
     OVERFLOWED = "overflowed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """A recorded forward orbit.
+    """A recorded forward orbit, compared by identity.
 
-    ``iterates[0]`` is the start.  For CONVERGED, ``step`` indexes the
-    iterate at which the overlap criterion first held and ``value`` is that
-    iterate.  For POLE_HIT / OVERFLOWED, ``step`` indexes the last recorded
-    iterate (the one whose successor could not be represented).
+    ``iterates`` is a float64 array, made read-only here, whose slot 0 is
+    the start.  For CONVERGED, ``step`` indexes the iterate at which the
+    overlap criterion first held and ``value`` is that iterate, a float.
+    For POLE_HIT / OVERFLOWED, ``step`` indexes the last recorded iterate
+    (the one whose successor could not be represented).
     """
 
     start: float
-    iterates: tuple[float, ...]
+    iterates: np.ndarray
     status: OrbitStatus
     step: int | None = None
     value: float | None = None
+
+    def __post_init__(self):
+        self.iterates.flags.writeable = False
 
 
 def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy) -> Orbit:
     """Iterate the map from x0 until convergence, pole, overflow, or max_steps.
 
     Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
-    orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps
-    in one buffer whose slot 0 holds the previous iterate, and each chunk is
-    tested for convergence at once, up to the slot where the kernel
-    stopped.  Within one such call the kernel itself checks its first 64
-    steps one at a time and the rest in doubling chunks after they have
-    run.  Where it stops early, f' at the last iterate tells a pole from an
-    overflow.
+    orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps,
+    which write each iterate at its final slot of one float64 array; the
+    array starts at one chunk and doubles, up to max_steps + 1 slots, only
+    when a chunk would run past its end.  Each chunk is tested for
+    convergence at once, from the iterate before it up to the slot where
+    the kernel stopped.  Where it stops early, f' at the last iterate tells
+    a pole from an overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    advance, tol = problem.advance, policy.convergence_tol
-    arr = np.empty(min(_ORBIT_CHUNK, policy.max_steps) + 1)
-    buf = memoryview(arr)
-    x = float(x0)
-    xs = [x]
-    while len(xs) <= policy.max_steps:
-        k = min(_ORBIT_CHUNK, policy.max_steps + 1 - len(xs))
-        buf[0] = x
-        x, j = advance(x, 1, k + 1, buf)
-        chunk = arr[:j]
-        prev = chunk[:-1]
+    advance, tol, end = problem.advance, policy.convergence_tol, policy.max_steps + 1
+    arr = np.empty(min(_ORBIT_CHUNK + 1, end))
+    arr[0] = x = float(x0)
+    j = 1
+    while j < end:
+        i, k = j, min(j + _ORBIT_CHUNK, end)
+        if k > len(arr):
+            arr = np.concatenate((arr, np.empty(min(len(arr), end - len(arr)))))
+        x, j = advance(x, i, k, memoryview(arr))
+        prev = arr[i - 1 : j - 1]
         # a move or threshold past the largest double is inf, as in Python float arithmetic
         with np.errstate(over="ignore"):
-            hits = np.flatnonzero(np.abs(chunk[1:] - prev) <= tol * (1.0 + np.abs(prev)))
+            hits = np.flatnonzero(np.abs(arr[i:j] - prev) <= tol * (1.0 + np.abs(prev)))
         if hits.size:
-            xs += chunk[1 : hits[0] + 2].tolist()
-            return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=len(xs) - 1, value=xs[-1])
-        xs += chunk[1:].tolist()
-        if j <= k:
-            fpx = problem._fprime(x)
-            pole = -POLE_EPSILON <= fpx <= POLE_EPSILON
+            n = i + int(hits[0])
+            return Orbit(x0, arr[: n + 1], OrbitStatus.CONVERGED, step=n, value=float(arr[n]))
+        if j < k:
+            pole = -POLE_EPSILON <= problem._fprime(x) <= POLE_EPSILON
             status = OrbitStatus.POLE_HIT if pole else OrbitStatus.OVERFLOWED
-            return Orbit(x0, tuple(xs), status, step=len(xs) - 1)
-    return Orbit(x0, tuple(xs), OrbitStatus.RUNNING)
+            return Orbit(x0, arr[:j], status, step=j - 1)
+    return Orbit(x0, arr, OrbitStatus.RUNNING)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -389,9 +390,15 @@ PINNED_OUTPUTS = [
      "f02174f79ec5"),
     (["orbit", "--poly", "5e-301*x^2", "--x0", "2.5521177519070385e+38", "--steps", "200"],
      "1b03b3a054e0"),
+    # the orbit crosses a chunk edge and the first growth of iterate_orbit's array
+    (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097", "--format", "json"],
+     "ec05c7436db0"),
     # the qops outputs that make no complex multiply
     (["dispersion", "--model", "tb", "--n", "64", "--t", "1", "--t", "0.2"], "567e661fca1e"),
     (["dispersion", "--model", "kg"], "2fad8bf07a50"),
+    (["dispersion", "--model", "tb", "--n", "64", "--t", "1", "--t", "0.2", "--format", "json"],
+     "3ebaea99ad06"),
+    (["dispersion", "--model", "kg", "--format", "json"], "7ae3dfc4c094"),
 ]
 
 
@@ -479,6 +486,21 @@ def test_orbit_steps_cap_exits_2_before_iterating(tmp_path, capsys, monkeypatch)
     assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
     assert stdout == ""
     assert not out.exists()
+
+
+def test_orbit_runner_holds_one_array_of_iterates():
+    # 1e5 steps are two float64 arrays of 0.8 MB each, the iterates and the
+    # step column; 1e5 Python floats in a list would take 3.2 MB more
+    opt = dict(cli.COMMANDS["orbit"].defaults(), poly="x^2+1", x0=0.7, steps=100_000)
+    cli._run_orbit(opt)
+    tracemalloc.start()
+    try:
+        result = cli._run_orbit(opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.columns[1] is result.payload["iterates"] and len(result.columns[1]) == 100_001
+    assert peak <= 3_000_000
 
 
 @pytest.mark.parametrize("steps", ["-5", "0"])
@@ -747,6 +769,29 @@ def test_window_too_narrow_for_its_bins_exits_2_with_numpys_message(tmp_path, ca
         "error": "ValueError",
         "message": "Too many bins for data range. Cannot create 100 finite-sized bins.",
     }
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, got",
+    [
+        (["density", "--poly", "x^2+1", "--iters", "100"], "100 and 1000"),
+        (["density", "--poly", "x^2+1", "--iters", "1000"], "1000 and 1000"),
+        (["density", "--poly", "x^2+1", "--burnin", "-1"], "201000 and -1"),
+        (["interfere", "--delta", "1", "--iters", "50", "--burnin", "60"], "50 and 60"),
+    ],
+)
+def test_iters_at_or_below_burnin_exits_2_in_flag_terms(args, got, tmp_path, capsys, monkeypatch):
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the orbit ran")
+
+    monkeypatch.setattr("nrq.cli.accumulate_density", no_orbit)
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": f"need --iters > --burnin >= 0, got {got}"}
     assert stdout == ""
     assert not out.exists()
 

@@ -7,6 +7,7 @@ import pickle
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -360,14 +361,20 @@ def _scalar_orbit(problem, x0, policy):
         try:
             y = newton_step(problem, x)
         except DerivativeZero:
-            return Orbit(x0, tuple(xs), OrbitStatus.POLE_HIT, step=i - 1)
+            return Orbit(x0, np.array(xs), OrbitStatus.POLE_HIT, step=i - 1)
         if not (-OVERFLOW_BOUND <= y <= OVERFLOW_BOUND):  # also catches NaN
-            return Orbit(x0, tuple(xs), OrbitStatus.OVERFLOWED, step=i - 1)
+            return Orbit(x0, np.array(xs), OrbitStatus.OVERFLOWED, step=i - 1)
         xs.append(y)
         if abs(y - x) <= tol * (1.0 + abs(x)):
-            return Orbit(x0, tuple(xs), OrbitStatus.CONVERGED, step=i, value=y)
+            return Orbit(x0, np.array(xs), OrbitStatus.CONVERGED, step=i, value=y)
         x = y
-    return Orbit(x0, tuple(xs), OrbitStatus.RUNNING)
+    return Orbit(x0, np.array(xs), OrbitStatus.RUNNING)
+
+
+def _orbit_bits(orbit):
+    """Every field of ``orbit``, each float and the iterates as their bits."""
+    value = None if orbit.value is None else _bits(orbit.value)
+    return _bits(orbit.start), orbit.iterates.tobytes(), orbit.status, orbit.step, value
 
 
 @given(
@@ -400,10 +407,31 @@ def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("nrq.newton._ORBIT_CHUNK", chunk)
         orbit = iterate_orbit(problem, x0, policy)
-    assert orbit == expected
-    assert _bits_of(orbit.iterates) == _bits_of(expected.iterates)
-    if orbit.value is not None:
-        assert _bits(orbit.value) == _bits(expected.value)
+    assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
+    assert orbit.value is None or type(orbit.value) is float
+    assert _orbit_bits(orbit) == _orbit_bits(expected)
+
+
+@pytest.mark.parametrize(
+    "problem, x0, max_steps, length, bound",
+    [
+        # 1e5 steps that never converge: an array of 0.8 MB, which a growth
+        # holds for a moment beside the one it replaces; a list would be 3.2 MB
+        (NO_REAL_ROOT, 0.7, 100_000, 100_001, 2_000_000),
+        # converges at step 5: an array of one chunk, not of max_steps + 1 slots
+        (SQRT2_MINUS_2, 1.0, 10**12, 6, 500_000),
+    ],
+)
+def test_orbit_peak_memory(problem, x0, max_steps, length, bound):
+    iterate_orbit(problem, x0, IterationPolicy(max_steps=100))
+    tracemalloc.start()
+    try:
+        orbit = iterate_orbit(problem, x0, IterationPolicy(max_steps=max_steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit.iterates) == length
+    assert peak <= bound
 
 
 def test_orbit_converges_to_sqrt2():
@@ -418,7 +446,9 @@ def test_orbit_pole_hit():
     orbit = iterate_orbit(NO_REAL_ROOT, 1.0, IterationPolicy(max_steps=50))
     assert orbit.status is OrbitStatus.POLE_HIT
     assert orbit.step == 1
-    assert orbit.iterates == (1.0, 0.0)
+    assert orbit.iterates.tobytes() == np.array([1.0, 0.0]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        orbit.iterates[1] = 0.5
 
 
 def test_orbit_two_cycle_breaks_before_100_steps():
@@ -433,21 +463,22 @@ def test_orbit_overflow():
     # x^2 - 2 with a huge start: first step squares past the overflow bound
     orbit = iterate_orbit(SQRT2_MINUS_2, 1e200, IterationPolicy(max_steps=10))
     assert orbit.status is OrbitStatus.OVERFLOWED
-    assert orbit.iterates == (1e200,)
+    assert orbit.iterates.tobytes() == np.array([1e200]).tobytes()
     assert orbit.step == 0
 
 
 def test_orbit_records_every_step():
     orbit = iterate_orbit(SQRT2_MINUS_2, 1.7, IterationPolicy(max_steps=30))
-    assert orbit.iterates[0] == 1.7
-    for prev, nxt in zip(orbit.iterates, orbit.iterates[1:]):
-        assert newton_step(SQRT2_MINUS_2, prev) == nxt
+    xs = orbit.iterates.tolist()
+    assert xs[0] == 1.7
+    for prev, nxt in zip(xs, xs[1:]):
+        assert _bits(newton_step(SQRT2_MINUS_2, prev)) == _bits(nxt)
 
 
 def test_orbit_deterministic():
     a = iterate_orbit(NO_REAL_ROOT, 0.7, IterationPolicy(max_steps=500))
     b = iterate_orbit(NO_REAL_ROOT, 0.7, IterationPolicy(max_steps=500))
-    assert a.iterates == b.iterates
+    assert a.iterates.tobytes() == b.iterates.tobytes()
 
 
 def test_quadratic_convergence_constant():
