@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import PolynomialProblem
+# newton_step is not called here; the name stays because perfbench/spans.py
+# traces nrq.measure.newton_step
+from .newton import PolynomialProblem, newton_step  # noqa: F401
 from .parsing import parse_polynomial
 
 

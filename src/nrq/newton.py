@@ -301,11 +301,12 @@ class OrbitStatus(enum.Enum):
 class Orbit:
     """A recorded forward orbit, compared by identity.
 
-    ``iterates`` is a float64 array, made read-only here, whose slot 0 is
-    the start.  For CONVERGED, ``step`` indexes the iterate at which the
-    overlap criterion first held and ``value`` is that iterate, a float.
-    For POLE_HIT / OVERFLOWED, ``step`` indexes the last recorded iterate
-    (the one whose successor could not be represented).
+    ``iterates`` is held as a read-only float64 view of what is passed (the
+    caller's array stays writeable), whose slot 0 is the start.  For
+    CONVERGED, ``step`` indexes the iterate at which the overlap criterion
+    first held and ``value`` is that iterate, a float.  For POLE_HIT /
+    OVERFLOWED, ``step`` indexes the last recorded iterate (the one whose
+    successor could not be represented).
     """
 
     start: float
@@ -315,7 +316,9 @@ class Orbit:
     value: float | None = None
 
     def __post_init__(self):
-        self.iterates.flags.writeable = False
+        view = np.asarray(self.iterates, dtype=np.float64).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "iterates", view)
 
 
 def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy) -> Orbit:

@@ -451,6 +451,16 @@ def test_orbit_pole_hit():
         orbit.iterates[1] = 0.5
 
 
+def test_an_orbit_freezes_a_view_not_the_callers_array():
+    xs = np.array([1.0, 0.0])
+    orbit = Orbit(1.0, xs, OrbitStatus.POLE_HIT, step=1)
+    assert xs.flags.writeable and not orbit.iterates.flags.writeable
+    xs[1] = 0.5  # the caller's array stays theirs to write
+    assert orbit.iterates[1] == 0.5
+    listed = Orbit(1.0, [1.0, 0.0], OrbitStatus.POLE_HIT, step=1)
+    assert listed.iterates.dtype == np.float64 and not listed.iterates.flags.writeable
+
+
 def test_orbit_two_cycle_breaks_before_100_steps():
     x0 = 1.0 / math.sqrt(3.0)
     orbit = iterate_orbit(NO_REAL_ROOT, x0, IterationPolicy(max_steps=100))
