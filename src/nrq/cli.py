@@ -375,7 +375,11 @@ def _run_cycles(opt) -> Result:
         "cycles": [{"points": c.points, "residual": c.residual} for c in scan.cycles],
         "pole_intervals": scan.pole_intervals,
     }
-    rows = ((ci, pi, p) for ci, cycle in enumerate(scan.cycles) for pi, p in enumerate(cycle.points))
+    rows = (
+        (ci, pi, p)
+        for ci, cycle in enumerate(scan.cycles)
+        for pi, p in enumerate(cycle.points)
+    )
     meta = {
         "poly": opt["poly"],
         "period": opt["period"],
@@ -418,7 +422,9 @@ def _run_ops_check(opt) -> Result:
         started = time.perf_counter()
         reports.append(ops_check(n, spacing=opt["spacing"], seed=opt["seed"], evolve_steps=opt["steps"]))
         ms_per_size.append(1e3 * (time.perf_counter() - started))
-    worst = max(v for r in reports for k, v in r.items() if k != "n")
+    worst = max(
+        v for r in reports for k, v in r.items() if k != "n"
+    )
     statuses = {"sizes": list(sizes), "worst_residual": worst, "ms_per_size": ms_per_size}
     return Result(statuses, {"reports": reports})
 

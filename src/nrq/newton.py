@@ -301,12 +301,11 @@ class OrbitStatus(enum.Enum):
 class Orbit:
     """A recorded forward orbit, compared by identity.
 
-    ``iterates`` is held as a read-only float64 view of what is passed (the
-    caller's array stays writeable), whose slot 0 is the start.  For
-    CONVERGED, ``step`` indexes the iterate at which the overlap criterion
-    first held and ``value`` is that iterate, a float.  For POLE_HIT /
-    OVERFLOWED, ``step`` indexes the last recorded iterate (the one whose
-    successor could not be represented).
+    ``iterates`` is a read-only float64 view of the array given, which stays
+    writeable; slot 0 is the start.  For CONVERGED, ``step`` indexes the
+    iterate at which the overlap criterion first held and ``value`` is that
+    iterate, a float.  For POLE_HIT / OVERFLOWED, ``step`` indexes the last
+    recorded iterate (the one whose successor could not be represented).
     """
 
     start: float
@@ -316,9 +315,8 @@ class Orbit:
     value: float | None = None
 
     def __post_init__(self):
-        view = np.asarray(self.iterates, dtype=np.float64).view()
-        view.flags.writeable = False
-        object.__setattr__(self, "iterates", view)
+        object.__setattr__(self, "iterates", np.asarray(self.iterates, dtype=np.float64).view())
+        self.iterates.flags.writeable = False
 
 
 def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy) -> Orbit:
