@@ -29,18 +29,15 @@ def _require_window(lo, hi):
         raise InvalidRange(f"need lo < hi and |lo|, |hi| <= {bound:g}, got [{lo}, {hi}]")
 
 
-# accumulate_density bins the orbit in blocks of this many iterates, so its
-# memory does not grow with the orbit's length.
-ACCUMULATE_BLOCK = 65536
+# accumulate_density runs the orbit in blocks of this many iterates and
+# _Tally bins at most this many samples a call, into work buffers of this
+# length made once, so memory grows with neither the orbit nor the sample.
+ACCUMULATE_BLOCK = 16384
 
 # The counts, edges and densities grow with the bin count, and an svg writes
 # one polyline point a bin for the density and one for the overlay, so the
 # bin count is capped before anything is allocated.
 MAX_BINS = 100_000
-
-# _Tally bins its samples this many at a time, into work buffers of this
-# length made once, so binning allocates nothing that grows with a block.
-_TALLY_BLOCK = 8192
 
 
 @dataclass(eq=False)
@@ -114,9 +111,12 @@ class EmpiricalDensity:
     @classmethod
     def from_samples(cls, samples, lo: float, hi: float, bins: int):
         """``np.histogram(samples, bins, range=(lo, hi))`` with the two tails,
-        counted by ``_Tally``; a NaN sample raises ValueError."""
+        counted by ``_Tally`` ``ACCUMULATE_BLOCK`` samples at a time; a NaN
+        sample raises ValueError, and so does ``bins`` outside 2..MAX_BINS."""
         tally = _Tally(lo, hi, bins)
-        tally.add(np.asarray(samples, dtype=float).reshape(-1))
+        x = np.asarray(samples, dtype=float).reshape(-1)
+        for i in range(0, x.size, ACCUMULATE_BLOCK):
+            tally.add(x[i : i + ACCUMULATE_BLOCK])
         return tally.density()
 
 
@@ -131,14 +131,16 @@ class _Tally:
     1] and k is not the last bin.  The tails fall out of the same steps: x
     < lo = edges[0] steps down from k = 0 to slot 0, and the last bin steps
     up to slot bins + 1 where x >= the double after hi, that is where x >
-    hi.  Samples are taken ``_TALLY_BLOCK`` at a time, and every pass
-    writes into work buffers made once.
+    hi.  Every pass writes into ``ACCUMULATE_BLOCK``-slot work buffers
+    made once.  The window obeys ``_require_window`` (else InvalidRange),
+    then 2 <= bins <= MAX_BINS, both before anything is allocated, then
+    the edges must be distinct (numpy's "Too many bins" ValueError).
     """
 
     def __init__(self, lo: float, hi: float, bins: int):
         _require_window(lo, hi)
-        if bins < 2:
-            raise ValueError("bins must be >= 2")
+        if not 2 <= bins <= MAX_BINS:
+            raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
         edges = np.linspace(lo, hi, bins + 1)
         if not (edges[:-1] < edges[1:]).all():
             # np.histogram's own error for this window
@@ -149,36 +151,34 @@ class _Tally:
         # never steps up
         self._upper = np.concatenate(([np.inf], edges[1:-1], [np.nextafter(hi, np.inf)]))
         self._counts = np.zeros(bins + 2, dtype=np.int64)
-        self._f = np.empty(_TALLY_BLOCK)
-        self._k = np.empty(_TALLY_BLOCK, dtype=np.intp)
-        self._b = np.empty(_TALLY_BLOCK, dtype=bool)
+        self._f = np.empty(ACCUMULATE_BLOCK)
+        self._k = np.empty(ACCUMULATE_BLOCK, dtype=np.intp)
+        self._b = np.empty(ACCUMULATE_BLOCK, dtype=bool)
 
-    def add(self, samples: np.ndarray) -> None:
-        """Bin a 1-D float64 array; a NaN in it raises ValueError."""
+    def add(self, x: np.ndarray) -> None:
+        """Bin a 1-D float64 array of at most ``ACCUMULATE_BLOCK`` samples;
+        a NaN in it raises ValueError."""
         lo, hi, bins = self.lo, self.hi, self.bins
-        width = hi - lo
+        f, k, b = self._f[: x.size], self._k[: x.size], self._b[: x.size]
+        if np.isnan(x, out=b).any():
+            raise ValueError("samples contain NaN, which no bin or tail can hold")
         # a sample far outside the window may overflow its estimate to +-inf
         with np.errstate(over="ignore"):
-            for i in range(0, samples.size, _TALLY_BLOCK):
-                x = samples[i : i + _TALLY_BLOCK]
-                f, k, b = self._f[: x.size], self._k[: x.size], self._b[: x.size]
-                if np.isnan(x, out=b).any():
-                    raise ValueError("samples contain NaN, which no bin or tail can hold")
-                np.subtract(x, lo, out=f)
-                np.divide(f, width, out=f)
-                np.multiply(f, bins, out=f)
-                # an in-window estimate lies in [0, bins], so truncating it
-                # clipped to [0, bins - 1] is numpy's truncation with bins
-                # taken to bins - 1; a tail's estimate is clipped to an end
-                np.clip(f, 0, bins - 1, out=f)
-                np.copyto(k, f, casting="unsafe")
-                # take writes to out unbuffered unless mode="raise"; every
-                # index is in range
-                np.take(self._edges, k, out=f, mode="clip")
-                np.add(k, np.greater_equal(x, f, out=b), out=k)
-                np.take(self._upper, k, out=f, mode="clip")
-                np.add(k, np.greater_equal(x, f, out=b), out=k)
-                self._counts += np.bincount(k, minlength=bins + 2)
+            np.subtract(x, lo, out=f)
+            np.divide(f, hi - lo, out=f)
+            np.multiply(f, bins, out=f)
+            # an in-window estimate lies in [0, bins], so truncating it
+            # clipped to [0, bins - 1] is numpy's truncation with bins taken
+            # to bins - 1; a tail's estimate is clipped to an end
+            np.clip(f, 0, bins - 1, out=f)
+            np.copyto(k, f, casting="unsafe")
+            # take writes to out unbuffered unless mode="raise"; every index
+            # is in range
+            np.take(self._edges, k, out=f, mode="clip")
+            np.add(k, np.greater_equal(x, f, out=b), out=k)
+            np.take(self._upper, k, out=f, mode="clip")
+            np.add(k, np.greater_equal(x, f, out=b), out=k)
+            self._counts += np.bincount(k, minlength=bins + 2)
 
     def density(self, restarts: int = 0) -> EmpiricalDensity:
         c = self._counts
@@ -209,18 +209,15 @@ def accumulate_density(
     steps after each start one at a time, so a chain that stops again soon
     costs no extra call, and runs the rest in unchecked chunks of 64, 128,
     256, ... steps, each checked in one numpy pass after it has run; a stop
-    discards the rest of its chunk.  Each block's kept iterates are added
-    straight from that array to one ``_Tally``, which counts them as
-    ``np.histogram`` would, to the bit, in work buffers made once; the
-    density is built from it at the end, so memory is bounded by the
-    block and the bins, not by ``n``.  The window obeys
-    ``_require_window``, and (n - n0)*(hi - lo)/bins must be finite too; a
-    window too narrow for ``bins`` distinct edges raises numpy's "Too many
-    bins" ValueError before the orbit runs.
+    discards the rest of its chunk.  Each block's kept iterates are handed
+    whole to one ``_Tally``, which counts them as ``np.histogram`` would,
+    to the bit, in work buffers made once; the density is built from it at
+    the end, so memory is bounded by the block and the bins, not by ``n``.
+    Inputs are checked in this order before the orbit runs: the window,
+    ``bins`` and the edges as ``_Tally`` checks them, then n > n0 >= 0,
+    then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange).
     """
-    _require_window(lo, hi)
-    if not 2 <= bins <= MAX_BINS:
-        raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
+    tally = _Tally(lo, hi, bins)
     if not (n > n0 >= 0):
         raise ValueError("need n > n0 >= 0")
     # densities divide by samples * bin width
@@ -229,7 +226,6 @@ def accumulate_density(
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
     advance = problem.advance
-    tally = _Tally(lo, hi, bins)
     samples = np.empty(min(ACCUMULATE_BLOCK, n))
     buf = memoryview(samples)
     restarts = 0

@@ -22,9 +22,6 @@ OVERFLOW_BOUND = 1e300
 # Horner's scheme as one expression nested degree deep, and Python's
 # parser allows fewer than 200 nested parentheses.
 MAX_DEGREE = 100
-# iterate_orbit runs the kernel over chunks of this many steps and tests
-# each chunk for convergence at once.
-_ORBIT_CHUNK = 4096
 # advance tests each of its first this many steps for a pole or an overflow
 # before taking it, and the rest a chunk at a time after running them.  At
 # least 1, as a chunk's pass reads its start from the slot before the chunk.
@@ -323,25 +320,26 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     """Iterate the map from x0 until convergence, pole, overflow, or max_steps.
 
     Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
-    orbit runs on ``problem.advance`` over chunks of ``_ORBIT_CHUNK`` steps,
-    which write each iterate at its final slot of one float64 array; the
-    array starts at one chunk and doubles, up to max_steps + 1 slots, only
-    when a chunk would run past its end.  Each chunk is tested for
-    convergence at once, from the iterate before it up to the slot where
-    the kernel stopped.  Where it stops early, f' at the last iterate tells
-    a pole from an overflow.
+    orbit runs on ``problem.advance``, which writes each iterate at its
+    final slot of one float64 array.  The array starts at
+    ``_CHECKED_STEPS`` + 1 slots and doubles, up to max_steps + 1, each
+    time the kernel has filled it, and each call runs to the array's end,
+    so an orbit that converges at step n runs at most max(2n, 64) steps.
+    Each span a call ran is tested for convergence at once, from the
+    iterate before it up to the slot where the kernel stopped.  Where it
+    stops early, f' at the last iterate tells a pole from an overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     advance, tol, end = problem.advance, policy.convergence_tol, policy.max_steps + 1
-    arr = np.empty(min(_ORBIT_CHUNK + 1, end))
+    arr = np.empty(min(_CHECKED_STEPS + 1, end))
     arr[0] = x = float(x0)
     j = 1
     while j < end:
-        i, k = j, min(j + _ORBIT_CHUNK, end)
-        if k > len(arr):
-            arr = np.concatenate((arr, np.empty(min(len(arr), end - len(arr)))))
-        x, j = advance(x, i, k, memoryview(arr))
+        if j == len(arr):
+            arr = np.concatenate((arr, np.empty(min(j, end - j))))
+        i = j
+        x, j = advance(x, i, len(arr), memoryview(arr))
         prev = arr[i - 1 : j - 1]
         # a move or threshold past the largest double is inf, as in Python float arithmetic
         with np.errstate(over="ignore"):
@@ -349,7 +347,7 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
         if hits.size:
             n = i + int(hits[0])
             return Orbit(x0, arr[: n + 1], OrbitStatus.CONVERGED, step=n, value=float(arr[n]))
-        if j < k:
+        if j < len(arr):
             pole = -POLE_EPSILON <= problem._fprime(x) <= POLE_EPSILON
             status = OrbitStatus.POLE_HIT if pole else OrbitStatus.OVERFLOWED
             return Orbit(x0, arr[:j], status, step=j - 1)

@@ -373,7 +373,7 @@ PINNED_OUTPUTS = [
     (["density", "--poly", "x^2", "--seed", "3"], "142e9551ed43"),
     # degree 3, which the orbit kernel unrolls as it does every degree
     (["density", "--poly", "x^3-2*x+2", "--seed", "3"], "a13e38499d94"),
-    # the orbit crosses an edge of iterate_orbit's kernel chunks
+    # iterate_orbit's array grows six times, the last time capped at max_steps + 1
     (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097"], "d7962f4ddd80"),
     # converges at step 5
     (["orbit", "--poly", "x^2-2", "--x0", "1", "--steps", "50"], "a2980d29d872"),
@@ -384,13 +384,13 @@ PINNED_OUTPUTS = [
     # overflows at step 0
     (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
     # the map halves x, and f' = 1e-300 x is a pole from x = 0.75 on: at slot 65, the
-    # first step of the orbit kernel's first unchecked chunk, and at slot 129, the
-    # first step of its second
+    # first slot of iterate_orbit's second span, a checked step, and at slot 129, the
+    # span's last, which the kernel runs as an unchecked chunk of one step
     (["orbit", "--poly", "5e-301*x^2", "--x0", "13835058055282163712", "--steps", "200"],
      "f02174f79ec5"),
     (["orbit", "--poly", "5e-301*x^2", "--x0", "2.5521177519070385e+38", "--steps", "200"],
      "1b03b3a054e0"),
-    # the orbit crosses a chunk edge and the first growth of iterate_orbit's array
+    # the orbit crosses every span edge and growth of iterate_orbit's array
     (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097", "--format", "json"],
      "ec05c7436db0"),
     # the qops outputs that make no complex multiply

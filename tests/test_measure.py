@@ -33,7 +33,7 @@ from nrq import (
     peak_detect,
     pushforward_residual,
 )
-from nrq import measure
+from nrq import measure, newton
 from nrq.newton import OVERFLOW_BOUND, DerivativeZero
 
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))
@@ -204,7 +204,8 @@ def _numpy_tally(x, lo, hi, bins):
 def test_tally_matches_numpy_histogram(exponent, a, w, bins, seed):
     # lo = a * 10^exponent, hi = lo + w * 10^exponent; the samples are every
     # edge and its two neighbours, signed zeros, infinities, the extreme
-    # doubles and uniform draws around the window, added in two pieces
+    # doubles and uniform draws around the window, which from_samples tallies
+    # ACCUMULATE_BLOCK at a time
     scale = 10.0**exponent
     lo = a * scale
     hi = lo + w * scale
@@ -222,14 +223,10 @@ def test_tally_matches_numpy_histogram(exponent, a, w, bins, seed):
     rng.shuffle(x)
     expected = _numpy_tally(x, lo, hi, bins)
     try:
-        tally = measure._Tally(lo, hi, bins)
+        got = EmpiricalDensity.from_samples(x, lo, hi, bins)
     except ValueError as e:
         assert str(e) == expected
         return
-    cut = int(rng.integers(0, x.size + 1))
-    tally.add(x[:cut])
-    tally.add(x[cut:])
-    got = tally.density()
     assert (got.counts.tolist(), got.below_count, got.above_count) == expected
 
 
@@ -240,12 +237,8 @@ def test_narrow_window_raises_numpys_error_before_the_orbit_runs():
     with pytest.raises(ValueError) as raised:
         EmpiricalDensity.from_samples([lo], lo, hi, bins)
     assert str(raised.value) == message
-
-    def no_orbit(*args):
-        raise AssertionError("the orbit ran")
-
     with pytest.raises(ValueError) as raised:
-        accumulate_density(types.SimpleNamespace(advance=no_orbit), lo, 0, 10, lo, hi, bins)
+        accumulate_density(types.SimpleNamespace(advance=_no_orbit), lo, 0, 10, lo, hi, bins)
     assert str(raised.value) == message
 
 
@@ -295,6 +288,41 @@ def test_accumulate_bins_cap():
         with pytest.raises(ValueError, match="bins must lie in"):
             accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, -1.0, 1.0, bins)
     assert time.perf_counter() - started < 0.1
+
+
+def test_bins_cap_is_checked_before_anything_is_allocated():
+    # the edges alone would take 800 kB at MAX_BINS + 1, the work buffers 280 kB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bins must lie in"):
+            EmpiricalDensity.from_samples([0.5], -1.0, 1.0, measure.MAX_BINS + 1)
+        with pytest.raises(ValueError, match="bins must lie in"):
+            accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, -1.0, 1.0, measure.MAX_BINS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
+def _no_orbit(*args):
+    raise AssertionError("the orbit ran")
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bins, n0, n, error",
+    [
+        # the window first, then bins, then its edges, then n > n0 >= 0, then
+        # the bin arithmetic; each case is also bad in every later way it can be
+        (5.0, -5.0, 1, 10, 10, "need lo < hi"),
+        (1e15, 1e15 + 2, 1, 10, 10, "bins must lie in"),
+        (1e15, 1e15 + 2, 100, 10, 10, "Too many bins"),
+        (-8e307, 8e307, 4, 10, 10, "need n > n0"),
+        (-8e307, 8e307, 4, 0, 10**12, "overflows"),
+    ],
+)
+def test_accumulate_checks_its_inputs_in_the_documented_order(lo, hi, bins, n0, n, error):
+    with pytest.raises(ValueError, match=error):
+        accumulate_density(types.SimpleNamespace(advance=_no_orbit), 0.5, n0, n, lo, hi, bins)
 
 
 def test_accumulate_chunks_merge_exactly():
@@ -369,18 +397,22 @@ def test_accumulate_in_blocks_matches_the_whole_orbit_at_a_generic_degree(n0, n,
     _assert_blocks_match_the_whole_orbit(cubic, 1e200, n0, n, monkeypatch)
 
 
-@pytest.mark.parametrize("tally_block", [3, 8])
+@pytest.mark.parametrize("checked", [3, 8])
 @pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
 @pytest.mark.parametrize("problem, x0", [(NO_REAL_ROOT, 1.0), (PolynomialProblem((2.0, -2.0, 0.0, 1.0)), 1e200)])
-def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, n, tally_block, monkeypatch):
-    # np.histogram of the whole kept orbit, independent of the tally; the
-    # tally's sub-blocks of 3 do not divide the blocks of 7, and those of 8
-    # are longer than a block
+def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, n, checked, monkeypatch):
+    # np.histogram of the whole kept orbit, independent of the tally; a
+    # kernel that checks 3 steps runs the rest of a block of 7 in unchecked
+    # chunks of 3 and 1, and one that checks 8 checks every step of a block
     monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
-    monkeypatch.setattr("nrq.measure._TALLY_BLOCK", tally_block)
     xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
     kept = np.array(xs[n0:])
-    got = accumulate_density(problem, x0, n0, n, -3.0, 3.0, 12, seed=4)
+    monkeypatch.setattr("nrq.newton._CHECKED_STEPS", checked)
+    newton._compile.cache_clear()
+    try:
+        got = accumulate_density(PolynomialProblem(problem.coefficients), x0, n0, n, -3.0, 3.0, 12, seed=4)
+    finally:
+        newton._compile.cache_clear()
     assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(kept, -3.0, 3.0, 12)
     assert got.restarts == restarts
 
@@ -410,7 +442,8 @@ def test_accumulate_memory_does_not_grow_with_the_orbit():
 @pytest.mark.parametrize("n", [201_000, 2_001_000])
 def test_accumulate_peak_memory_does_not_grow_with_iters(n):
     # the density command's x^2+1 run: one block of samples, the kernel's
-    # chunk arrays and the tally's work buffers, whatever n is
+    # chunk arrays and the tally's work buffers, whatever n is; about 0.55 MB
+    # with blocks of 16384, 1.2 MB with blocks of 65536
     tracemalloc.start()
     try:
         d = accumulate_density(NO_REAL_ROOT, None, 1000, n, -10.0, 10.0, 200, seed=1)
@@ -418,7 +451,7 @@ def test_accumulate_peak_memory_does_not_grow_with_iters(n):
     finally:
         tracemalloc.stop()
     assert d.total == n - 1000
-    assert peak <= 1_500_000
+    assert peak <= 800_000
 
 
 _SECOND_RUN_FAULTS = """
@@ -437,12 +470,14 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_accumulate_binning_takes_no_fresh_pages():
     # np.histogram made about 2.3 MB of temporaries a block, which the
     # allocator handed back to the OS each time, so a second run faulted
-    # about 1800 fresh pages; the tally's buffers are reused, and what is
-    # left is mostly the kernel's chunk arrays
+    # about 1800 fresh pages; the tally's buffers are reused, and with blocks
+    # of 16384 the kernel's last chunk pass of a block (8192 slots) stays
+    # below the allocator's mmap threshold, where blocks of 65536 faulted
+    # about 190 pages
     src = str(Path(nrq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) <= 400
+    assert int(out.stdout) <= 50
 
 
 def test_accumulate_deterministic():

@@ -377,39 +377,50 @@ def _orbit_bits(orbit):
     return _bits(orbit.start), orbit.iterates.tobytes(), orbit.status, orbit.step, value
 
 
+# Under _checked_steps(n), iterate_orbit's array has n + 1 slots and then
+# doubles, so its spans are steps 1..1, 2..3, 4..7, 8..15, 16..31, 32..63,
+# 64..127 for n = 1; 1..3, 4..7, 8..15, ... for n = 3; and 1..64, 65..129,
+# 130..259 for n = 64.  Below, "stops at slot s" means step s is refused.
 @given(
     _POLYNOMIAL,
     st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
     st.integers(1, 40),
     st.sampled_from([1e-12, 1e-6, 1e-2, 1e10]),
-    st.sampled_from([1, 3, 7]),
 )
-@example([-1e300, 1.0], 1e300, 10, 1e10, 1)  # tol * (1 + |x|) overflows to inf: converged
-@example([-1e300, 1.0], -1.7976931348623157e308, 10, 1e-12, 3)  # x1 - x0 overflows to inf
-@example([1.0, 0.0, 1.0], 0.0, 5, 1e-12, 1)  # x^2 + 1 at its pole
-@example([1.0, 0.0, 1.0], 4e-301, 5, 1e-12, 3)  # f' = 8e-301: a pole although the quotient is finite
-@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12, 1)  # 1 -> 0, then the pole on a chunk edge
-@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12, 3)  # 1 -> 0, then the pole inside a chunk
-@example([1.0, 1e-300], 0.5, 5, 1e-12, 7)  # |f'| equals POLE_EPSILON everywhere: a pole
-@example([0.0, -2.0], 0.5, 5, 1e-12, 1)  # degree 1: the numerator's leading term is -0.0
-@example([-2.0, 0.0, 1.0], 1e200, 10, 1e-12, 1)  # x^2 - 2 overflows at step 0
-@example([100.0, 0.0, 1.0], -6e-301, 5, 1e-12, 3)  # the step lands at 8.3e301, finite but out
-@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12, 1)  # converges at step 5, every step a chunk
-@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12, 7)  # converges at step 5, inside a chunk
-@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 3)  # converges at step 15, a chunk's last slot
-@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12, 7)  # converges at step 15, a chunk's first slot
-@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12, 7)  # the two-well quartic
-@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12, 4096)  # out on step 65, in a kernel chunk
-def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol, chunk):
-    problem = PolynomialProblem(coefficients)
+@example([-1e300, 1.0], 1e300, 10, 1e10)  # tol * (1 + |x|) overflows to inf: converged
+@example([-1e300, 1.0], -1.7976931348623157e308, 10, 1e-12)  # x1 - x0 overflows to inf
+@example([1.0, 0.0, 1.0], 0.0, 5, 1e-12)  # x^2 + 1 at its pole
+@example([1.0, 0.0, 1.0], 4e-301, 5, 1e-12)  # f' = 8e-301: a pole although the quotient is finite
+@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12)  # 1 -> 0, then stops at slot 2: a span's first for n = 1
+@example([1.0, 1e-300], 0.5, 5, 1e-12)  # |f'| equals POLE_EPSILON everywhere: a pole
+@example([0.0, -2.0], 0.5, 5, 1e-12)  # degree 1: the numerator's leading term is -0.0
+@example([-2.0, 0.0, 1.0], 1e200, 10, 1e-12)  # x^2 - 2 overflows at step 0
+@example([100.0, 0.0, 1.0], -6e-301, 5, 1e-12)  # the step lands at 8.3e301, finite but out
+@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12)  # converges at step 5, inside a span
+@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12)  # converges at step 15, a span's last for n = 1, 3
+@example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12)  # the two-well quartic
+# x^2 halves x, and tol = 1e-2 first holds on the step from 0.015: it converges
+# on step 16 (a span's first for n = 1, 3), 64 (the last for n = 64, the first
+# for n = 1, 3) and 65 (the first for n = 64)
+@example([0.0, 0.0, 1.0], 0.015 * 2.0**15, 200, 1e-2)
+@example([0.0, 0.0, 1.0], 0.015 * 2.0**63, 200, 1e-2)
+@example([0.0, 0.0, 1.0], 0.015 * 2.0**64, 200, 1e-2)
+# 5e-301 x^2 halves x too, and f' = 1e-300 x is first a pole at 0.75: it stops
+# at slot 15 (a span's last for n = 1, 3), 16, 64 and 65 (the first for n = 64)
+@example([0.0, 0.0, 5e-301], 0.75 * 2.0**14, 200, 1e-12)
+@example([0.0, 0.0, 5e-301], 0.75 * 2.0**15, 200, 1e-12)
+@example([0.0, 0.0, 5e-301], 0.75 * 2.0**63, 200, 1e-12)
+@example([0.0, 0.0, 5e-301], 0.75 * 2.0**64, 200, 1e-12)
+@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12)  # out at slot 65, in a kernel chunk for n = 1, 3
+def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol):
     policy = IterationPolicy(max_steps=max_steps, convergence_tol=tol)
-    expected = _scalar_orbit(problem, x0, policy)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nrq.newton._ORBIT_CHUNK", chunk)
-        orbit = iterate_orbit(problem, x0, policy)
-    assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
-    assert orbit.value is None or type(orbit.value) is float
-    assert _orbit_bits(orbit) == _orbit_bits(expected)
+    expected = _orbit_bits(_scalar_orbit(PolynomialProblem(coefficients), x0, policy))
+    for n in (1, 3, 64):
+        with _checked_steps(n):
+            orbit = iterate_orbit(PolynomialProblem(coefficients), x0, policy)
+        assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
+        assert orbit.value is None or type(orbit.value) is float
+        assert _orbit_bits(orbit) == expected
 
 
 @pytest.mark.parametrize(
@@ -418,7 +429,7 @@ def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol, chunk):
         # 1e5 steps that never converge: an array of 0.8 MB, which a growth
         # holds for a moment beside the one it replaces; a list would be 3.2 MB
         (NO_REAL_ROOT, 0.7, 100_000, 100_001, 2_000_000),
-        # converges at step 5: an array of one chunk, not of max_steps + 1 slots
+        # converges at step 5: an array of one span, not of max_steps + 1 slots
         (SQRT2_MINUS_2, 1.0, 10**12, 6, 500_000),
     ],
 )
