@@ -324,10 +324,10 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     final slot of one float64 array.  The array starts at
     ``_CHECKED_STEPS`` + 1 slots and doubles, up to max_steps + 1, each
     time the kernel has filled it, and each call runs to the array's end,
-    so an orbit that converges at step n runs at most max(2n, 64) steps.
-    Each span a call ran is tested for convergence at once, from the
-    iterate before it up to the slot where the kernel stopped.  Where it
-    stops early, f' at the last iterate tells a pole from an overflow.
+    so an orbit that ends at step n runs at most max(2n, _CHECKED_STEPS)
+    steps.  Each span a call ran is tested for convergence at once, from
+    the iterate before it up to the slot where the kernel stopped.  Where
+    it stops early, f' at the last iterate tells a pole from an overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
