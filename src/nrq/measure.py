@@ -40,6 +40,12 @@ ACCUMULATE_BLOCK = 16384
 MAX_BINS = 100_000
 
 
+def _require_bins(bins):
+    """The one bins rule, for every density: 2 <= bins <= MAX_BINS."""
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
+
+
 @dataclass(eq=False)
 class EmpiricalDensity:
     """Binned visit-frequency histogram with out-of-range mass tracked.
@@ -48,7 +54,8 @@ class EmpiricalDensity:
     outside the window is kept in ``below_count`` / ``above_count`` so that
     ``total`` is conserved.  Counts form a commutative monoid under
     ``merge``, which is what makes chunked or parallel accumulation exact.
-    The window obeys ``_require_window`` (else InvalidRange).
+    The window obeys ``_require_window`` (else InvalidRange), and ``bins``
+    ``_require_bins``.
     """
 
     lo: float
@@ -61,8 +68,7 @@ class EmpiricalDensity:
 
     def __post_init__(self):
         _require_window(self.lo, self.hi)
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        _require_bins(self.bins)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (self.bins,):
             raise ValueError("counts length must equal bins")
@@ -139,8 +145,7 @@ class _Tally:
 
     def __init__(self, lo: float, hi: float, bins: int):
         _require_window(lo, hi)
-        if not 2 <= bins <= MAX_BINS:
-            raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
+        _require_bins(bins)
         edges = np.linspace(lo, hi, bins + 1)
         if not (edges[:-1] < edges[1:]).all():
             # np.histogram's own error for this window
@@ -551,18 +556,12 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     kernel = np.ones(_SMOOTHING_BINS) / _SMOOTHING_BINS
     s = np.convolve(density.densities(), kernel, mode="same")
     centers = density.centers()
-    idxs = []
-    i = 1
-    while i < len(s) - 1:
-        if s[i] <= s[i - 1]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        if j + 1 < len(s) and s[j + 1] < s[i]:
-            idxs.append((i + j) // 2)
-        i = j + 1
+    # the runs of equal values; a maximum is a run above both its neighbors
+    starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0)
+    ends = np.append(starts[1:], len(s)) - 1
+    v = s[starts]
+    peak = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    idxs = ((starts[1:-1] + ends[1:-1]) // 2)[peak].tolist()
     out = []
     for j, i in enumerate(idxs):
         left_lo = idxs[j - 1] if j > 0 else 0

@@ -1,8 +1,10 @@
 """Polynomial expression parser: signed decimals, x, ^, + - * and parentheses.
 
-Expressions are expanded to dense coefficient form in exact rational
-arithmetic; conversion to float happens once, at the very end, so nested
-products like (x^2+0.01)*((x-3)^2+0.01) come out correctly rounded.
+One loop reads the tokens left to right and keeps the open parentheses on
+a list, so they nest to any depth within ``MAX_POLY_LENGTH``.  Expressions
+are expanded to dense coefficient form in exact rational arithmetic;
+conversion to float happens once, at the very end, so nested products
+like (x^2+0.01)*((x-3)^2+0.01) come out correctly rounded.
 """
 
 import re
@@ -115,89 +117,71 @@ def _ppow(a, k: int):
     return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _expand(tokens) -> list:
+    """Expand ``_tokenize``'s list, read left to right in one pass.
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str):
-        raise PolynomialSyntaxError(message, self.peek()[2])
-
-    def parse(self):
-        poly = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            self.fail(f"unexpected {value!r}")
-        return poly
-
-    def expr(self):
-        poly = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            if op == "-":
-                rhs = [-c for c in rhs]
-            poly = _padd(poly, rhs)
-        return poly
-
-    def term(self):
-        poly = self.unary()
-        while self.peek()[0] == "*":
-            pos = self.advance()[2]
-            rhs = self.unary()
-            _check_degree((len(poly) - 1) + (len(rhs) - 1), pos)
-            poly = _pmul(poly, rhs)
-        return poly
-
-    def unary(self):
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
+    Each factor (a number, x or a closed group) takes its optional ^, then
+    the pending sign, then joins the pending product at the '*' before it.
+    A '(' saves the sum, product, '*' offset and sign around it on a list
+    and starts an empty sum; its ')' restores them with the group's sum as
+    the factor, so nesting costs no recursion.  A '+' or '-' between terms
+    is the next term's sign, exact in rationals.
+    """
+    tokens = iter(tokens)
+    groups = []
+    total, product, star, sign = None, None, 0, 1
+    while True:
+        kind, value, pos = next(tokens)
+        if kind in ("+", "-"):
+            if kind == "-":
                 sign = -sign
-        poly = self.postfix()
-        return [sign * c for c in poly] if sign < 0 else poly
-
-    def postfix(self):
-        poly = self.primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "number" or not value.isdigit():
-                raise PolynomialSyntaxError("expected a non-negative integer exponent", pos)
-            self.advance()
-            exponent = int(value)
-            if exponent > MAX_DEGREE:
-                raise PolynomialSyntaxError(f"exponent {exponent} exceeds the cap of {MAX_DEGREE}", pos)
-            _check_degree((len(poly) - 1) * exponent, pos)
-            poly = _ppow(poly, exponent)
-        return poly
-
-    def primary(self):
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return [_literal(value, pos)]
-        if kind == "x":
-            return [Fraction(0), Fraction(1)]
+            continue
         if kind == "(":
-            poly = self.expr()
-            kind, value, pos = self.peek()
-            if kind != ")":
-                self.fail("expected ')'")
-            self.advance()
-            return poly
-        raise PolynomialSyntaxError(
-            f"expected a number, 'x' or '(', got {value!r}" if value else "unexpected end of input",
-            pos,
-        )
+            groups.append((total, product, star, sign))
+            total, product, sign = None, None, 1
+            continue
+        if kind == "number":
+            factor = [_literal(value, pos)]
+        elif kind == "x":
+            factor = [Fraction(0), Fraction(1)]
+        else:
+            raise PolynomialSyntaxError(
+                f"expected a number, 'x' or '(', got {value!r}" if value else "unexpected end of input",
+                pos,
+            )
+        kind, value, pos = next(tokens)
+        while True:
+            if kind == "^":
+                kind, value, pos = next(tokens)
+                if kind != "number" or not value.isdigit():
+                    raise PolynomialSyntaxError("expected a non-negative integer exponent", pos)
+                exponent = int(value)
+                if exponent > MAX_DEGREE:
+                    raise PolynomialSyntaxError(f"exponent {exponent} exceeds the cap of {MAX_DEGREE}", pos)
+                _check_degree((len(factor) - 1) * exponent, pos)
+                factor = _ppow(factor, exponent)
+                kind, value, pos = next(tokens)
+            if sign < 0:
+                factor = [-c for c in factor]
+            if product is not None:
+                _check_degree((len(product) - 1) + (len(factor) - 1), star)
+                factor = _pmul(product, factor)
+            if kind != ")" or not groups:
+                break
+            if total is not None:
+                factor = _padd(total, factor)
+            total, product, star, sign = groups.pop()
+            kind, value, pos = next(tokens)
+        if kind == "*":
+            product, star, sign = factor, pos, 1
+            continue
+        total = factor if total is None else _padd(total, factor)
+        if kind in ("+", "-"):
+            product, sign = None, -1 if kind == "-" else 1
+            continue
+        if kind != "end" or groups:
+            raise PolynomialSyntaxError("expected ')'" if groups else f"unexpected {value!r}", pos)
+        return total
 
 
 def parse_polynomial(text: str) -> PolynomialProblem:
@@ -208,7 +192,7 @@ def parse_polynomial(text: str) -> PolynomialProblem:
         )
     if not text.strip():
         raise PolynomialSyntaxError("empty expression", 0)
-    coeffs = _Parser(text).parse()
+    coeffs = _expand(_tokenize(text))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:

@@ -939,6 +939,77 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
+
+def _exits_with_one_json_line(args, code, tmp_path, capsys) -> dict:
+    out = tmp_path / "out.csv"
+    got, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+    assert got == code and stdout == ""
+    assert err.count("\n") == 1
+    assert not out.exists()
+    return json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["density", "--poly", "x^2+1", "--range", "10"], "range must be lo:hi"),
+        (["cycles", "--poly", "x^2+1", "--range", "a:3"], "bad range"),
+        (["density", "--config", "no-such-config.json"], "cannot read config file"),
+    ],
+)
+def test_bad_range_or_config_path_exits_2(args, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    error = _exits_with_one_json_line(args, EXIT_CONFIG, tmp_path, capsys)
+    assert error["error"] == "ConfigError" and message in error["message"]
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "\"x^2+1\"", "not json"])
+def test_config_file_not_holding_an_object_exits_2(document, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(document)
+    error = _exits_with_one_json_line(["density", "--config", str(config)], EXIT_CONFIG, tmp_path, capsys)
+    assert error["error"] == "ConfigError"
+    assert ("JSON object" if document != "not json" else "cannot read config file") in error["message"]
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_bad_env_seed_exits_2(seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NRQ_SEED", seed)
+    error = _exits_with_one_json_line(["density", "--poly", "x^2+1"], EXIT_CONFIG, tmp_path, capsys)
+    assert error["error"] == "ConfigError" and "bad NRQ_SEED" in error["message"]
+
+
+def test_failed_replace_exits_3_and_removes_its_temporary_file(tmp_path, capsys):
+    # os.replace cannot put a file over a directory
+    target = tmp_path / "out"
+    target.mkdir()
+    code, stdout, err = run_cli(["orbit", "--poly", "x^2-2", "--x0", "1", "--out", str(target)], capsys)
+    assert code == EXIT_RUNTIME and stdout == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(target.iterdir()) == []
+
+
+_DEEP = 3000
+
+
+def test_deeply_nested_polynomial_runs(tmp_path, capsys):
+    deep = "(" * _DEEP + "x" + ")" * _DEEP + "^2+1"
+    iterates = []
+    for poly in (deep, "x^2+1"):
+        out = tmp_path / "orbit.json"
+        args = ["orbit", "--poly", poly, "--x0", "0.7", "--format", "json", "--out", str(out)]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        iterates.append(json.loads(out.read_text())["iterates"])
+    assert iterates[0] == iterates[1]
+
+
+def test_deeply_nested_unbalanced_polynomial_exits_2(tmp_path, capsys):
+    args = ["orbit", "--poly", "(" * _DEEP + "x", "--x0", "0.7"]
+    error = _exits_with_one_json_line(args, EXIT_CONFIG, tmp_path, capsys)
+    assert error["error"] == "ConfigError" and "expected ')'" in error["message"]
+
+
 # options every command needs, as config values; a tb dispersion so that --t is used
 _BASE_OPTIONS = {
     "orbit": {"poly": "x^2+1", "x0": 0.5},

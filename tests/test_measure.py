@@ -158,6 +158,27 @@ def test_density_validation():
         EmpiricalDensity(0.0, 1.0, 1, np.array([1]))
 
 
+
+def test_density_counts_must_match_bins():
+    with pytest.raises(ValueError, match="counts length must equal bins"):
+        EmpiricalDensity(0.0, 1.0, 4, np.array([1, 2, 3]))
+
+
+@pytest.mark.parametrize("bins", [1, 0, -3, measure.MAX_BINS + 1])
+def test_one_bins_rule_for_every_density(bins):
+    message = f"bins must lie in 2..100000, got {bins}"
+    with pytest.raises(ValueError, match=message):
+        EmpiricalDensity(0.0, 1.0, bins, np.zeros(max(bins, 0), dtype=int))
+    with pytest.raises(ValueError, match=message):
+        EmpiricalDensity.from_samples([0.5], 0.0, 1.0, bins)
+    with pytest.raises(ValueError, match=message):
+        accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, 0.0, 1.0, bins)
+
+
+def test_density_at_the_bins_cap_is_built():
+    d = EmpiricalDensity(0.0, 1.0, measure.MAX_BINS, np.zeros(measure.MAX_BINS, dtype=int))
+    assert d.bins == measure.MAX_BINS
+
 @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
 def test_density_rejects_window_of_infinite_width(lo, hi):
     # a width of inf would give NaN edges and all-zero densities
@@ -533,6 +554,13 @@ def test_distance_empty_rejected():
             EmpiricalDensity(0.0, 1.0, 4, np.ones(4, dtype=int)), cauchy_density, metric="l7"
         )
 
+
+
+def test_distance_needs_analytic_mass_on_the_window():
+    # every bin mass underflows to 0 this far from the center
+    emp = EmpiricalDensity(0.0, 1.0, 4, np.ones(4, dtype=int))
+    with pytest.raises(ValueError, match="non-positive mass"):
+        density_distance(emp, Lorentzian(1e300, 1.0))
 
 @pytest.mark.parametrize("metric", ["L1", "KS", "kolmogorovsmirnov", "kolmogorov-smirnov"])
 def test_distance_takes_only_l1_and_ks(metric):
@@ -940,6 +968,72 @@ def test_peak_detect_prominence_filters_noise():
     assert len(big) == 1
     with pytest.raises(ValueError):
         peak_detect(d, min_prominence=-0.1)
+
+
+def test_pushforward_needs_a_sample():
+    with pytest.raises(ValueError, match="sample_count must be >= 1"):
+        pushforward_residual(NO_REAL_ROOT, cauchy_density, 0)
+
+def looping_peak_detect(density, min_prominence):
+    """Reference peak finder: walks the smoothed density bin by bin, over
+    each rising step and the plateau after it."""
+    kernel = np.ones(measure._SMOOTHING_BINS) / measure._SMOOTHING_BINS
+    s = np.convolve(density.densities(), kernel, mode="same")
+    centers = density.centers()
+    idxs = []
+    i = 1
+    while i < len(s) - 1:
+        if s[i] <= s[i - 1]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        if j + 1 < len(s) and s[j + 1] < s[i]:
+            idxs.append((i + j) // 2)
+        i = j + 1
+    out = []
+    for j, i in enumerate(idxs):
+        left_lo = idxs[j - 1] if j > 0 else 0
+        right_hi = idxs[j + 1] + 1 if j + 1 < len(idxs) else len(s)
+        left_min = s[left_lo:i].min() if i > left_lo else s[i]
+        right_min = s[i + 1 : right_hi].min() if right_hi > i + 1 else s[i]
+        prominence = float(s[i] - max(left_min, right_min))
+        if prominence >= min_prominence:
+            out.append((float(centers[i]), float(s[i]), prominence))
+    return out
+
+
+# few distinct small counts, so that the smoothed density has ties and plateaus
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=2, max_size=80)
+    | st.lists(st.sampled_from([0, 5, 5, 5, 9]), min_size=2, max_size=80),
+    st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+)
+def test_peak_detect_matches_the_looping_reference(counts, min_prominence):
+    d = EmpiricalDensity(0.0, 1.0, len(counts), np.array(counts))
+    assert peak_detect(d, min_prominence) == looping_peak_detect(d, min_prominence)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3, 1.0])
+def test_peak_detect_matches_the_looping_reference_on_interference(delta):
+    d = accumulate_density(interference_polynomial(delta), None, 1000, 201000, -2.0, 5.0, 280, seed=7)
+    for min_prominence in (0.0, 0.01, 0.05):
+        assert peak_detect(d, min_prominence) == looping_peak_detect(d, min_prominence)
+
+
+def test_half_width_needs_a_nonzero_peak():
+    d = spike_density([50])
+    with pytest.raises(ValueError, match="peak height is zero"):
+        half_width_at_half_max(d, d.centers()[20])
+
+
+def test_half_width_needs_both_half_maximum_crossings():
+    # the density rises to the window's right end, so no crossing lies right of the peak
+    d = EmpiricalDensity(0.0, 1.0, 4, np.array([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="half-maximum level not reached"):
+        half_width_at_half_max(d, d.centers()[3])
 
 
 def test_half_width_of_binned_lorentzian():

@@ -480,6 +480,37 @@ def test_orbit_two_cycle_breaks_before_100_steps():
     assert max(deviations) > 0.1
 
 
+
+def _doubles_within_6_ulps(center: float) -> list:
+    below, above = [center], [center]
+    for _ in range(6):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+def test_two_cycle_escape_step_follows_the_doubling_of_the_deviation():
+    # O'(x) = 1/2 + 1/(2x^2) is 2 on the cycle +-1/sqrt(3), so a start delta0
+    # off it escapes past 0.1 after about log2(0.1/delta0) steps
+    with mpmath.workdps(40):
+        cycle = 1 / mpmath.sqrt(3)
+        r = float(cycle)
+        starts = _doubles_within_6_ulps(r) + _doubles_within_6_ulps(-r)
+        assert len(set(starts)) == 26 and 1.0 / math.sqrt(3.0) in starts
+        for x0 in starts:
+            delta0 = abs(mpmath.mpf(x0) - mpmath.sign(x0) * cycle)
+            predicted = float(mpmath.log(mpmath.mpf("0.1") / delta0, 2))
+            orbit = iterate_orbit(NO_REAL_ROOT, x0, IterationPolicy(max_steps=100))
+            deviations = [min(abs(x - r), abs(x + r)) for x in orbit.iterates.tolist()]
+            escape = next(i for i, dev in enumerate(deviations) if dev > 0.1)
+            assert abs(escape - predicted) <= 2, (x0, escape, predicted)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_orbit_needs_a_finite_start(x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        iterate_orbit(NO_REAL_ROOT, x0, IterationPolicy(max_steps=10))
+
 def test_orbit_overflow():
     # x^2 - 2 with a huge start: first step squares past the overflow bound
     orbit = iterate_orbit(SQRT2_MINUS_2, 1e200, IterationPolicy(max_steps=10))

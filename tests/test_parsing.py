@@ -3,6 +3,7 @@
 import re
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,18 @@ from nrq import (
     parse_polynomial,
     pretty_polynomial,
 )
-from nrq.parsing import MAX_DEGREE, MAX_LITERAL_LENGTH, MAX_POLY_LENGTH, _tokenize
+from nrq.parsing import (
+    MAX_DEGREE,
+    MAX_LITERAL_LENGTH,
+    MAX_POLY_LENGTH,
+    _check_degree,
+    _expand,
+    _literal,
+    _padd,
+    _pmul,
+    _ppow,
+    _tokenize,
+)
 
 
 def test_simple_quadratics():
@@ -220,3 +232,126 @@ def test_expression_length_cap():
         parse_polynomial(text + "1")
     assert time.perf_counter() - started < 0.1
     assert "exceeds the cap" in str(err.value)
+
+
+def _recursive_reference(tokens):
+    """Reference expansion: a recursive descent over ``_tokenize``'s list,
+    five frames a parenthesis, with the same coefficient lists and the same
+    errors as ``_expand`` wherever the recursion limit allows."""
+    i = 0
+
+    def peek():
+        return tokens[i]
+
+    def advance():
+        nonlocal i
+        i += 1
+        return tokens[i - 1]
+
+    def expr():
+        poly = term()
+        while peek()[0] in ("+", "-"):
+            op = advance()[0]
+            rhs = term()
+            if op == "-":
+                rhs = [-c for c in rhs]
+            poly = _padd(poly, rhs)
+        return poly
+
+    def term():
+        poly = unary()
+        while peek()[0] == "*":
+            pos = advance()[2]
+            rhs = unary()
+            _check_degree((len(poly) - 1) + (len(rhs) - 1), pos)
+            poly = _pmul(poly, rhs)
+        return poly
+
+    def unary():
+        sign = 1
+        while peek()[0] in ("+", "-"):
+            if advance()[0] == "-":
+                sign = -sign
+        poly = postfix()
+        return [sign * c for c in poly] if sign < 0 else poly
+
+    def postfix():
+        poly = primary()
+        if peek()[0] == "^":
+            advance()
+            kind, value, pos = peek()
+            if kind != "number" or not value.isdigit():
+                raise PolynomialSyntaxError("expected a non-negative integer exponent", pos)
+            advance()
+            exponent = int(value)
+            if exponent > MAX_DEGREE:
+                raise PolynomialSyntaxError(f"exponent {exponent} exceeds the cap of {MAX_DEGREE}", pos)
+            _check_degree((len(poly) - 1) * exponent, pos)
+            poly = _ppow(poly, exponent)
+        return poly
+
+    def primary():
+        kind, value, pos = advance()
+        if kind == "number":
+            return [_literal(value, pos)]
+        if kind == "x":
+            return [Fraction(0), Fraction(1)]
+        if kind == "(":
+            poly = expr()
+            if peek()[0] != ")":
+                raise PolynomialSyntaxError("expected ')'", peek()[2])
+            advance()
+            return poly
+        raise PolynomialSyntaxError(
+            f"expected a number, 'x' or '(', got {value!r}" if value else "unexpected end of input",
+            pos,
+        )
+
+    poly = expr()
+    kind, value, pos = peek()
+    if kind != "end":
+        raise PolynomialSyntaxError(f"unexpected {value!r}", pos)
+    return poly
+
+
+def _expansion_or_error(expand, text):
+    """The exact coefficient list, or the error's (type, message, offset)."""
+    try:
+        return expand(_tokenize(text))
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None))
+
+
+soup_pieces = st.sampled_from(
+    ["x", "2", "3.5", ".25", "1e-3", "0", "+", "-", "*", "^", "^2", "^3", "^50", "^101",
+     "(", ")", "$", "1e999", " "]
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(soup_pieces, max_size=30).map("".join))
+def test_expand_matches_the_recursive_reference(text):
+    assert _expansion_or_error(_expand, text) == _expansion_or_error(_recursive_reference, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-(x-3)^2*-2 - -x", "((x+1)^2)^3 - (x)^0*x", "2*(x+.25)*(3.5-x)^2", "(x^50)*(x^50)*x",
+     "((x+1)^50)^2*x", "(x+(x*(x-2)))", "x+-+-x", "()", "(x))", "(x)2", "((x)", "x^2^3"],
+)
+def test_expand_matches_the_recursive_reference_on_chosen_inputs(text):
+    assert _expansion_or_error(_expand, text) == _expansion_or_error(_recursive_reference, text)
+
+
+_DEPTH = 10_000
+
+
+def test_deep_nesting_parses():
+    text = "(" * _DEPTH + "x" + ")" * _DEPTH + "^2+1"
+    assert parse_polynomial(text).coefficients == parse_polynomial("x^2+1").coefficients
+
+
+def test_deep_unbalanced_nesting_is_a_syntax_error():
+    with pytest.raises(PolynomialSyntaxError, match=re.escape("expected ')'")) as err:
+        parse_polynomial("(" * _DEPTH + "x")
+    assert err.value.position == _DEPTH + 1

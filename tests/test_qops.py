@@ -70,6 +70,39 @@ def test_state_normalization():
         StateVector([1.0, 1.0], normalize=False)  # norm^2 = 2
 
 
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: StateVector([1.0]), "1-D vector of length >= 2"),
+        (lambda: StateVector(np.eye(2)), "1-D vector of length >= 2"),
+        (lambda: LinearOp(), "exactly one of matrix and spectrum"),
+        (lambda: LinearOp(np.eye(2), spectrum=[1.0, 1.0]), "exactly one of matrix and spectrum"),
+        (lambda: LinearOp(spectrum=[]), "non-empty 1-D vector"),
+        (lambda: LinearOp(spectrum=np.ones((2, 2))), "non-empty 1-D vector"),
+        (lambda: LinearOp(np.ones((2, 3))), "matrix must be square"),
+        (lambda: LinearOp(np.ones(4)), "matrix must be square"),
+    ],
+)
+def test_states_and_operators_check_their_shapes(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: a.overlap(b),
+        lambda a, b: frequency_operator(Grid(8)).apply(a),
+        lambda a, b: evolve(a, frequency_operator(Grid(8)), 1.0),
+        lambda a, b: evolve(a, tight_binding_hamiltonian(Grid(8), lambda x: 0.1 * x, [1.0]), 1.0),
+    ],
+    ids=["overlap", "apply", "evolve-spectral", "evolve-dense"],
+)
+def test_dimension_mismatch_is_caught(call):
+    with pytest.raises(DimensionMismatch):
+        call(StateVector(np.ones(4)), StateVector(np.ones(8)))
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -397,6 +430,12 @@ def test_uncertainty_rejects_non_hermitian():
         uncertainty_product(gaussian_packet(g, 128.0, 8.0), position_operator(g), k)
 
 
+
+def test_uncertainty_rejects_a_dense_non_hermitian_operator():
+    raising = LinearOp(np.diag(np.ones(3), 1))
+    with pytest.raises(NonHermitianInput, match="hermiticity residual"):
+        uncertainty_product(StateVector(np.ones(4)), position_operator(Grid(4)), raising)
+
 def test_gaussian_packet_validation():
     with pytest.raises(ValueError):
         gaussian_packet(Grid(8), 4.0, 0.0)
@@ -615,6 +654,29 @@ def test_dirac_rejects_bad_representation():
     with pytest.raises(ValueError):
         dirac_check((1.0, 0.0), 1.0)
 
+
+
+def test_dirac_needs_both_alphas_and_beta():
+    alphas, beta = dirac_alpha_beta()
+    for kwargs in ({"alphas": alphas}, {"beta": beta}):
+        with pytest.raises(ValueError, match="supply both alphas and beta"):
+            dirac_check((1.0, 0.0, 0.0), 1.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "alphas, beta",
+    [
+        (lambda a: a[:2], lambda b: b),
+        (lambda a: a + [a[0]], lambda b: b),
+        (lambda a: [a[0], a[1], a[2][:3, :3]], lambda b: b),
+        (lambda a: a, lambda b: b[:3, :3]),
+    ],
+    ids=["two-alphas", "four-alphas", "3x3-alpha", "3x3-beta"],
+)
+def test_dirac_needs_three_4x4_alphas_and_a_4x4_beta(alphas, beta):
+    a, b = dirac_alpha_beta()
+    with pytest.raises(BadRepresentation, match="three 4x4 alpha matrices"):
+        dirac_check((1.0, 0.0, 0.0), 1.0, alphas=alphas(list(a)), beta=beta(b))
 
 @pytest.mark.parametrize(
     "k, mass",
