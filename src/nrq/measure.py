@@ -40,10 +40,17 @@ ACCUMULATE_BLOCK = 16384
 MAX_BINS = 100_000
 
 
-def _require_bins(bins):
-    """The one bins rule, for every density: 2 <= bins <= MAX_BINS."""
+def _binning(lo, hi, bins) -> np.ndarray:
+    """The one binning rule, for every density: the window (``_require_window``),
+    then 2 <= bins <= MAX_BINS, then distinct edges, which it returns."""
+    _require_window(lo, hi)
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"bins must lie in 2..{MAX_BINS}, got {bins}")
+    edges = np.linspace(lo, hi, bins + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        # np.histogram's own error for this window
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+    return edges
 
 
 @dataclass(eq=False)
@@ -54,8 +61,7 @@ class EmpiricalDensity:
     outside the window is kept in ``below_count`` / ``above_count`` so that
     ``total`` is conserved.  Counts form a commutative monoid under
     ``merge``, which is what makes chunked or parallel accumulation exact.
-    The window obeys ``_require_window`` (else InvalidRange), and ``bins``
-    ``_require_bins``.
+    The window and ``bins`` obey ``_binning``.
     """
 
     lo: float
@@ -67,8 +73,7 @@ class EmpiricalDensity:
     restarts: int = 0
 
     def __post_init__(self):
-        _require_window(self.lo, self.hi)
-        _require_bins(self.bins)
+        _binning(self.lo, self.hi, self.bins)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (self.bins,):
             raise ValueError("counts length must equal bins")
@@ -138,18 +143,11 @@ class _Tally:
     < lo = edges[0] steps down from k = 0 to slot 0, and the last bin steps
     up to slot bins + 1 where x >= the double after hi, that is where x >
     hi.  Every pass writes into ``ACCUMULATE_BLOCK``-slot work buffers
-    made once.  The window obeys ``_require_window`` (else InvalidRange),
-    then 2 <= bins <= MAX_BINS, both before anything is allocated, then
-    the edges must be distinct (numpy's "Too many bins" ValueError).
+    made once.  The window and ``bins`` obey ``_binning``.
     """
 
     def __init__(self, lo: float, hi: float, bins: int):
-        _require_window(lo, hi)
-        _require_bins(bins)
-        edges = np.linspace(lo, hi, bins + 1)
-        if not (edges[:-1] < edges[1:]).all():
-            # np.histogram's own error for this window
-            raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+        edges = _binning(lo, hi, bins)
         self.lo, self.hi, self.bins = lo, hi, bins
         self._edges = edges
         # _upper[k + 1] is the edge that bin k steps up at; slot 0 (below lo)
@@ -210,16 +208,13 @@ def accumulate_density(
     The orbit is run by ``problem.advance``, the fused kernel, which writes
     doubles into one ``ACCUMULATE_BLOCK``-slot float64 array and stops
     before each pole or overflow, where the restart is stored and the
-    kernel resumed from the next slot.  The kernel checks the first 64
-    steps after each start one at a time, so a chain that stops again soon
-    costs no extra call, and runs the rest in unchecked chunks of 64, 128,
-    256, ... steps, each checked in one numpy pass after it has run; a stop
-    discards the rest of its chunk.  Each block's kept iterates are handed
-    whole to one ``_Tally``, which counts them as ``np.histogram`` would,
-    to the bit, in work buffers made once; the density is built from it at
-    the end, so memory is bounded by the block and the bins, not by ``n``.
+    kernel resumed from the next slot (``newton._kernel`` gives the
+    kernel's chunk schedule).  Each block's kept iterates are handed whole
+    to one ``_Tally``, which counts them as ``np.histogram`` would, to the
+    bit, in work buffers made once; the density is built from it at the
+    end, so memory is bounded by the block and the bins, not by ``n``.
     Inputs are checked in this order before the orbit runs: the window,
-    ``bins`` and the edges as ``_Tally`` checks them, then n > n0 >= 0,
+    ``bins`` and the edges as ``_binning`` checks them, then n > n0 >= 0,
     then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange).
     """
     tally = _Tally(lo, hi, bins)
@@ -342,22 +337,21 @@ class CycleScan:
 
 
 # find_cycles evaluates O^period at every grid point and bisects each sign
-# change with about 60 evaluations of O^period, each step costing about
-# degree operations, so grid_points * period * degree bounds its work.  The
-# cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
+# change, a cell of width w in about 50 + log2(w / max(1, |root|)) evaluations
+# of O^period: at most about 50 unless the root is nearer 0 than w, and at
+# most about 1075 on any window (see _bisect_brackets).  Each step costs
+# about degree operations, so grid_points * period * degree bounds the work.
+# The cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
 MAX_CYCLE_WORK = 600_000
-# The brackets are bisected in lockstep, each level one step_array call
-# that runs the period steps of O^period, and on few brackets a step costs
-# about 2.5 us a degree (7 us for x^2+1, 245 us at degree 100), so the
-# period, and the period weighted by the degree, are capped to keep a scan
-# of few brackets under a second.  No x^2+1 cycle above period 60 or so is
-# resolvable in double precision anyway.
-MAX_CYCLE_PERIOD = 1000
+# The brackets are bisected in lockstep, each level one step_array call that
+# runs the period steps of O^period, and on few brackets a step costs about
+# 2.5 us a degree with a floor of 7-9 us below degree 4 (245 us at degree
+# 100), so period * max(degree, 4) is capped to bound a level's cost.  No
+# x^2+1 cycle above period 60 or so is resolvable in double precision anyway.
 MAX_CYCLE_STEP_WORK = 4000
 # Bisection stops once a bracket is no wider than this relative to its
-# midpoint, or after this many levels.
+# midpoint's magnitude, at least 1.
 _BISECT_RTOL = 1e-15
-_MAX_BISECT_LEVELS = 200
 # A cycle's worst |O^period(p) - p| over its points must stay within this.
 _RESIDUAL_TOL = 1e-10
 # Points closer than this are the same point, for the minimal-period check
@@ -374,17 +368,18 @@ def _bisect_brackets(
     opposite signs.  Each level evaluates O^period once at the midpoints m of
     all still-active brackets and keeps [a, m] where ``ga * gm <= 0``, else
     [m, b]; a bracket freezes once it is no wider than ``_BISECT_RTOL``
-    of its midpoint's magnitude (at least 1), or after
-    ``_MAX_BISECT_LEVELS``.  Returns each bracket's final midpoint and
-    whether its evaluation hit a pole or overflowed, which makes it bad.
+    of its midpoint's magnitude (at least 1), or once its evaluation hit a
+    pole or overflowed (NaN), which makes it bad.  That test alone ends the
+    loop: the window rule keeps every a + b finite, so each level about
+    halves a bracket, and two adjacent doubles always pass the width test,
+    so a bracket within an admitted window freezes within about 1075 levels.
+    Returns each bracket's final midpoint and whether it is bad.
     """
     roots = np.empty(a.size)
     bad = np.zeros(a.size, dtype=bool)
     active = np.arange(a.size)
     with np.errstate(all="ignore"):
-        for level in range(_MAX_BISECT_LEVELS):
-            if active.size == 0:
-                break
+        while active.size:
             m = 0.5 * (a + b)
             ym = problem.step_array(m, period)
             gm = ym - m
@@ -394,8 +389,6 @@ def _bisect_brackets(
             ga = np.where(take_left, ga, gm)
             failed = np.isnan(ym)
             done = failed | (b - a <= _BISECT_RTOL * np.maximum(1.0, np.abs(m)))
-            if level == _MAX_BISECT_LEVELS - 1:
-                done[:] = True
             if done.any():
                 bad[active[failed]] = True
                 roots[active[done]] = 0.5 * (a[done] + b[done])
@@ -425,22 +418,19 @@ def find_cycles(
     joins ``pole_intervals``, and rotations of one cycle are deduplicated.
     Every evaluation of the map goes through ``problem.step_array``, O^period
     in one call.  The window obeys ``_require_window`` (else InvalidRange);
-    ``period`` may not exceed ``MAX_CYCLE_PERIOD``, ``period * problem.degree``
-    may not exceed ``MAX_CYCLE_STEP_WORK``, and ``grid_points * period *
-    problem.degree`` may not exceed ``MAX_CYCLE_WORK``; all are checked before
-    the grid is built, the window before the caps.
+    then ``period * max(problem.degree, 4)`` may not exceed
+    ``MAX_CYCLE_STEP_WORK``, and then ``grid_points * period *
+    problem.degree`` may not exceed ``MAX_CYCLE_WORK``; all are checked
+    before the grid is built.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     _require_window(lo, hi)
-    if period > MAX_CYCLE_PERIOD:
-        raise ValueError(f"period {period} exceeds the cap of {MAX_CYCLE_PERIOD}")
-    if period * problem.degree > MAX_CYCLE_STEP_WORK:
-        raise ValueError(
-            f"period * degree = {period * problem.degree} exceeds the cap of {MAX_CYCLE_STEP_WORK}"
-        )
+    step_work = period * max(problem.degree, 4)
+    if step_work > MAX_CYCLE_STEP_WORK:
+        raise ValueError(f"period * max(degree, 4) = {step_work} exceeds the cap of {MAX_CYCLE_STEP_WORK}")
     work = grid_points * period * problem.degree
     if work > MAX_CYCLE_WORK:
         raise ValueError(f"grid_points * period * degree = {work} exceeds the cap of {MAX_CYCLE_WORK}")
@@ -554,7 +544,9 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     if min_prominence < 0:
         raise ValueError("min_prominence must be >= 0")
     kernel = np.ones(_SMOOTHING_BINS) / _SMOOTHING_BINS
-    s = np.convolve(density.densities(), kernel, mode="same")
+    # the full convolution's middle bins values (mode="same" gives max(bins, 5))
+    first = _SMOOTHING_BINS // 2
+    s = np.convolve(density.densities(), kernel)[first : first + density.bins]
     centers = density.centers()
     # the runs of equal values; a maximum is a run above both its neighbors
     starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0)

@@ -188,9 +188,8 @@ class PolynomialProblem:
     descending tuples by ``_kernel``, the map's one definition, which
     leaves out the terms that cannot change a bit (a factor 1.0, an added
     zero).  ``advance`` is the fused orbit kernel: it runs the map over a
-    buffer of doubles and stops before a pole or an overflow, testing its
-    first 64 steps one at a time and the rest in doubling chunks after they
-    have run; the slots from the stop on are unspecified.
+    buffer of doubles and stops before a pole or an overflow, in
+    ``_kernel``'s chunk schedule; the slots from the stop on are unspecified.
     ``step_array`` applies the map, or its ``times``-th power, to an array
     and ``newton_step`` applies it to one float, both through the
     kernel's generated f'(x) and numerator(x), so every entry evaluates the

@@ -710,7 +710,7 @@ def test_cli_counts_at_their_caps_run(args, expected, tmp_path, capsys):
 def test_cycles_period_cap_exits_2_before_the_grid(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(PolynomialProblem, "step_array", lambda *args: pytest.fail("grid evaluated"))
     out = tmp_path / "out"
-    period = str(measure.MAX_CYCLE_PERIOD + 1)
+    period = str(measure.MAX_CYCLE_STEP_WORK // 4 + 1)
     code, _, err = run_cli(
         ["cycles", "--poly", "x^2+1", "--period", period, "--grid", "2", "--out", str(out)], capsys
     )
@@ -721,12 +721,12 @@ def test_cycles_period_cap_exits_2_before_the_grid(tmp_path, capsys, monkeypatch
 
 def test_cycles_at_the_period_cap_runs(tmp_path, capsys):
     out = tmp_path / "cycles.json"
-    period = str(measure.MAX_CYCLE_PERIOD)
+    period = str(measure.MAX_CYCLE_STEP_WORK // 4)
     code, _, _ = run_cli(
         ["cycles", "--poly", "x^2+1", "--period", period, "--grid", "2", "--out", str(out)], capsys
     )
     assert code == EXIT_OK
-    assert json.loads(out.read_text())["period"] == measure.MAX_CYCLE_PERIOD
+    assert json.loads(out.read_text())["period"] == measure.MAX_CYCLE_STEP_WORK // 4
 
 
 def test_poly_over_length_cap_in_config_exits_2_quickly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Density accumulation, analytic-density comparison, cycles, interference."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -173,6 +174,12 @@ def test_one_bins_rule_for_every_density(bins):
         EmpiricalDensity.from_samples([0.5], 0.0, 1.0, bins)
     with pytest.raises(ValueError, match=message):
         accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, 0.0, 1.0, bins)
+
+
+def test_density_without_distinct_edges_is_rejected():
+    # its bin width once rounded to 0, so that both densities were inf
+    with pytest.raises(ValueError, match="Too many bins"):
+        EmpiricalDensity(0.0, 5e-324, 2, [1, 1])
 
 
 def test_density_at_the_bins_cap_is_built():
@@ -666,7 +673,7 @@ def test_find_cycles_rejects_a_window_that_is_not_finite(lo, hi, monkeypatch):
         find_cycles(NO_REAL_ROOT, 2, lo, hi, 10)
     # the window is checked before the caps
     with pytest.raises(InvalidRange):
-        find_cycles(NO_REAL_ROOT, measure.MAX_CYCLE_PERIOD + 1, lo, hi, 10)
+        find_cycles(NO_REAL_ROOT, measure.MAX_CYCLE_STEP_WORK // 4 + 1, lo, hi, 10)
 
 
 @pytest.mark.parametrize(
@@ -678,7 +685,7 @@ def test_find_cycles_rejects_a_window_that_is_not_finite(lo, hi, monkeypatch):
         # the cap weighs each step by the degree: a quartic gets half the points
         (interference_polynomial(0.01), 3, measure.MAX_CYCLE_WORK // 12 + 1),
         # a long period is capped even on a grid of 2, and weighed by the degree
-        (NO_REAL_ROOT, measure.MAX_CYCLE_PERIOD + 1, 2),
+        (NO_REAL_ROOT, measure.MAX_CYCLE_STEP_WORK // 4 + 1, 2),
         (PolynomialProblem((1.0,) * 6), measure.MAX_CYCLE_STEP_WORK // 5 + 1, 2),
     ],
 )
@@ -686,6 +693,43 @@ def test_find_cycles_work_cap(problem, period, grid_points, monkeypatch):
     monkeypatch.setattr(PolynomialProblem, "step_array", lambda *args: pytest.fail("grid evaluated"))
     with pytest.raises(ValueError, match="exceeds the cap"):
         find_cycles(problem, period, -3.0, 3.0, grid_points)
+
+
+def test_one_step_work_cap_admits_what_the_two_period_caps_admitted():
+    # the caps it replaced: period <= 1000, and period * degree <= 4000
+    moved = []
+    for degree in range(1, 101):
+        problem = types.SimpleNamespace(degree=degree)
+        for period in range(1, 5001):
+            try:  # an admitted period goes on to the grid cap at 10**9 points
+                find_cycles(problem, period, -3.0, 3.0, 10**9)
+            except ValueError as error:
+                admitted = str(error).startswith("grid_points")
+            if admitted != (period <= 1000 and period * degree <= 4000):
+                moved.append((degree, period))
+    assert moved == []
+
+
+@pytest.mark.parametrize("bound", [1e60, 1e300, 8e307])
+def test_fixed_point_is_found_on_a_wide_window(bound):
+    # x - 0.5 maps every x to 0.5, so g changes sign once, at 0.5
+    problem = PolynomialProblem((-0.5, 1.0))
+    calls = []
+    step_array = problem.step_array
+
+    def counting(xs, times=1):
+        calls.append(times)
+        return step_array(xs, times)
+
+    object.__setattr__(problem, "step_array", counting)
+    scan = find_cycles(problem, 1, -bound, bound, 2)
+    assert scan.pole_intervals == ()
+    [cycle] = scan.cycles
+    assert abs(cycle.points[0] - 0.5) <= math.ulp(0.5)
+    # one call evaluates the grid and one steps the root's orbit; every other
+    # call is a bisection level: more than 200 for a bracket this wide, and
+    # the width test ends it within about 1075
+    assert 200 < len(calls) - 2 <= 1076
 
 
 def _reference_find_cycles(problem, period, lo, hi, grid_points):
@@ -728,7 +772,7 @@ def _reference_find_cycles(problem, period, lo, hi, grid_points):
         a, b = float(xs[i]), float(xs[i + 1])
         ga = g[i]
         bad = False
-        for _ in range(200):
+        while True:
             m = 0.5 * (a + b)
             ym = power(m)
             if ym is None:
@@ -812,6 +856,7 @@ _SCAN_POLYNOMIAL = st.integers(1, 5).flatmap(
 @example([1.0, 0.0, 1.0], 2, -50.0, 100.0, 20000 // 6)  # brackets straddling poles
 @example([-1.0, 0.0, 1.0], 1, -3.0, 4.0, 9)  # x^2 - 1: the root 1 at the window's right end
 @example([2.0, -2.0, 0.0, 1.0], 4, -3.0, 6.0, 3000)  # x^3 - 2x + 2
+@example([-0.5, 1.0], 1, -1e300, 2e300, 2)  # x - 0.5: 1048 levels to the root 0.5
 def test_find_cycles_matches_the_per_cell_scan(coefficients, period, lo, width, grid_points):
     _assert_same_scan(PolynomialProblem(coefficients), period, lo, lo + width, grid_points)
 
@@ -978,7 +1023,8 @@ def looping_peak_detect(density, min_prominence):
     """Reference peak finder: walks the smoothed density bin by bin, over
     each rising step and the plateau after it."""
     kernel = np.ones(measure._SMOOTHING_BINS) / measure._SMOOTHING_BINS
-    s = np.convolve(density.densities(), kernel, mode="same")
+    first = measure._SMOOTHING_BINS // 2
+    s = np.convolve(density.densities(), kernel)[first : first + density.bins]
     centers = density.centers()
     idxs = []
     i = 1
@@ -1021,6 +1067,27 @@ def test_peak_detect_matches_the_looping_reference_on_interference(delta):
     d = accumulate_density(interference_polynomial(delta), None, 1000, 201000, -2.0, 5.0, 280, seed=7)
     for min_prominence in (0.0, 0.01, 0.05):
         assert peak_detect(d, min_prominence) == looping_peak_detect(d, min_prominence)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4])
+def test_peak_detect_on_fewer_bins_than_the_smoothing_window(bins):
+    # the smoothing once returned 5 values for fewer than 5 bins, so that
+    # every index was shifted
+    for counts in itertools.product(range(3), repeat=bins):
+        if not any(counts):
+            continue
+        d = EmpiricalDensity(0.0, 1.0, bins, counts)
+        dens = d.densities()
+        # the 5-bin moving average, zero past both ends: bins values
+        s = np.array([dens[max(i - 2, 0) : i + 3].sum() / 5 for i in range(bins)])
+        top = s.max()
+        # a prominence above the rounding of equal sums
+        peaks = peak_detect(d, 1e-9)
+        for center, height, _ in peaks:
+            i = int(np.flatnonzero(d.centers() == center)[0])
+            assert 0 < i < bins - 1
+            assert height == pytest.approx(s[i]) and s[i] == pytest.approx(top)
+        assert len(peaks) == (s[0] < top - 1e-9 and s[-1] < top - 1e-9)
 
 
 def test_half_width_needs_a_nonzero_peak():
