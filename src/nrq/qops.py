@@ -7,11 +7,12 @@ DFT-mode order (mode m is ``fourier_eigenstate(grid, m)``) and they are
 applied as ``ifft(spectrum * fft(psi))`` in O(N log N).  Position is
 diagonal on the sites, applied as ``spectrum * psi``.  Both kinds are
 evolved by phasing the spectrum and diagonalized analytically.  Every DFT
-mode is read from one table of the N roots of unity, so mode m has the
-same bits wherever it is built.  Commutators, projectors and a
-tight-binding operator with a callable onsite term are compositions, known
-by their action alone: A(Bv) - B(Av), psi <psi|v>, and the circulant
-hopping part plus the onsite diagonal; no builder makes a dense operator.
+mode is read from one table of the N roots of unity at an intp index
+reduced without an integer %, so mode m has the same bits wherever it is
+built.  Commutators, projectors and a tight-binding operator with a
+callable onsite term are compositions, known by their action alone:
+A(Bv) - B(Av), psi <psi|v>, and the circulant hopping part plus the
+onsite diagonal; no builder makes a dense operator.
 ``column_blocks`` applies any operator to the identity's columns
 _BLOCK_COLUMNS at a time, which fill ``.matrix`` on each access and carry
 ``unitarity_residual``.  An N x N array is made only after
@@ -295,14 +296,18 @@ class LinearOp:
     def eigh(self):
         """Eigendecomposition (ascending eigenvalues, eigenvector columns);
         requires Hermiticity.  A spectrum's is analytic, built on each call
-        and not stored: its stably sorted values with the matching DFT or
-        identity columns.  Any other operator's is LAPACK's, cached."""
+        and not stored: its stably sorted values with the matching DFT modes
+        (``_dft_modes``) or identity columns, ones written into zeros, in one
+        N x N array.  Any other operator's is LAPACK's, cached."""
         if self.spectrum is not None:
             w = self._real_spectrum()
             _require_dense(self.n)
             order = np.argsort(w, kind="stable")
-            modes = (np.eye(self.n, dtype=complex)[order] if self._on_sites
-                     else _dft_modes(self.n, order[:, None]))
+            if self._on_sites:
+                modes = np.zeros((self.n, self.n), dtype=complex)
+                modes[np.arange(self.n), order] = 1.0
+            else:
+                modes = _dft_modes(self.n, order[:, None])
             return w[order], modes.T
         if self._eig is None:
             self._require_hermitian()
@@ -340,10 +345,18 @@ def _dft_modes(n: int, m) -> np.ndarray:
     """Amplitudes exp(2*pi*i*m*l/n)/sqrt(n) of DFT mode m, read from one
     table of the n roots of unity at the reduced index m*l mod n.  An int m
     gives one mode; a column of mode indices, shape (k, 1), gives those k
-    modes as the rows of one array."""
+    modes as the rows of one array, written _BLOCK_COLUMNS rows at a time.
+    The index is reduced in intp as k - k // n * n, since numpy vectorizes
+    that floor division but not an integer %, and gathered into the rows."""
     idx = np.arange(n)
     roots = np.exp(2j * np.pi * idx / n) / math.sqrt(n)
-    return roots[(m * idx) % n]
+    modes = np.empty(np.broadcast_shapes(np.shape(m), (n,)), dtype=complex)
+    rows, ms = modes.reshape(-1, n), np.reshape(m, (-1, 1))
+    for block in _column_slices(len(rows)):
+        k = ms[block] * idx
+        k -= k // n * n
+        roots.take(k, out=rows[block], mode="clip")  # "raise" would buffer out
+    return modes
 
 
 def shift_operator(grid: Grid) -> LinearOp:

@@ -38,7 +38,7 @@ from nrq import (
     wavevector_operator,
     wavevector_values,
 )
-from nrq.qops import _BLOCK_COLUMNS, MAX_DENSE_N, _norm, _norms, _propagator
+from nrq.qops import _BLOCK_COLUMNS, MAX_DENSE_N, _dft_modes, _norm, _norms, _propagator
 
 
 def test_grid_validation():
@@ -860,6 +860,59 @@ def test_fourier_eigenstate_matches_mpmath_to_4_ulps(n):
 
 
 # ---------------------------------------------------------------------------
+# the DFT table and the site basis against their first, unblocked builds
+
+_TABLE_SIZES = [2, 3, 8, 64, 65, 97, 128, 256, 257, 1000, 1021, 1024]
+
+
+def _reference_dft_modes(n, m):
+    """The roots of unity read at an int64 (m * l) % n in one N x N gather."""
+    idx = np.arange(n)
+    roots = np.exp(2j * np.pi * idx / n) / math.sqrt(n)
+    return roots[(m * idx) % n]
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_dft_modes_have_the_bits_of_the_reference_table(n):
+    for m in (0, 1, n // 2, n - 1, np.int64(n - 1)):
+        assert _dft_modes(n, m).tobytes() == _reference_dft_modes(n, m).tobytes(), m
+    # columns of 1, 64 and 65 modes cross a row block's edge
+    for k in (1, 64, 65):
+        col = np.arange(n)[n - min(k, n):, None]
+        assert _dft_modes(n, col).tobytes() == _reference_dft_modes(n, col).tobytes(), k
+    perm = np.random.default_rng(n).permutation(n)[:, None]
+    assert _dft_modes(n, perm).tobytes() == _reference_dft_modes(n, perm).tobytes()
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_spectral_eigh_bases_have_the_bits_of_the_reference_tables(n):
+    g = Grid(n, 0.37)
+    ops = {
+        "frequency": frequency_operator(g),
+        "tight binding": tight_binding_hamiltonian(g, 2.0, [1.0] if n > 2 else []),
+        "position": position_operator(g),
+    }
+    for name, op in ops.items():
+        order = np.argsort(op.spectrum.real, kind="stable")
+        reference = (np.eye(n, dtype=complex)[order] if name == "position"
+                     else _reference_dft_modes(n, order[:, None]))
+        w, v = op.eigh()
+        assert w.tobytes() == op.spectrum.real[order].tobytes(), name
+        assert v.tobytes() == reference.T.tobytes(), name
+    for m in (0, 1, n // 2, n - 1):
+        amps = fourier_eigenstate(g, m).amplitudes
+        assert amps.tobytes() == _reference_dft_modes(n, m).tobytes(), m
+
+
+@pytest.mark.parametrize("m", [1, 46341, 49999])
+def test_fourier_eigenstate_past_an_int32_index(m):
+    # m * l reaches 49999 m, past 2^31 for m = 46341 and 49999: the index
+    # must not be reduced in int32
+    amps = fourier_eigenstate(Grid(50000), m).amplitudes
+    assert amps.tobytes() == _reference_dft_modes(50000, m).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # dense oracle: the circulant constructors as explicit N x N matrices
 
 
@@ -1069,6 +1122,24 @@ def test_square_arrays_past_the_dense_cap_raise_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak <= 1_000_000
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [(frequency_operator, 19_000_000), (position_operator, 17_500_000)],
+    ids=["frequency", "position"],
+)
+def test_spectral_eigh_at_the_cap_holds_one_square_basis(build, bound):
+    # the 16.8 MB basis at N = MAX_DENSE_N, plus a DFT table's row block of
+    # indices; no N x N index or identity alongside it
+    op = build(Grid(MAX_DENSE_N))
+    tracemalloc.start()
+    try:
+        op.eigh()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_spectral_eigh_stores_no_matrix():
