@@ -8,13 +8,13 @@ located by bracketing sign changes of the iterated map minus identity.
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 # newton_step is not called here; the name stays because perfbench/spans.py
 # traces nrq.measure.newton_step
 from .newton import PolynomialProblem, newton_step  # noqa: F401
-from .parsing import parse_polynomial
 
 
 class InvalidRange(ValueError):
@@ -516,16 +516,16 @@ def pushforward_residual(
 
 
 def interference_polynomial(delta: float) -> PolynomialProblem:
-    """The two-well quartic (x^2 + delta)*((x-3)^2 + delta), parsed from that form.
+    """The two-well quartic (x^2 + delta)*((x-3)^2 + delta).
 
-    The parser expands in rational arithmetic over delta's shortest decimal
-    representation, so the coefficients (9d + d^2, -6d, 9 + 2d, -6, 1) are
-    correctly rounded; one that overflows a double raises OverflowError.
+    Its coefficients (9d + d^2, -6d, 9 + 2d, -6, 1) are exact rationals over
+    delta's shortest decimal representation d, as parsing that product form
+    gives, each rounded once to a double; one that overflows raises OverflowError.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    d = float(delta)
-    return parse_polynomial(f"(x^2+{d!r})*((x-3)^2+{d!r})")
+    d = Fraction(repr(float(delta)))
+    return PolynomialProblem((9 * d + d * d, -6 * d, 9 + 2 * d, -6, 1))
 
 
 # peak_detect smooths the density by a moving average over this many bins.
@@ -536,10 +536,10 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     """Local maxima of the 5-bin-smoothed density, filtered by prominence.
 
     A maximum is a bin (or equal-valued plateau, reported at its middle)
-    strictly above both flanking values; prominence is the peak height
-    minus the higher of the minima separating it from its neighboring
-    peaks (or range ends).  Returns (center, height, prominence) triples
-    in center order.
+    strictly above both flanking values, compared as the windows' exact
+    sums of counts; prominence is the peak height minus the higher of the
+    minima separating it from its neighboring peaks (or range ends).
+    Returns (center, height, prominence) triples in center order.
     """
     if min_prominence < 0:
         raise ValueError("min_prominence must be >= 0")
@@ -547,11 +547,13 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     # the full convolution's middle bins values (mode="same" gives max(bins, 5))
     first = _SMOOTHING_BINS // 2
     s = np.convolve(density.densities(), kernel)[first : first + density.bins]
+    # the same windows' sums of counts, which s may round apart where they tie
+    w = np.convolve(density.counts, np.ones(_SMOOTHING_BINS, dtype=np.int64))[first : first + density.bins]
     centers = density.centers()
-    # the runs of equal values; a maximum is a run above both its neighbors
-    starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0)
-    ends = np.append(starts[1:], len(s)) - 1
-    v = s[starts]
+    # the runs of equal sums; a maximum is a run above both its neighbors
+    starts = np.flatnonzero(np.diff(w, prepend=-1) != 0)
+    ends = np.append(starts[1:], len(w)) - 1
+    v = w[starts]
     peak = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     idxs = ((starts[1:-1] + ends[1:-1]) // 2)[peak].tolist()
     out = []

@@ -37,31 +37,32 @@ class DerivativeZero(ZeroDivisionError):
         self.fprime = fprime
 
 
-# The map's source.  Its coefficients and bounds are closure cells, cheaper
-# than globals; n<i> and d<i> are the coefficients of x^i in the Newton
-# numerator and in f'.  An unchecked chunk can leave its loop only through
-# ZeroDivisionError, as float *, + and / by nonzero never raise.
+# The map's source.  Its coefficients are closure cells, cheaper than
+# globals; n<i> and d<i> are the coefficients of x^i in the Newton numerator
+# and in f'.  The bounds and the checked steps are literals of the text.  An
+# unchecked chunk can leave its loop only through ZeroDivisionError, as
+# float *, + and / by nonzero never raise.
 _MAP_TEMPLATE = """\
-def make(pe, bound, neg_pe, neg_bound, checked, first_stop, asarray, {cells}):
+def make({cells}):
     def fprime(x):
         return {fpx}
     def numerator(x):
         return {numerator}
     def advance(x, j, k, buf):
-        m = j + checked
+        m = j + {checked}
         if m > k:
             m = k
         for j in range(j, m):
             fpx = {fpx}
-            if neg_pe <= fpx <= pe:
+            if -{pe!r} <= fpx <= {pe!r}:
                 return x, j
             y = ({numerator}) / fpx
-            if not neg_bound <= y <= bound:
+            if not -{bound!r} <= y <= {bound!r}:
                 return x, j
             buf[j] = x = y
         if m == k:
             return x, k
-        j, first, arr = m, m - checked, asarray(buf)
+        j, first, arr = m, m - {checked}, asarray(buf)
         while j < k:
             # as long as every step run before it, so a stop wastes at most that many
             e = min(j + j - first, k)
@@ -123,20 +124,9 @@ def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str
 # and zero coefficients), but each is a few kilobytes at degree 100.
 @functools.lru_cache(maxsize=256)
 def _compile(source: str, degree: int) -> Callable:
-    if _CHECKED_STEPS < 1:
-        raise ValueError(f"advance needs at least 1 checked step, not {_CHECKED_STEPS}")
-    namespace = {}
+    namespace = {"first_stop": _first_stop, "asarray": np.asarray}
     exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
-    return functools.partial(
-        namespace["make"],
-        POLE_EPSILON,
-        OVERFLOW_BOUND,
-        -POLE_EPSILON,
-        -OVERFLOW_BOUND,
-        _CHECKED_STEPS,
-        _first_stop,
-        np.asarray,
-    )
+    return namespace["make"]
 
 
 def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Callable:
@@ -162,8 +152,9 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     filled, are those of the step-at-a-time loop; the slots at and past the
     returned one are unspecified, and a stop wastes at most as many steps
     as the call kept.  The source depends on which coefficients are 1.0 or
-    zero, so it is compiled once per source text, which is also the cache
-    key: coefficient tuples would not do, as 0.0 == -0.0.
+    zero and holds the bounds and ``_CHECKED_STEPS`` as literals, so it fixes
+    every value the kernel reads; it is compiled once per text, which is the
+    cache key: coefficient tuples would not do, as 0.0 == -0.0.
     """
     degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
@@ -173,6 +164,9 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     lead = "0.0 * x" if degree == 1 else ""
     source = _MAP_TEMPLATE.format(
         cells=", ".join(cells),
+        pe=POLE_EPSILON,
+        bound=OVERFLOW_BOUND,
+        checked=_CHECKED_STEPS,
         fpx=_horner_source("d", derivative, lead),
         numerator=_horner_source("n", numerator, lead),
     )

@@ -34,7 +34,7 @@ from nrq import (
     peak_detect,
     pushforward_residual,
 )
-from nrq import measure, newton
+from nrq import measure
 from nrq.newton import OVERFLOW_BOUND, DerivativeZero
 
 NO_REAL_ROOT = PolynomialProblem((1.0, 0.0, 1.0))
@@ -436,11 +436,7 @@ def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, 
     xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
     kept = np.array(xs[n0:])
     monkeypatch.setattr("nrq.newton._CHECKED_STEPS", checked)
-    newton._compile.cache_clear()
-    try:
-        got = accumulate_density(PolynomialProblem(problem.coefficients), x0, n0, n, -3.0, 3.0, 12, seed=4)
-    finally:
-        newton._compile.cache_clear()
+    got = accumulate_density(PolynomialProblem(problem.coefficients), x0, n0, n, -3.0, 3.0, 12, seed=4)
     assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(kept, -3.0, 3.0, 12)
     assert got.restarts == restarts
 
@@ -969,6 +965,26 @@ def test_interference_polynomial_generic_delta():
         interference_polynomial(1e200)
 
 
+def _parsed_interference(delta):
+    # the product form read back by the parser, which the exact coefficients replace
+    return parse_polynomial(f"(x^2+{delta!r})*((x-3)^2+{delta!r})")
+
+
+def test_interference_polynomial_equals_the_parsed_product_form():
+    # bit for bit, signed zeros included, from subnormal deltas up to the
+    # largest whose 9d + d^2 is finite
+    rng = np.random.default_rng(35)
+    fixed = [0.01, 0.3, 1.0, 2.5, 1e-5, 5e-324, 1e-320, 2.2250738585072014e-308, 1e150, 1.3e154]
+    for delta in fixed + (10.0 ** rng.uniform(-320.0, 154.0, 200)).tolist():
+        got = np.array(interference_polynomial(delta).coefficients)
+        assert got.tobytes() == np.array(_parsed_interference(delta).coefficients).tobytes(), delta
+    for delta in (1e155, 1e308):
+        with pytest.raises(OverflowError):
+            interference_polynomial(delta)
+        with pytest.raises(OverflowError):
+            _parsed_interference(delta)
+
+
 def test_interference_density_is_roughly_symmetric():
     # f is symmetric about x = 1.5, so the well masses should roughly agree
     d = accumulate_density(interference_polynomial(0.01), None, 1000, 41000, -2.0, 5.0, 280, seed=7)
@@ -1025,17 +1041,20 @@ def looping_peak_detect(density, min_prominence):
     kernel = np.ones(measure._SMOOTHING_BINS) / measure._SMOOTHING_BINS
     first = measure._SMOOTHING_BINS // 2
     s = np.convolve(density.densities(), kernel)[first : first + density.bins]
+    # each window's sum of counts, in exact integers, for the comparisons
+    c = density.counts.tolist()
+    w = [sum(c[max(i - first, 0) : i + first + 1]) for i in range(len(c))]
     centers = density.centers()
     idxs = []
     i = 1
-    while i < len(s) - 1:
-        if s[i] <= s[i - 1]:
+    while i < len(w) - 1:
+        if w[i] <= w[i - 1]:
             i += 1
             continue
         j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
+        while j + 1 < len(w) and w[j + 1] == w[i]:
             j += 1
-        if j + 1 < len(s) and s[j + 1] < s[i]:
+        if j + 1 < len(w) and w[j + 1] < w[i]:
             idxs.append((i + j) // 2)
         i = j + 1
     out = []
@@ -1060,6 +1079,12 @@ def looping_peak_detect(density, min_prominence):
 def test_peak_detect_matches_the_looping_reference(counts, min_prominence):
     d = EmpiricalDensity(0.0, 1.0, len(counts), np.array(counts))
     assert peak_detect(d, min_prominence) == looping_peak_detect(d, min_prominence)
+
+
+def test_peak_detect_reports_no_peak_on_a_plateau_of_equal_sums():
+    # the smoothed density is [4, 7, 7, 7] / 5 (scaled) with no interior
+    # maximum, though the float smoothing rounds the 7s apart
+    assert peak_detect(EmpiricalDensity(0.0, 1.0, 4, [0, 3, 1, 3]), 0.0) == []
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.3, 1.0])

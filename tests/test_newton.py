@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import nrq
-from nrq import newton
 from nrq import (
     DerivativeZero,
     IterationPolicy,
@@ -254,14 +253,10 @@ def _with_advance_examples(test):
 
 @contextlib.contextmanager
 def _checked_steps(n):
-    """Kernels compiled inside the block test their first n steps one at a time."""
+    """Problems built inside the block test their first n steps one at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("nrq.newton._CHECKED_STEPS", n)
-        newton._compile.cache_clear()
-        try:
-            yield
-        finally:
-            newton._compile.cache_clear()
+        yield
 
 
 def _check_advance(coefficients, x0, j0, k):
@@ -301,10 +296,17 @@ def test_advance_matches_a_chain_of_steps_in_unchecked_chunks(coefficients, x0, 
         _check_advance(coefficients, x0, j0, k)
 
 
-def test_advance_needs_a_checked_step():
-    # a chunk's pass reads its start from the slot the checked steps wrote last
-    with _checked_steps(0), pytest.raises(ValueError, match="checked step"):
-        PolynomialProblem((1.0, 0.0, 1.0))
+def test_a_patched_checked_step_count_compiles_its_own_kernel():
+    # the count is a literal of the kernel's source, which keys the compile
+    # cache, so the 64-step kernel cached first is not reused under a patch.
+    # 5e-301 x^2 halves 24 to 0.75 and stops at the pole there, on slot 5;
+    # the 1-step kernel runs slots 4-7 as one unchecked chunk, which writes
+    # 0.375 to slot 5 before its pass finds the stop
+    PolynomialProblem((0.0, 0.0, 5e-301))
+    buf = memoryview(bytearray(8 * 8)).cast("d")
+    with _checked_steps(1):
+        assert PolynomialProblem((0.0, 0.0, 5e-301)).advance(24.0, 0, 8, buf) == (0.75, 5)
+    assert buf[:6].tolist() == [12.0, 6.0, 3.0, 1.5, 0.75, 0.375]
 
 
 def test_problem_pickles_with_a_working_step():
