@@ -14,7 +14,7 @@ import numpy as np
 
 # newton_step is not called here; the name stays because perfbench/spans.py
 # traces nrq.measure.newton_step
-from .newton import PolynomialProblem, newton_step  # noqa: F401
+from .newton import OVERFLOW_BOUND, PolynomialProblem, newton_step  # noqa: F401
 
 
 class InvalidRange(ValueError):
@@ -29,10 +29,17 @@ def _require_window(lo, hi):
         raise InvalidRange(f"need lo < hi and |lo|, |hi| <= {bound:g}, got [{lo}, {hi}]")
 
 
-# accumulate_density runs the orbit in blocks of this many iterates and
+# accumulate_density bins its kept iterates in blocks of this many and
 # _Tally bins at most this many samples a call, into work buffers of this
 # length made once, so memory grows with neither the orbit nor the sample.
 ACCUMULATE_BLOCK = 16384
+# accumulate_density runs this many chains of the map in lockstep, one
+# step_array call a step for all of them, which costs far less a step than a
+# scalar chain's Python loop.  It never depends on n, so that (n0, n] indexes
+# one fixed stream.
+DENSITY_CHAINS = 1024
+# Each chain runs this many steps from its start before any is recorded.
+CHAIN_WARMUP = 64
 
 # The counts, edges and densities grow with the bin count, and an svg writes
 # one polyline point a bin for the density and one for the overlay, so the
@@ -198,24 +205,25 @@ def accumulate_density(
     bins: int,
     seed: int = 0,
 ) -> EmpiricalDensity:
-    """Bin the orbit iterates with index in (n0, n].
+    """Bin the iterates with index in (n0, n] of the map's lockstep chains.
 
-    Iterates up to n0 are burn-in and discarded.  On a pole or overflow (an
-    iterate beyond ``OVERFLOW_BOUND``) the chain restarts from a fresh
-    uniform draw on [lo, hi] (seeded PCG64); the restart value enters the
-    stream as that step's iterate and the restart count is reported on the
-    result.  If ``x0`` is None the start is drawn from the same generator.
-    The orbit is run by ``problem.advance``, the fused kernel, which writes
-    doubles into one ``ACCUMULATE_BLOCK``-slot float64 array and stops
-    before each pole or overflow, where the restart is stored and the
-    kernel resumed from the next slot (``newton._kernel`` gives the
-    kernel's chunk schedule).  Each block's kept iterates are handed whole
-    to one ``_Tally``, which counts them as ``np.histogram`` would, to the
-    bit, in work buffers made once; the density is built from it at the
-    end, so memory is bounded by the block and the bins, not by ``n``.
-    Inputs are checked in this order before the orbit runs: the window,
-    ``bins`` and the edges as ``_binning`` checks them, then n > n0 >= 0,
-    then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange).
+    ``DENSITY_CHAINS`` chains start from uniform draws on [lo, hi] of one
+    seeded PCG64, and ``x0``, when given, replaces chain 0's start.  Every
+    step advances all of them with one ``problem.step_array`` call.  A chain
+    whose step hits a pole or leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN
+    included, restarts from a fresh draw; the restarts of one step come from
+    one draw, in chain order, and the restart value is that step's iterate.
+    Each chain first runs ``CHAIN_WARMUP`` steps that are not recorded.  The
+    recorded stream is then step-major, chain-minor: iterate i comes from
+    chain (i - 1) mod ``DENSITY_CHAINS``.  Its first n0 iterates are burn-in
+    and discarded, and the result's ``restarts`` counts every restart of the
+    steps run, the warm-up included.  The kept iterates fill one
+    ``ACCUMULATE_BLOCK``-sample buffer, which goes whole to one ``_Tally``,
+    which counts them as ``np.histogram`` would, to the bit, in work buffers
+    made once; so memory is bounded by the chains, the block and the bins,
+    not by ``n``.  Inputs are checked in this order before any step runs: the
+    window, ``bins`` and the edges as ``_binning`` checks them, then n > n0
+    >= 0, then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange).
     """
     tally = _Tally(lo, hi, bins)
     if not (n > n0 >= 0):
@@ -224,21 +232,30 @@ def accumulate_density(
     if not math.isfinite((n - n0) * ((hi - lo) / bins)):
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     rng = np.random.default_rng(seed)
-    x = float(rng.uniform(lo, hi)) if x0 is None else float(x0)
-    advance = problem.advance
-    samples = np.empty(min(ACCUMULATE_BLOCK, n))
-    buf = memoryview(samples)
-    restarts = 0
-    for start in range(0, n, ACCUMULATE_BLOCK):
-        # iterates start+1 .. start+m fill buf[0 .. m-1], then are binned
-        m = min(ACCUMULATE_BLOCK, n - start)
-        x, j = advance(x, 0, m, buf)
-        while j < m:
-            x = float(rng.uniform(lo, hi))
-            restarts += 1
-            buf[j] = x
-            x, j = advance(x, j + 1, m, buf)
-        tally.add(samples[max(n0 - start, 0) : m])
+    k = DENSITY_CHAINS
+    x = rng.uniform(lo, hi, k)
+    if x0 is not None:
+        x[0] = x0
+    samples = np.empty(min(ACCUMULATE_BLOCK, n - n0))
+    filled = restarts = 0
+    # step s records iterates s*k + 1 .. s*k + k, so the warm-up's steps,
+    # s < 0, record none
+    for s in range(-CHAIN_WARMUP, -(-n // k)):
+        x = problem.step_array(x)
+        out = ~(np.abs(x) <= OVERFLOW_BOUND)
+        if out.any():
+            count = int(np.count_nonzero(out))
+            x[out] = rng.uniform(lo, hi, count)
+            restarts += count
+        row = x[max(n0 - s * k, 0) : n - s * k]
+        while row.size:
+            m = min(row.size, samples.size - filled)
+            samples[filled : filled + m] = row[:m]
+            filled, row = filled + m, row[m:]
+            if filled == samples.size:
+                tally.add(samples)
+                filled = 0
+    tally.add(samples[:filled])
     return tally.density(restarts)
 
 
@@ -522,8 +539,8 @@ def interference_polynomial(delta: float) -> PolynomialProblem:
     delta's shortest decimal representation d, as parsing that product form
     gives, each rounded once to a double; one that overflows raises OverflowError.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     d = Fraction(repr(float(delta)))
     return PolynomialProblem((9 * d + d * d, -6 * d, 9 + 2 * d, -6, 1))
 

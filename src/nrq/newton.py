@@ -22,10 +22,6 @@ OVERFLOW_BOUND = 1e300
 # Horner's scheme as one expression nested degree deep, and Python's
 # parser allows fewer than 200 nested parentheses.
 MAX_DEGREE = 100
-# advance tests each of its first this many steps for a pole or an overflow
-# before taking it, and the rest a chunk at a time after running them.  At
-# least 1, as a chunk's pass reads its start from the slot before the chunk.
-_CHECKED_STEPS = 64
 
 
 class DerivativeZero(ZeroDivisionError):
@@ -39,9 +35,7 @@ class DerivativeZero(ZeroDivisionError):
 
 # The map's source.  Its coefficients are closure cells, cheaper than
 # globals; n<i> and d<i> are the coefficients of x^i in the Newton numerator
-# and in f'.  The bounds and the checked steps are literals of the text.  An
-# unchecked chunk can leave its loop only through ZeroDivisionError, as
-# float *, + and / by nonzero never raise.
+# and in f'.  The bounds are literals of the text.
 _MAP_TEMPLATE = """\
 def make({cells}):
     def fprime(x):
@@ -49,10 +43,7 @@ def make({cells}):
     def numerator(x):
         return {numerator}
     def advance(x, j, k, buf):
-        m = j + {checked}
-        if m > k:
-            m = k
-        for j in range(j, m):
+        for j in range(j, k):
             fpx = {fpx}
             if -{pe!r} <= fpx <= {pe!r}:
                 return x, j
@@ -60,38 +51,9 @@ def make({cells}):
             if not -{bound!r} <= y <= {bound!r}:
                 return x, j
             buf[j] = x = y
-        if m == k:
-            return x, k
-        j, first, arr = m, m - {checked}, asarray(buf)
-        while j < k:
-            # as long as every step run before it, so a stop wastes at most that many
-            e = min(j + j - first, k)
-            try:
-                for i in range(j, e):
-                    buf[i] = x = ({numerator}) / ({fpx})
-            except ZeroDivisionError:
-                # f' is exactly zero at x: the pass below stops here or before
-                pass
-            s = j + first_stop(fprime, arr[j - 1 : e])
-            if s < e:
-                return float(arr[s - 1]), s
-            j = e
         return x, k
     return advance, fprime, numerator
 """
-
-
-def _first_stop(fprime: Callable, xs: np.ndarray) -> int:
-    """The first step i, from ``xs[i]`` to ``xs[i + 1]``, at which advance's
-    checked loop would have stopped (a pole at the start, or an iterate
-    outside [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included), or len(xs) - 1
-    if none.  Slots after a stop may hold anything.  The kernel's ``fprime``
-    of an array has the scalar loop's bits."""
-    with np.errstate(all="ignore"):
-        stops = np.abs(fprime(xs[:-1])) <= POLE_EPSILON
-        stops |= ~(np.abs(xs[1:]) <= OVERFLOW_BOUND)
-    s = int(stops.argmax())
-    return s if stops[s] else len(stops)
 
 
 def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str:
@@ -124,7 +86,7 @@ def _horner_source(name: str, coefficients: tuple[float, ...], lead: str) -> str
 # and zero coefficients), but each is a few kilobytes at degree 100.
 @functools.lru_cache(maxsize=256)
 def _compile(source: str, degree: int) -> Callable:
-    namespace = {"first_stop": _first_stop, "asarray": np.asarray}
+    namespace = {}
     exec(compile(source, f"<nrq kernel, degree {degree}>", "exec"), namespace)
     return namespace["make"]
 
@@ -142,19 +104,14 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     of a float64 array, say).  It returns the last iterate written and
     ``k``, or it stops early and returns the current iterate and the slot
     it did not fill: when the next step is a pole (|f'| <= POLE_EPSILON) or
-    its value leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included.  It
-    tests its first ``_CHECKED_STEPS`` steps one at a time before taking
-    them, so a chain that stops soon after a restart pays no call.  The
-    rest run in unchecked chunks, each as long as all the steps of the call
-    before it (64, 128, 256, ...), whose loops make no Python call; after
-    each chunk ``_first_stop`` finds the first stop in one numpy pass over
-    the chunk and the slot before it.  So the result, and the slots it
-    filled, are those of the step-at-a-time loop; the slots at and past the
-    returned one are unspecified, and a stop wastes at most as many steps
-    as the call kept.  The source depends on which coefficients are 1.0 or
-    zero and holds the bounds and ``_CHECKED_STEPS`` as literals, so it fixes
-    every value the kernel reads; it is compiled once per text, which is the
-    cache key: coefficient tuples would not do, as 0.0 == -0.0.
+    its value leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included, and
+    it writes no slot from there on.  It tests each step before taking it,
+    in one loop that makes no Python call; ``iterate_orbit`` is its one
+    caller, as densities step their chains with ``step_array``.  The source
+    depends on which coefficients are 1.0 or zero and holds the bounds as
+    literals, so it fixes every value the kernel reads; it is compiled once
+    per text, which is the cache key: coefficient tuples would not do, as
+    0.0 == -0.0.
     """
     degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
@@ -166,7 +123,6 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
         cells=", ".join(cells),
         pe=POLE_EPSILON,
         bound=OVERFLOW_BOUND,
-        checked=_CHECKED_STEPS,
         fpx=_horner_source("d", derivative, lead),
         numerator=_horner_source("n", numerator, lead),
     )
@@ -182,8 +138,7 @@ class PolynomialProblem:
     descending tuples by ``_kernel``, the map's one definition, which
     leaves out the terms that cannot change a bit (a factor 1.0, an added
     zero).  ``advance`` is the fused orbit kernel: it runs the map over a
-    buffer of doubles and stops before a pole or an overflow, in
-    ``_kernel``'s chunk schedule; the slots from the stop on are unspecified.
+    buffer of doubles and stops before a pole or an overflow.
     ``step_array`` applies the map, or its ``times``-th power, to an array
     and ``newton_step`` applies it to one float, both through the
     kernel's generated f'(x) and numerator(x), so every entry evaluates the
@@ -314,18 +269,18 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
 
     Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
     orbit runs on ``problem.advance``, which writes each iterate at its
-    final slot of one float64 array.  The array starts at
-    ``_CHECKED_STEPS`` + 1 slots and doubles, up to max_steps + 1, each
-    time the kernel has filled it, and each call runs to the array's end,
-    so an orbit that ends at step n runs at most max(2n, _CHECKED_STEPS)
-    steps.  Each span a call ran is tested for convergence at once, from
-    the iterate before it up to the slot where the kernel stopped.  Where
-    it stops early, f' at the last iterate tells a pole from an overflow.
+    final slot of one float64 array.  The array starts at 65 slots and
+    doubles, up to max_steps + 1, each time the kernel has filled it, and
+    each call runs to the array's end, so an orbit that ends at step n runs
+    at most max(2n, 64) steps.  Each span a call ran is tested for
+    convergence at once, from the iterate before it up to the slot where
+    the kernel stopped.  Where it stops early, f' at the last iterate tells
+    a pole from an overflow.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     advance, tol, end = problem.advance, policy.convergence_tol, policy.max_steps + 1
-    arr = np.empty(min(_CHECKED_STEPS + 1, end))
+    arr = np.empty(min(65, end))
     arr[0] = x = float(x0)
     j = 1
     while j < end:

@@ -266,7 +266,7 @@ def test_narrow_window_raises_numpys_error_before_the_orbit_runs():
         EmpiricalDensity.from_samples([lo], lo, hi, bins)
     assert str(raised.value) == message
     with pytest.raises(ValueError) as raised:
-        accumulate_density(types.SimpleNamespace(advance=_no_orbit), lo, 0, 10, lo, hi, bins)
+        accumulate_density(types.SimpleNamespace(step_array=_no_orbit), lo, 0, 10, lo, hi, bins)
     assert str(raised.value) == message
 
 
@@ -350,7 +350,7 @@ def _no_orbit(*args):
 )
 def test_accumulate_checks_its_inputs_in_the_documented_order(lo, hi, bins, n0, n, error):
     with pytest.raises(ValueError, match=error):
-        accumulate_density(types.SimpleNamespace(advance=_no_orbit), 0.5, n0, n, lo, hi, bins)
+        accumulate_density(types.SimpleNamespace(step_array=_no_orbit), 0.5, n0, n, lo, hi, bins)
 
 
 def test_accumulate_chunks_merge_exactly():
@@ -376,34 +376,47 @@ def test_accumulate_restarts_on_pole():
     assert d.total == 500
 
 
-def _reference_orbit(problem, x0, n, lo, hi, seed):
-    """All n iterates of accumulate_density's chain, kept in one list."""
+def _reference_stream(problem, x0, n, lo, hi, seed):
+    """The first n recorded iterates of accumulate_density's lockstep chains,
+    and the restarts of the steps run, from newton_step on each chain in turn
+    and the generator drawn in the same order."""
     rng = np.random.default_rng(seed)
-    x, xs, restarts = x0, [], 0
-    for _ in range(n):
-        try:
-            y = newton_step(problem, x)
-            ok = -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND
-        except DerivativeZero:
-            ok = False
-        if ok:
-            x = y
-        else:
-            x, restarts = float(rng.uniform(lo, hi)), restarts + 1
-        xs.append(x)
-    return xs, restarts
+    chains = rng.uniform(lo, hi, measure.DENSITY_CHAINS).tolist()
+    if x0 is not None:
+        chains[0] = x0
+    stream, restarts = [], 0
+    for s in range(measure.CHAIN_WARMUP + -(-n // len(chains))):
+        out = []
+        for c, x in enumerate(chains):
+            try:
+                y = newton_step(problem, x)
+                ok = -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND
+            except DerivativeZero:
+                ok = False
+            if ok:
+                chains[c] = y
+            else:
+                out.append(c)
+        if out:
+            for c, y in zip(out, rng.uniform(lo, hi, len(out)).tolist()):
+                chains[c] = y
+            restarts += len(out)
+        if s >= measure.CHAIN_WARMUP:
+            stream.extend(chains)
+    return stream[:n], restarts
 
 
-def _assert_blocks_match_the_whole_orbit(problem, x0, n0, n, monkeypatch):
-    # blocks of 7: the burn-in ends inside a block for n0 = 10 and 150, on
-    # a block edge for n0 = 0 and 7
+def _assert_blocks_match_the_whole_stream(problem, x0, n0, n, chains, monkeypatch):
+    # blocks of 7 kept iterates, so a step's row of kept iterates straddles
+    # block edges; n0 ends inside a step's row, or on its edge where chains
+    # divides it
     monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
-    xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
+    monkeypatch.setattr("nrq.measure.DENSITY_CHAINS", chains)
+    xs, restarts = _reference_stream(problem, x0, n, -3.0, 3.0, seed=4)
     assert restarts >= 1
-    expected = EmpiricalDensity.from_samples(xs[n0:], -3.0, 3.0, 12)
     got = accumulate_density(problem, x0, n0, n, -3.0, 3.0, 12, seed=4)
-    assert np.array_equal(got.counts, expected.counts)
-    assert (got.below_count, got.above_count) == (expected.below_count, expected.above_count)
+    # np.histogram of the whole kept stream, independent of the tally
+    assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(np.array(xs[n0:]), -3.0, 3.0, 12)
     assert got.restarts == restarts
     assert got.total == n - n0
 
@@ -413,46 +426,51 @@ _BLOCK_SPLITS = [(0, 200), (10, 200), (7, 203), (150, 151)]
 
 @pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
 def test_accumulate_in_blocks_matches_the_whole_orbit(n0, n, monkeypatch):
-    # x0 = 1 hits the pole 1 -> 0 -> pole
-    _assert_blocks_match_the_whole_orbit(NO_REAL_ROOT, 1.0, n0, n, monkeypatch)
+    # at the real chain count; x0 = 1 hits the pole 1 -> 0 -> pole on chain 0
+    _assert_blocks_match_the_whole_stream(NO_REAL_ROOT, 1.0, n0, n, measure.DENSITY_CHAINS, monkeypatch)
 
 
 @pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
 def test_accumulate_in_blocks_matches_the_whole_orbit_at_a_generic_degree(n0, n, monkeypatch):
-    # x^3 - 2x + 2 runs the kernel's generic Horner loop; the first step
-    # from 1e200 cubes past the overflow bound and restarts the chain
+    # x^3 - 2x + 2 runs the generated map's generic Horner scheme; chain 0's
+    # first step from 1e200 cubes past the overflow bound and restarts it
     cubic = PolynomialProblem((2.0, -2.0, 0.0, 1.0))
-    _assert_blocks_match_the_whole_orbit(cubic, 1e200, n0, n, monkeypatch)
+    _assert_blocks_match_the_whole_stream(cubic, 1e200, n0, n, 5, monkeypatch)
 
 
-@pytest.mark.parametrize("checked", [3, 8])
+@pytest.mark.parametrize("chains", [3, 8])
 @pytest.mark.parametrize("n0, n", _BLOCK_SPLITS)
-@pytest.mark.parametrize("problem, x0", [(NO_REAL_ROOT, 1.0), (PolynomialProblem((2.0, -2.0, 0.0, 1.0)), 1e200)])
-def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, n, checked, monkeypatch):
-    # np.histogram of the whole kept orbit, independent of the tally; a
-    # kernel that checks 3 steps runs the rest of a block of 7 in unchecked
-    # chunks of 3 and 1, and one that checks 8 checks every step of a block
-    monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
-    xs, restarts = _reference_orbit(problem, x0, n, -3.0, 3.0, seed=4)
-    kept = np.array(xs[n0:])
-    monkeypatch.setattr("nrq.newton._CHECKED_STEPS", checked)
-    got = accumulate_density(PolynomialProblem(problem.coefficients), x0, n0, n, -3.0, 3.0, 12, seed=4)
-    assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(kept, -3.0, 3.0, 12)
-    assert got.restarts == restarts
+@pytest.mark.parametrize(
+    "problem, x0",
+    # x + 1e301 overflows on every step, so every chain restarts on every step
+    [(NO_REAL_ROOT, 1.0), (PolynomialProblem((2.0, -2.0, 0.0, 1.0)), 1e200), (PolynomialProblem((1e301, 1.0)), 0.5)],
+)
+def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, n, chains, monkeypatch):
+    # 3 chains put n0 = 0 and 150 on a step's edge, 8 chains only n0 = 0
+    _assert_blocks_match_the_whole_stream(problem, x0, n0, n, chains, monkeypatch)
 
 
-def _fixed_point_advance(x, j, k, buf):
-    """An orbit kernel whose map is the identity: it writes x unchanged."""
-    for j in range(j, k):
-        buf[j] = x
-    return x, k
+def _identity(xs):
+    """A map that leaves every chain where it is and allocates nothing."""
+    return xs
+
+
+def test_x0_starts_chain_0_and_the_stream_is_step_major():
+    # under the identity every step records each chain's start again, in
+    # chain order; only chain 0's start, 100, lies above the window
+    fixed = types.SimpleNamespace(step_array=_identity)
+    k = measure.DENSITY_CHAINS
+    assert accumulate_density(fixed, 100.0, 0, 3 * k, -10, 10, 20).above_count == 3
+    assert accumulate_density(fixed, 100.0, 1, 3 * k, -10, 10, 20).above_count == 2
+    assert accumulate_density(fixed, 100.0, 1, 2 * k + 1, -10, 10, 20).above_count == 2
+    assert accumulate_density(fixed, None, 0, 3 * k, -10, 10, 20).above_count == 0
 
 
 def test_accumulate_memory_does_not_grow_with_the_orbit():
-    # a kernel that writes its argument allocates no float, so what is
-    # traced is the accumulator's own storage; keeping the 1e6 iterates
-    # would take 8 MB as one float64 array, and more as a list
-    fixed = types.SimpleNamespace(advance=_fixed_point_advance)
+    # a map that returns its argument allocates no float, so what is traced
+    # is the accumulator's own storage; keeping the 1e6 iterates would take
+    # 8 MB as one float64 array, and more as a list
+    fixed = types.SimpleNamespace(step_array=_identity)
     tracemalloc.start()
     try:
         d = accumulate_density(fixed, 0.7, 1000, 1_000_000, -10, 10, 200, seed=1)
@@ -465,9 +483,8 @@ def test_accumulate_memory_does_not_grow_with_the_orbit():
 
 @pytest.mark.parametrize("n", [201_000, 2_001_000])
 def test_accumulate_peak_memory_does_not_grow_with_iters(n):
-    # the density command's x^2+1 run: one block of samples, the kernel's
-    # chunk arrays and the tally's work buffers, whatever n is; about 0.55 MB
-    # with blocks of 16384, 1.2 MB with blocks of 65536
+    # the density command's x^2+1 run: one block of samples, the chains'
+    # step arrays and the tally's work buffers, whatever n is
     tracemalloc.start()
     try:
         d = accumulate_density(NO_REAL_ROOT, None, 1000, n, -10.0, 10.0, 200, seed=1)
@@ -494,10 +511,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_accumulate_binning_takes_no_fresh_pages():
     # np.histogram made about 2.3 MB of temporaries a block, which the
     # allocator handed back to the OS each time, so a second run faulted
-    # about 1800 fresh pages; the tally's buffers are reused, and with blocks
-    # of 16384 the kernel's last chunk pass of a block (8192 slots) stays
-    # below the allocator's mmap threshold, where blocks of 65536 faulted
-    # about 190 pages
+    # about 1800 fresh pages; the tally's buffers are reused, and the chains'
+    # step arrays (8 kB each) stay below the allocator's mmap threshold
     src = str(Path(nrq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, capture_output=True, text=True, check=True)
@@ -946,8 +961,8 @@ def test_interference_polynomial_exact_expansion():
     assert p.coefficients == (0.0901, -0.06, 9.02, -6.0, 1.0)
     parsed = parse_polynomial("(x^2+0.01)*((x-3)^2+0.01)")
     assert parsed.coefficients == p.coefficients
-    for delta in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="positive"):
+    for delta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta!r}"):
             interference_polynomial(delta)
 
 

@@ -1,6 +1,5 @@
 """Newton map unit tests: step arithmetic, orbit statuses."""
 
-import contextlib
 import math
 import os
 import pickle
@@ -231,15 +230,14 @@ _ADVANCE_EXAMPLES = [
     ([0.0, 0.0, 5e-301], 6.0, 0, 10),  # halves x: f' = 1e-300 x is a nonzero pole at step 3
     ([0.0, 0.0, 1.0], 0.5, 2, 600),  # x^2 halves 0.5 to exactly 0 at step 538, then f' = 0
     # from 0.75 * 2^64, f' = 1e-300 x first reaches POLE_EPSILON at x = 0.75, on
-    # step 65: the first step of the first unchecked chunk under the default prefix
+    # step 65
     ([0.0, 0.0, 5e-301], 13835058055282163712.0, 0, 200),
     ([4.0, 2e-300, 1.0], 2.0, 0, 5),  # 2 -> 0, then f' = 2e-300 sends 0 to -2e300: out
     ([1e10, 2e-299, 1.0], 1e5, 0, 5),  # 1e5 -> 0, then 0 -> -inf
     ([16.0, 1.6e-199, 0.0, 1.0], 2.0, 0, 5),  # 2 -> 0 -> -1e200, then -inf / inf = NaN
     # the same map from starts whose orbits land exactly on -2 and 2 (built
     # backwards, searching the doubles around each real preimage), so they
-    # reach 0 and overflow on steps 65 and 101: the first step of the first
-    # unchecked chunk and a step inside it
+    # reach 0 and overflow on steps 65 and 101
     ([4.0, 2e-300, 1.0], -8.358407126781496e16, 0, 200),
     ([4.0, 2e-300, 1.0], 5.743853640988776e27, 1, 200),
 ]
@@ -249,14 +247,6 @@ def _with_advance_examples(test):
     for args in _ADVANCE_EXAMPLES:
         test = example(*args)(test)
     return test
-
-
-@contextlib.contextmanager
-def _checked_steps(n):
-    """Problems built inside the block test their first n steps one at a time."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nrq.newton._CHECKED_STEPS", n)
-        yield
 
 
 def _check_advance(coefficients, x0, j0, k):
@@ -275,38 +265,11 @@ def _check_advance(coefficients, x0, j0, k):
     _POLYNOMIAL,
     st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
     st.integers(0, 3),
-    st.integers(1, 40),
+    st.integers(1, 200),
 )
 @_with_advance_examples
 def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
     _check_advance(coefficients, x0, j0, k)
-
-
-@given(
-    _POLYNOMIAL,
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
-    st.integers(0, 3),
-    st.integers(1, 200),
-)
-@_with_advance_examples
-def test_advance_matches_a_chain_of_steps_in_unchecked_chunks(coefficients, x0, j0, k):
-    # with the smallest prefix, one checked step, advance runs every later step
-    # in chunks of 1, 2, 4, ... steps and finds each stop after its chunk has run
-    with _checked_steps(1):
-        _check_advance(coefficients, x0, j0, k)
-
-
-def test_a_patched_checked_step_count_compiles_its_own_kernel():
-    # the count is a literal of the kernel's source, which keys the compile
-    # cache, so the 64-step kernel cached first is not reused under a patch.
-    # 5e-301 x^2 halves 24 to 0.75 and stops at the pole there, on slot 5;
-    # the 1-step kernel runs slots 4-7 as one unchecked chunk, which writes
-    # 0.375 to slot 5 before its pass finds the stop
-    PolynomialProblem((0.0, 0.0, 5e-301))
-    buf = memoryview(bytearray(8 * 8)).cast("d")
-    with _checked_steps(1):
-        assert PolynomialProblem((0.0, 0.0, 5e-301)).advance(24.0, 0, 8, buf) == (0.75, 5)
-    assert buf[:6].tolist() == [12.0, 6.0, 3.0, 1.5, 0.75, 0.375]
 
 
 def test_problem_pickles_with_a_working_step():
@@ -379,10 +342,8 @@ def _orbit_bits(orbit):
     return _bits(orbit.start), orbit.iterates.tobytes(), orbit.status, orbit.step, value
 
 
-# Under _checked_steps(n), iterate_orbit's array has n + 1 slots and then
-# doubles, so its spans are steps 1..1, 2..3, 4..7, 8..15, 16..31, 32..63,
-# 64..127 for n = 1; 1..3, 4..7, 8..15, ... for n = 3; and 1..64, 65..129,
-# 130..259 for n = 64.  Below, "stops at slot s" means step s is refused.
+# iterate_orbit's array has 65 slots and then doubles, so its spans are steps
+# 1..64, 65..129, 130..259, ...  Below, "stops at slot s" means step s is refused.
 @given(
     _POLYNOMIAL,
     st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
@@ -393,36 +354,33 @@ def _orbit_bits(orbit):
 @example([-1e300, 1.0], -1.7976931348623157e308, 10, 1e-12)  # x1 - x0 overflows to inf
 @example([1.0, 0.0, 1.0], 0.0, 5, 1e-12)  # x^2 + 1 at its pole
 @example([1.0, 0.0, 1.0], 4e-301, 5, 1e-12)  # f' = 8e-301: a pole although the quotient is finite
-@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12)  # 1 -> 0, then stops at slot 2: a span's first for n = 1
+@example([1.0, 0.0, 1.0], 1.0, 5, 1e-12)  # 1 -> 0, then stops at slot 2
 @example([1.0, 1e-300], 0.5, 5, 1e-12)  # |f'| equals POLE_EPSILON everywhere: a pole
 @example([0.0, -2.0], 0.5, 5, 1e-12)  # degree 1: the numerator's leading term is -0.0
 @example([-2.0, 0.0, 1.0], 1e200, 10, 1e-12)  # x^2 - 2 overflows at step 0
 @example([100.0, 0.0, 1.0], -6e-301, 5, 1e-12)  # the step lands at 8.3e301, finite but out
 @example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12)  # converges at step 5, inside a span
-@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12)  # converges at step 15, a span's last for n = 1, 3
+@example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12)  # converges at step 15, at degree 3
 @example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12)  # the two-well quartic
 # x^2 halves x, and tol = 1e-2 first holds on the step from 0.015: it converges
-# on step 16 (a span's first for n = 1, 3), 64 (the last for n = 64, the first
-# for n = 1, 3) and 65 (the first for n = 64)
+# on step 16, 64 (the first span's last) and 65 (the second span's first)
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**15, 200, 1e-2)
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**63, 200, 1e-2)
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**64, 200, 1e-2)
 # 5e-301 x^2 halves x too, and f' = 1e-300 x is first a pole at 0.75: it stops
-# at slot 15 (a span's last for n = 1, 3), 16, 64 and 65 (the first for n = 64)
+# at slot 15, 16, 64 and 65 (the second span's first)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**14, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**15, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**63, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**64, 200, 1e-12)
-@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12)  # out at slot 65, in a kernel chunk for n = 1, 3
+@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12)  # out at slot 65
 def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol):
     policy = IterationPolicy(max_steps=max_steps, convergence_tol=tol)
     expected = _orbit_bits(_scalar_orbit(PolynomialProblem(coefficients), x0, policy))
-    for n in (1, 3, 64):
-        with _checked_steps(n):
-            orbit = iterate_orbit(PolynomialProblem(coefficients), x0, policy)
-        assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
-        assert orbit.value is None or type(orbit.value) is float
-        assert _orbit_bits(orbit) == expected
+    orbit = iterate_orbit(PolynomialProblem(coefficients), x0, policy)
+    assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
+    assert orbit.value is None or type(orbit.value) is float
+    assert _orbit_bits(orbit) == expected
 
 
 @pytest.mark.parametrize(
