@@ -40,6 +40,10 @@ ACCUMULATE_BLOCK = 16384
 DENSITY_CHAINS = 1024
 # Each chain runs this many steps from its start before any is recorded.
 CHAIN_WARMUP = 64
+# A run's time grows with n, at up to about 0.5 us an iterate at degree 100
+# with every coefficient nonzero, so n is capped: the slowest admitted run
+# ends within about 20 s.
+MAX_DENSITY_ITERS = 40_000_000
 
 # The counts, edges and densities grow with the bin count, and an svg writes
 # one polyline point a bin for the density and one for the overlay, so the
@@ -223,7 +227,8 @@ def accumulate_density(
     made once; so memory is bounded by the chains, the block and the bins,
     not by ``n``.  Inputs are checked in this order before any step runs: the
     window, ``bins`` and the edges as ``_binning`` checks them, then n > n0
-    >= 0, then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange).
+    >= 0, then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange),
+    then n <= MAX_DENSITY_ITERS.
     """
     tally = _Tally(lo, hi, bins)
     if not (n > n0 >= 0):
@@ -231,6 +236,8 @@ def accumulate_density(
     # densities divide by samples * bin width
     if not math.isfinite((n - n0) * ((hi - lo) / bins)):
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
+    if not n <= MAX_DENSITY_ITERS:
+        raise ValueError(f"n is capped at {MAX_DENSITY_ITERS} iterates, got {n}")
     rng = np.random.default_rng(seed)
     k = DENSITY_CHAINS
     x = rng.uniform(lo, hi, k)

@@ -8,17 +8,18 @@ recorded so downstream histogramming stays exactly reproducible.
 import enum
 import functools
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# |f'(x)| at or below this is a pole of the map: the orbit kernel stops
+# |f'(x)| at or below this is a pole of the map: iterate_orbit stops
 # there, newton_step raises DerivativeZero and step_array returns NaN.
 POLE_EPSILON = 1e-300
 # An iterate beyond this magnitude counts as an overflow.
 OVERFLOW_BOUND = 1e300
-# The largest degree a PolynomialProblem takes.  Its orbit kernel writes
+# The largest degree a PolynomialProblem takes.  Its generated map writes
 # Horner's scheme as one expression nested degree deep, and Python's
 # parser allows fewer than 200 nested parentheses.
 MAX_DEGREE = 100
@@ -35,24 +36,14 @@ class DerivativeZero(ZeroDivisionError):
 
 # The map's source.  Its coefficients are closure cells, cheaper than
 # globals; n<i> and d<i> are the coefficients of x^i in the Newton numerator
-# and in f'.  The bounds are literals of the text.
+# and in f'.
 _MAP_TEMPLATE = """\
 def make({cells}):
     def fprime(x):
         return {fpx}
     def numerator(x):
         return {numerator}
-    def advance(x, j, k, buf):
-        for j in range(j, k):
-            fpx = {fpx}
-            if -{pe!r} <= fpx <= {pe!r}:
-                return x, j
-            y = ({numerator}) / fpx
-            if not -{bound!r} <= y <= {bound!r}:
-                return x, j
-            buf[j] = x = y
-        return x, k
-    return advance, fprime, numerator
+    return fprime, numerator
 """
 
 
@@ -92,26 +83,15 @@ def _compile(source: str, degree: int) -> Callable:
 
 
 def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Callable:
-    """The map's one definition: ``make(*ns, *ds) -> (advance, fprime, numerator)``.
+    """The map's one definition: ``make(*ns, *ds) -> (fprime, numerator)``.
 
     Over the descending tuples of coefficients, ``fprime(x)`` is f'(x) and
     ``numerator(x)`` is x*f'(x) - f(x), on a float or a numpy array, each
     Horner's scheme written out as one expression from the leading
-    coefficient.  ``advance(x, j, k, buf) -> (x, j)`` is the fused orbit
-    kernel: it applies the map numerator(x) / fprime(x), with the same two
-    expressions inline, from ``x`` and writes the iterates to ``buf[j]`` ..
-    ``buf[k - 1]``, where ``buf`` is any buffer of doubles (a ``memoryview``
-    of a float64 array, say).  It returns the last iterate written and
-    ``k``, or it stops early and returns the current iterate and the slot
-    it did not fill: when the next step is a pole (|f'| <= POLE_EPSILON) or
-    its value leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included, and
-    it writes no slot from there on.  It tests each step before taking it,
-    in one loop that makes no Python call; ``iterate_orbit`` is its one
-    caller, as densities step their chains with ``step_array``.  The source
-    depends on which coefficients are 1.0 or zero and holds the bounds as
-    literals, so it fixes every value the kernel reads; it is compiled once
-    per text, which is the cache key: coefficient tuples would not do, as
-    0.0 == -0.0.
+    coefficient; the map is numerator(x) / fprime(x).  The source depends
+    on which coefficients are 1.0 or zero, so it fixes which operations the
+    two expressions make; it is compiled once per text, which is the cache
+    key: coefficient tuples would not do, as 0.0 == -0.0.
     """
     degree = len(derivative)
     cells = [f"n{i}" for i in range(degree, -1, -1)] + [f"d{i}" for i in range(degree - 1, -1, -1)]
@@ -121,8 +101,6 @@ def _kernel(numerator: tuple[float, ...], derivative: tuple[float, ...]) -> Call
     lead = "0.0 * x" if degree == 1 else ""
     source = _MAP_TEMPLATE.format(
         cells=", ".join(cells),
-        pe=POLE_EPSILON,
-        bound=OVERFLOW_BOUND,
         fpx=_horner_source("d", derivative, lead),
         numerator=_horner_source("n", numerator, lead),
     )
@@ -137,11 +115,9 @@ class PolynomialProblem:
     symbolically at construction, and the map is built once from their
     descending tuples by ``_kernel``, the map's one definition, which
     leaves out the terms that cannot change a bit (a factor 1.0, an added
-    zero).  ``advance`` is the fused orbit kernel: it runs the map over a
-    buffer of doubles and stops before a pole or an overflow.
-    ``step_array`` applies the map, or its ``times``-th power, to an array
-    and ``newton_step`` applies it to one float, both through the
-    kernel's generated f'(x) and numerator(x), so every entry evaluates the
+    zero).  ``step_array`` applies the map, or its ``times``-th power, to an
+    array, and ``newton_step`` and ``iterate_orbit`` apply it to floats, all
+    through the generated f'(x) and numerator(x), so every entry evaluates the
     single fraction (x*f'(x) - f(x)) / f'(x) from the same source and they
     agree bit for bit; it reduces to the recursions the experiments are
     defined by, e.g. (x^2+2)/(2x) for x^2-2 and (x^2-1)/(2x) for x^2+1.
@@ -150,7 +126,6 @@ class PolynomialProblem:
     coefficients: tuple[float, ...]
     derivative: tuple[float, ...] = field(init=False)
     numerator: tuple[float, ...] = field(init=False)
-    advance: Callable = field(init=False, repr=False, compare=False)
     _fprime: Callable = field(init=False, repr=False, compare=False)
     _numer: Callable = field(init=False, repr=False, compare=False)
 
@@ -170,13 +145,12 @@ class PolynomialProblem:
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "numerator", numerator)
         ns, ds = numerator[::-1], derivative[::-1]
-        advance, fprime, numer = _kernel(ns, ds)(*ns, *ds)
-        object.__setattr__(self, "advance", advance)
+        fprime, numer = _kernel(ns, ds)(*ns, *ds)
         object.__setattr__(self, "_fprime", fprime)
         object.__setattr__(self, "_numer", numer)
 
     def __reduce__(self):
-        # the kernel's closures cannot be pickled; they are rebuilt from the coefficients
+        # the generated closures cannot be pickled; they are rebuilt from the coefficients
         return PolynomialProblem, (self.coefficients,)
 
     @property
@@ -211,7 +185,7 @@ class PolynomialProblem:
 
 def newton_step(problem: PolynomialProblem, x: float) -> float:
     """One application of the map to a float: the generated numerator(x) /
-    f'(x) that ``step_array`` computes on arrays and ``advance`` inlines.
+    f'(x) that ``step_array`` computes on arrays.
 
     Raises DerivativeZero at a pole (|f'(x)| <= POLE_EPSILON).
     """
@@ -267,36 +241,26 @@ class Orbit:
 def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy) -> Orbit:
     """Iterate the map from x0 until convergence, pole, overflow, or max_steps.
 
-    Convergence is the overlap test |x_{n+1} - x_n| <= tol*(1 + |x_n|).  The
-    orbit runs on ``problem.advance``, which writes each iterate at its
-    final slot of one float64 array.  The array starts at 65 slots and
-    doubles, up to max_steps + 1, each time the kernel has filled it, and
-    each call runs to the array's end, so an orbit that ends at step n runs
-    at most max(2n, 64) steps.  Each span a call ran is tested for
-    convergence at once, from the iterate before it up to the slot where
-    the kernel stopped.  Where it stops early, f' at the last iterate tells
-    a pole from an overflow.
+    Each step is ``newton_step``'s: it is refused at a pole (|f'(x)| <=
+    POLE_EPSILON) and where its value leaves [-OVERFLOW_BOUND,
+    OVERFLOW_BOUND], NaN included.  Convergence is the overlap test
+    |x_{n+1} - x_n| <= tol*(1 + |x_n|), on each step taken.  The iterates
+    are appended to one ``array('d')``, which the orbit views without a copy.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    advance, tol, end = problem.advance, policy.convergence_tol, policy.max_steps + 1
-    arr = np.empty(min(65, end))
-    arr[0] = x = float(x0)
-    j = 1
-    while j < end:
-        if j == len(arr):
-            arr = np.concatenate((arr, np.empty(min(j, end - j))))
-        i = j
-        x, j = advance(x, i, len(arr), memoryview(arr))
-        prev = arr[i - 1 : j - 1]
-        # a move or threshold past the largest double is inf, as in Python float arithmetic
-        with np.errstate(over="ignore"):
-            hits = np.flatnonzero(np.abs(arr[i:j] - prev) <= tol * (1.0 + np.abs(prev)))
-        if hits.size:
-            n = i + int(hits[0])
-            return Orbit(x0, arr[: n + 1], OrbitStatus.CONVERGED, step=n, value=float(arr[n]))
-        if j < len(arr):
-            pole = -POLE_EPSILON <= problem._fprime(x) <= POLE_EPSILON
-            status = OrbitStatus.POLE_HIT if pole else OrbitStatus.OVERFLOWED
-            return Orbit(x0, arr[:j], status, step=j - 1)
-    return Orbit(x0, arr, OrbitStatus.RUNNING)
+    fprime, numer, tol = problem._fprime, problem._numer, policy.convergence_tol
+    x = float(x0)
+    xs = array("d", [x])
+    for _ in range(policy.max_steps):
+        fpx = fprime(x)
+        if -POLE_EPSILON <= fpx <= POLE_EPSILON:
+            return Orbit(x0, np.frombuffer(xs), OrbitStatus.POLE_HIT, step=len(xs) - 1)
+        y = numer(x) / fpx
+        if not -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND:
+            return Orbit(x0, np.frombuffer(xs), OrbitStatus.OVERFLOWED, step=len(xs) - 1)
+        xs.append(y)
+        if abs(y - x) <= tol * (1.0 + abs(x)):
+            return Orbit(x0, np.frombuffer(xs), OrbitStatus.CONVERGED, step=len(xs) - 1, value=y)
+        x = y
+    return Orbit(x0, np.frombuffer(xs), OrbitStatus.RUNNING)

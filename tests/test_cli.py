@@ -373,7 +373,7 @@ PINNED_OUTPUTS = [
     (["density", "--poly", "x^2", "--seed", "3"], "d4a5203ef715"),
     # degree 3, whose generated map is the generic Horner scheme
     (["density", "--poly", "x^3-2*x+2", "--seed", "3"], "48f9525f8d8e"),
-    # iterate_orbit's array grows six times, the last time capped at max_steps + 1
+    # 4097 steps that never converge: the orbit runs to max_steps
     (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097"], "d7962f4ddd80"),
     # converges at step 5
     (["orbit", "--poly", "x^2-2", "--x0", "1", "--steps", "50"], "a2980d29d872"),
@@ -383,13 +383,13 @@ PINNED_OUTPUTS = [
     (["orbit", "--poly", "x^2+1", "--x0", "1", "--steps", "50"], "03b2a28baa97"),
     # overflows at step 0
     (["orbit", "--poly", "x^2-2", "--x0", "1e200", "--steps", "10"], "5db22a69bfa1"),
-    # the map halves x, and f' = 1e-300 x is a pole from x = 0.75 on: at slot 65, the
-    # first slot of iterate_orbit's second span, and at slot 129, the span's last
+    # the map halves x, and f' = 1e-300 x is a pole from x = 0.75 on: the orbits
+    # stop at slots 65 and 129, the first slot each leaves unfilled
     (["orbit", "--poly", "5e-301*x^2", "--x0", "13835058055282163712", "--steps", "200"],
      "f02174f79ec5"),
     (["orbit", "--poly", "5e-301*x^2", "--x0", "2.5521177519070385e+38", "--steps", "200"],
      "1b03b3a054e0"),
-    # the orbit crosses every span edge and growth of iterate_orbit's array
+    # the 4097-step orbit above, as json
     (["orbit", "--poly", "x^2+1", "--x0", "0.7", "--steps", "4097", "--format", "json"],
      "ec05c7436db0"),
     # the qops outputs that make no complex multiply
@@ -640,6 +640,8 @@ def test_tiny_tb_spacing_writes_finite_wavevectors(tmp_path, capsys):
     [
         ["density", "--poly", "x^2+1", "--bins", "1000000000"],
         ["interfere", "--delta", "0.01", "--bins", "1000000000"],
+        ["density", "--poly", "x^2+1", "--iters", "1000000000000"],
+        ["interfere", "--delta", "0.01", "--iters", "1000000000000"],
         ["cycles", "--poly", "x^2+1", "--period", "1000000000"],
         ["cycles", "--poly", "x^2+1", "--grid", "1000000000"],
         ["dispersion", "--model", "tb", "--n", str(cli.MAX_DISPERSION_SAMPLES + 1)],
@@ -862,12 +864,13 @@ def test_one_window_rule_everywhere(entry, lo, hi, admitted, tmp_path, capsys, m
 
     init = PolynomialProblem.__init__
 
-    def init_without_advance(self, coefficients):
+    def init_without_the_map(self, coefficients):
         init(self, coefficients)
-        object.__setattr__(self, "advance", stepped)
+        object.__setattr__(self, "_fprime", stepped)
+        object.__setattr__(self, "_numer", stepped)
 
     monkeypatch.setattr(PolynomialProblem, "step_array", stepped)
-    monkeypatch.setattr(PolynomialProblem, "__init__", init_without_advance)
+    monkeypatch.setattr(PolynomialProblem, "__init__", init_without_the_map)
     if cli_run:
         code = run(lo, hi, out)
         err = capsys.readouterr().err

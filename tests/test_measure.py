@@ -340,17 +340,27 @@ def _no_orbit(*args):
     "lo, hi, bins, n0, n, error",
     [
         # the window first, then bins, then its edges, then n > n0 >= 0, then
-        # the bin arithmetic; each case is also bad in every later way it can be
+        # the bin arithmetic, then the cap on n; each case is also bad in every
+        # later way it can be
         (5.0, -5.0, 1, 10, 10, "need lo < hi"),
         (1e15, 1e15 + 2, 1, 10, 10, "bins must lie in"),
         (1e15, 1e15 + 2, 100, 10, 10, "Too many bins"),
         (-8e307, 8e307, 4, 10, 10, "need n > n0"),
         (-8e307, 8e307, 4, 0, 10**12, "overflows"),
+        (-1.0, 1.0, 4, 0, 10**12, "capped at"),
     ],
 )
 def test_accumulate_checks_its_inputs_in_the_documented_order(lo, hi, bins, n0, n, error):
     with pytest.raises(ValueError, match=error):
         accumulate_density(types.SimpleNamespace(step_array=_no_orbit), 0.5, n0, n, lo, hi, bins)
+
+
+def test_accumulate_caps_n_before_any_step():
+    fails_on_a_step = types.SimpleNamespace(step_array=_no_orbit)
+    with pytest.raises(AssertionError, match="the orbit ran"):  # admitted: it steps
+        accumulate_density(fails_on_a_step, 0.5, 0, measure.MAX_DENSITY_ITERS, -1.0, 1.0, 4)
+    with pytest.raises(ValueError, match=f"capped at {measure.MAX_DENSITY_ITERS} iterates"):
+        accumulate_density(fails_on_a_step, 0.5, 0, measure.MAX_DENSITY_ITERS + 1, -1.0, 1.0, 4)
 
 
 def test_accumulate_chunks_merge_exactly():

@@ -197,87 +197,13 @@ def test_step_array_needs_a_step():
         NO_REAL_ROOT.step_array([0.5], 0)
 
 
-def _chain(step, x, k):
-    """The iterates of up to k calls of ``step``, stopping where it raises
-    DerivativeZero, returns NaN or leaves the overflow window."""
-    iterates = []
-    for _ in range(k):
-        try:
-            x = step(x)
-        except DerivativeZero:
-            break
-        if not -OVERFLOW_BOUND <= x <= OVERFLOW_BOUND:
-            break
-        iterates.append(x)
-    return iterates
-
-
-# (coefficients, x0, j0, k) for advance; each lands where its comment says
-_ADVANCE_EXAMPLES = [
-    ([1.0, 0.0, 1.0], 1.0, 0, 5),  # x^2 + 1: 1 -> 0, then the pole
-    ([1.0, 0.0, 1.0], 4e-301, 0, 3),  # f' = 8e-301: a pole although the quotient is finite
-    ([0.0, 0.0, 0.5], 1e-300, 1, 3),  # f' = x equals POLE_EPSILON: a pole
-    ([100.0, 0.0, 1.0], -6e-301, 0, 2),  # the step lands at 8.3e301, finite but out
-    ([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 2, 40),  # the two-well quartic
-    ([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 0, 2),  # degree 4 with f'(0) = POLE_EPSILON
-    ([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 0, 2),  # degree 4: the step lands at 5e300
-    ([2.0, -2.0, 0.0, 1.0], 0.0, 1, 9),  # x^3 - 2x + 2: the 0, 1 cycle
-    ([2.0, -2.0, 0.0, 1.0], 1e200, 0, 3),  # its first step is inf / inf
-    ([20.0, 1e-299], 0.5, 0, 2),  # degree 1: the step lands at -2e300
-    ([0.0, -2.0], 0.5, 0, 4),  # degree 1: the numerator's leading term is -0.0
-    ([1.0, 1e-300], 0.5, 3, 2),  # |f'| equals POLE_EPSILON everywhere: a pole
-    ([1.0] * (MAX_DEGREE + 1), 1.5, 1, 40),  # the kernel's deepest expression
-    ([0.0, 0.0, 5e-301], 6.0, 0, 10),  # halves x: f' = 1e-300 x is a nonzero pole at step 3
-    ([0.0, 0.0, 1.0], 0.5, 2, 600),  # x^2 halves 0.5 to exactly 0 at step 538, then f' = 0
-    # from 0.75 * 2^64, f' = 1e-300 x first reaches POLE_EPSILON at x = 0.75, on
-    # step 65
-    ([0.0, 0.0, 5e-301], 13835058055282163712.0, 0, 200),
-    ([4.0, 2e-300, 1.0], 2.0, 0, 5),  # 2 -> 0, then f' = 2e-300 sends 0 to -2e300: out
-    ([1e10, 2e-299, 1.0], 1e5, 0, 5),  # 1e5 -> 0, then 0 -> -inf
-    ([16.0, 1.6e-199, 0.0, 1.0], 2.0, 0, 5),  # 2 -> 0 -> -1e200, then -inf / inf = NaN
-    # the same map from starts whose orbits land exactly on -2 and 2 (built
-    # backwards, searching the doubles around each real preimage), so they
-    # reach 0 and overflow on steps 65 and 101
-    ([4.0, 2e-300, 1.0], -8.358407126781496e16, 0, 200),
-    ([4.0, 2e-300, 1.0], 5.743853640988776e27, 1, 200),
-]
-
-
-def _with_advance_examples(test):
-    for args in _ADVANCE_EXAMPLES:
-        test = example(*args)(test)
-    return test
-
-
-def _check_advance(coefficients, x0, j0, k):
-    problem = PolynomialProblem(coefficients)
-    expected = _chain(lambda x: newton_step(problem, x), x0, k)
-    assert _bits_of(expected) == _bits_of(_chain(lambda x: problem.step_array([x])[0], x0, k))
-    buf = memoryview(bytearray(8 * (j0 + k))).cast("d")
-    x, j = problem.advance(x0, j0, j0 + k, buf)
-    assert j == j0 + len(expected)
-    assert _bits_of(buf[j0:j]) == _bits_of(expected)
-    assert _bits(x) == _bits(expected[-1] if expected else x0)
-    assert not any(buf[:j0])  # no slot before the run is written
-
-
-@given(
-    _POLYNOMIAL,
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
-    st.integers(0, 3),
-    st.integers(1, 200),
-)
-@_with_advance_examples
-def test_advance_matches_a_chain_of_steps(coefficients, x0, j0, k):
-    _check_advance(coefficients, x0, j0, k)
-
-
 def test_problem_pickles_with_a_working_step():
     clone = pickle.loads(pickle.dumps(NO_REAL_ROOT))
     assert clone == NO_REAL_ROOT
     assert newton_step(clone, 0.3) == newton_step(NO_REAL_ROOT, 0.3)
-    buf = memoryview(bytearray(8)).cast("d")
-    assert clone.advance(0.3, 0, 1, buf) == (newton_step(NO_REAL_ROOT, 0.3), 1)
+    policy = IterationPolicy(max_steps=100)
+    orbit = iterate_orbit(clone, 0.3, policy)
+    assert orbit.iterates.tobytes() == iterate_orbit(NO_REAL_ROOT, 0.3, policy).iterates.tobytes()
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -342,12 +268,12 @@ def _orbit_bits(orbit):
     return _bits(orbit.start), orbit.iterates.tobytes(), orbit.status, orbit.step, value
 
 
-# iterate_orbit's array has 65 slots and then doubles, so its spans are steps
-# 1..64, 65..129, 130..259, ...  Below, "stops at slot s" means step s is refused.
+# Below, "stops at slot s" means step s is refused: the orbit's last iterate is
+# slot s - 1.
 @given(
     _POLYNOMIAL,
     st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-3.0, 3.0)),
-    st.integers(1, 40),
+    st.integers(1, 200),
     st.sampled_from([1e-12, 1e-6, 1e-2, 1e10]),
 )
 @example([-1e300, 1.0], 1e300, 10, 1e10)  # tol * (1 + |x|) overflows to inf: converged
@@ -355,25 +281,43 @@ def _orbit_bits(orbit):
 @example([1.0, 0.0, 1.0], 0.0, 5, 1e-12)  # x^2 + 1 at its pole
 @example([1.0, 0.0, 1.0], 4e-301, 5, 1e-12)  # f' = 8e-301: a pole although the quotient is finite
 @example([1.0, 0.0, 1.0], 1.0, 5, 1e-12)  # 1 -> 0, then stops at slot 2
+@example([0.0, 0.0, 0.5], 1e-300, 5, 1e-12)  # f' = x equals POLE_EPSILON: a pole
 @example([1.0, 1e-300], 0.5, 5, 1e-12)  # |f'| equals POLE_EPSILON everywhere: a pole
+@example([0.0, 1e-300, 0.0, 0.0, 0.25], 0.0, 5, 1e-12)  # degree 4 with f'(0) = POLE_EPSILON
 @example([0.0, -2.0], 0.5, 5, 1e-12)  # degree 1: the numerator's leading term is -0.0
+@example([20.0, 1e-299], 0.5, 5, 1e-12)  # degree 1: the step lands at -2e300
 @example([-2.0, 0.0, 1.0], 1e200, 10, 1e-12)  # x^2 - 2 overflows at step 0
+@example([2.0, -2.0, 0.0, 1.0], 1e200, 5, 1e-12)  # x^3 - 2x + 2: its first step is inf / inf
 @example([100.0, 0.0, 1.0], -6e-301, 5, 1e-12)  # the step lands at 8.3e301, finite but out
-@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12)  # converges at step 5, inside a span
+@example([-10.0, 2e-300, 0.0, 0.0, 1.0], 0.0, 5, 1e-12)  # degree 4: the step lands at 5e300
+@example([4.0, 2e-300, 1.0], 2.0, 5, 1e-12)  # 2 -> 0, then f' = 2e-300 sends 0 to -2e300: out
+@example([1e10, 2e-299, 1.0], 1e5, 5, 1e-12)  # 1e5 -> 0, then 0 -> -inf
+@example([16.0, 1.6e-199, 0.0, 1.0], 2.0, 5, 1e-12)  # 2 -> 0 -> -1e200, then -inf / inf = NaN
+@example([-2.0, 0.0, 1.0], 1.0, 50, 1e-12)  # converges at step 5
 @example([2.0, -2.0, 0.0, 1.0], 0.3, 50, 1e-12)  # converges at step 15, at degree 3
+@example([2.0, -2.0, 0.0, 1.0], 0.0, 20, 1e-12)  # x^3 - 2x + 2: the 0, 1 cycle
 @example([0.0901, -0.06, 9.02, -6.0, 1.0], 2.9, 40, 1e-12)  # the two-well quartic
+@example([1.0] * (MAX_DEGREE + 1), 1.5, 50, 1e-12)  # the deepest generated expression
 # x^2 halves x, and tol = 1e-2 first holds on the step from 0.015: it converges
-# on step 16, 64 (the first span's last) and 65 (the second span's first)
+# on step 16, 64 and 65
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**15, 200, 1e-2)
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**63, 200, 1e-2)
 @example([0.0, 0.0, 1.0], 0.015 * 2.0**64, 200, 1e-2)
+# with a tol that never holds, x^2 halves 0.5 to exactly 0 at step 538, then
+# f' = 0 stops it at slot 539
+@example([0.0, 0.0, 1.0], 0.5, 600, 1e-320)
 # 5e-301 x^2 halves x too, and f' = 1e-300 x is first a pole at 0.75: it stops
-# at slot 15, 16, 64 and 65 (the second span's first)
+# at slot 4, 15, 16, 64 and 65
+@example([0.0, 0.0, 5e-301], 6.0, 10, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**14, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**15, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**63, 200, 1e-12)
 @example([0.0, 0.0, 5e-301], 0.75 * 2.0**64, 200, 1e-12)
-@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12)  # out at slot 65
+# the map of x^2 + 2e-300 x + 4 from starts whose orbits land exactly on -2 and
+# 2 (built backwards, searching the doubles around each real preimage), so they
+# reach 0 on steps 64 and 100 and are out at slots 65 and 101
+@example([4.0, 2e-300, 1.0], -8.358407126781496e16, 100, 1e-12)
+@example([4.0, 2e-300, 1.0], 5.743853640988776e27, 200, 1e-12)
 def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol):
     policy = IterationPolicy(max_steps=max_steps, convergence_tol=tol)
     expected = _orbit_bits(_scalar_orbit(PolynomialProblem(coefficients), x0, policy))
@@ -386,10 +330,11 @@ def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol):
 @pytest.mark.parametrize(
     "problem, x0, max_steps, length, bound",
     [
-        # 1e5 steps that never converge: an array of 0.8 MB, which a growth
-        # holds for a moment beside the one it replaces; a list would be 3.2 MB
+        # 1e5 steps that never converge: an array('d') of 0.8 MB, which a
+        # growth may hold for a moment beside the one it replaces; a list
+        # would be 3.2 MB
         (NO_REAL_ROOT, 0.7, 100_000, 100_001, 2_000_000),
-        # converges at step 5: an array of one span, not of max_steps + 1 slots
+        # converges at step 5: an array of 6 iterates, not of max_steps + 1 slots
         (SQRT2_MINUS_2, 1.0, 10**12, 6, 500_000),
     ],
 )
@@ -522,3 +467,89 @@ def test_policy_validation():
         IterationPolicy(max_steps=0)
     with pytest.raises(ValueError):
         IterationPolicy(convergence_tol=0.0)
+
+
+# Per-step oracles: each checks the generated map with arithmetic it does not
+# share.  For c > 0, x = sqrt(c) cot(theta) conjugates the map of x^2 + c,
+# (x^2 - c)/(2x), to theta -> 2 theta mod pi, so the defect (2 theta_n -
+# theta_{n+1}) mod pi of a computed step is rounding alone.  Its bound was
+# fixed before the test ran: the defect measured 4 eps, one ulp of 2 pi.
+_DOUBLING_DEFECT_BOUND = 8 * 2.0**-52
+
+
+def _doubling_defect(xs, root):
+    """max |d_n| over the steps of ``xs`` (an orbit, or one column per chain),
+    where d_n = (2 theta_n - theta_{n+1}) mod pi, wrapped into (-pi/2, pi/2],
+    and theta = atan2(root, x); steps from or to NaN are skipped."""
+    xs = np.asarray(xs)
+    theta = np.array([math.atan2(root, x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+    d = np.mod(2.0 * theta[:-1] - theta[1:], math.pi)
+    d = np.where(d > math.pi / 2, d - math.pi, d)
+    return float(np.nanmax(np.abs(d)))
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_x2_plus_c_steps_conjugate_to_angle_doubling(c):
+    problem, root = PolynomialProblem((c, 0.0, 1.0)), math.sqrt(c)
+    for x0 in (0.3, 0.7, 1.9, -2.2, 5.0):
+        orbit = iterate_orbit(problem, x0, IterationPolicy(max_steps=100_000))
+        assert orbit.status is OrbitStatus.RUNNING
+        assert _doubling_defect(orbit.iterates, root) <= _DOUBLING_DEFECT_BOUND
+    chains = [np.linspace(-5.0, 5.0, 1024)]
+    for _ in range(100):
+        chains.append(problem.step_array(chains[-1]))
+    assert _doubling_defect(chains, root) <= _DOUBLING_DEFECT_BOUND
+
+
+def test_the_doubling_defect_sees_a_map_of_another_c():
+    # the map of x^2 + 1.000001 read as that of x^2 + 1
+    orbit = iterate_orbit(PolynomialProblem((1.000001, 0.0, 1.0)), 0.7, IterationPolicy(max_steps=1000))
+    assert _doubling_defect(orbit.iterates, 1.0) > _DOUBLING_DEFECT_BOUND
+
+
+_U = 2.0**-53
+
+
+def _gamma(k):
+    u = mpmath.mpf(_U)
+    return k * u / (1 - k * u)
+
+
+def _size(coefficients, powers):
+    """sum |c_i| |x^i|, given the powers x^i."""
+    return mpmath.fsum(abs(c) * abs(p) for c, p in zip(coefficients, powers))
+
+
+# coefficients that no product over the points below takes near underflow
+_COEFFICIENT = st.one_of(
+    st.integers(-9, 9).map(float), st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
+)
+_POINT = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@given(
+    st.integers(1, 8)
+    .flatmap(lambda d: st.lists(_COEFFICIENT, min_size=d + 1, max_size=d + 1))
+    .filter(lambda c: c[-1] != 0.0),
+    st.lists(_POINT, min_size=1, max_size=20),
+)
+def test_step_error_is_within_horners_bound(coefficients, xs):
+    # Horner's a-priori bound (Higham 2002, 5.1) on the numerator and on f',
+    # each over its float coefficients, plus one u for each coefficient's own
+    # rounding and one for the quotient; both bounds are rigorous
+    problem = PolynomialProblem(coefficients)
+    degree, steps = problem.degree, problem.step_array(xs).tolist()
+    with mpmath.workdps(60):
+        exact_n = [(i - 1) * mpmath.mpf(c) for i, c in enumerate(problem.coefficients)]
+        exact_d = [i * mpmath.mpf(c) for i, c in enumerate(problem.coefficients)][1:]
+        for x, y in zip(xs, steps):
+            powers = [mpmath.mpf(x) ** i for i in range(degree + 1)]
+            n, d = mpmath.fdot(exact_n, powers), mpmath.fdot(exact_d, powers)
+            err_n = _gamma(2 * degree + 2) * _size(problem.numerator, powers) + _U * _size(exact_n, powers)
+            err_d = _gamma(2 * degree + 1) * _size(problem.derivative, powers) + _U * _size(exact_d, powers)
+            if not err_d < abs(d) / 2:
+                continue  # f' could be near zero
+            exact = n / d
+            quotient = (err_n * abs(d) + abs(n) * err_d) / (abs(d) * (abs(d) - err_d))
+            bound = quotient + _U * (abs(exact) + quotient)
+            assert abs(mpmath.mpf(y) - exact) <= bound, (x, y, float(exact), float(bound))
