@@ -30,9 +30,11 @@ import numpy as np
 
 from . import __version__
 from .measure import (
+    DENSITY_CHAINS,
     EmpiricalDensity,
     accumulate_density,
     cauchy_density,
+    density_steps,
     find_cycles,
     interference_polynomial,
     peak_detect,
@@ -256,7 +258,7 @@ class Result:
     meta: dict = field(default_factory=dict)
     svg: Callable[[], str] | None = None
     restarts: int = 0
-    iterates: int = 0  # map iterates run, burn-in included; the report's throughput
+    iterates: int = 0  # map iterates stepped, warm-up and burn-in included; the report's throughput
 
 
 def _render(result: Result, output_format: str) -> str:
@@ -301,7 +303,7 @@ def _accumulate(problem, opt) -> EmpiricalDensity:
 
 
 def _histogram_result(
-    density: EmpiricalDensity, iterates: int, extra_meta: dict, statuses: dict, svg, **payload
+    density: EmpiricalDensity, iters: int, extra_meta: dict, statuses: dict, svg, **payload
 ):
     meta = {
         "lo": density.lo,
@@ -323,7 +325,7 @@ def _histogram_result(
         meta=meta,
         svg=svg,
         restarts=density.restarts,
-        iterates=iterates,
+        iterates=len(density_steps(iters)) * DENSITY_CHAINS,
     )
 
 
@@ -564,7 +566,7 @@ def run(config: RunConfig) -> RunReport:
 
     The report's ``phases`` are ms; ``parse`` is 0 here and ``main`` sets it.
     A command that runs the map adds ``iterates_per_s`` to its statuses: the
-    iterates run over the seconds of the compute phase."""
+    iterates stepped over the seconds of the compute phase."""
     started = time.perf_counter()
     command = COMMANDS[config.command]
     # an overflow or an invalid operation is an error, not a warning
@@ -715,24 +717,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     try:
-        started = time.perf_counter()
-        try:
-            namespace = _parser().parse_args(argv)
-        except SystemExit as exc:  # --help / --version
-            return int(exc.code or 0)
-        config = resolve_config(namespace)
+        config = resolve_config(_parser().parse_args(argv))
         parsed = time.perf_counter()
         report = run(config)
         report.phases["parse"] = 1e3 * (parsed - started)
-    except (ValueError, FloatingPointError) as exc:
+        print(report.to_json(), flush=True)
+        return EXIT_OK
+    except SystemExit as exc:  # --help / --version
+        return int(exc.code or 0)
+    except Exception as exc:  # noqa: BLE001 - boundary: one JSON line, exit 2 or 3
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone: the interpreter's flush at exit then
+            # writes to devnull instead of failing a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001 - boundary: report and exit 3
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_RUNTIME
-    print(report.to_json())
-    return EXIT_OK
+        return EXIT_CONFIG if isinstance(exc, (ValueError, FloatingPointError)) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

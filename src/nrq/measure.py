@@ -199,6 +199,12 @@ class _Tally:
         return EmpiricalDensity(self.lo, self.hi, self.bins, c[1:-1].copy(), int(c[0]), int(c[-1]), restarts)
 
 
+def density_steps(n: int) -> range:
+    """The steps s of ``accumulate_density``'s loop for n iterates, the warm-up's
+    (s < 0) included: each is one ``step_array`` call on ``DENSITY_CHAINS`` chains."""
+    return range(-CHAIN_WARMUP, -(-n // DENSITY_CHAINS))
+
+
 def accumulate_density(
     problem: PolynomialProblem,
     x0: float | None,
@@ -247,7 +253,7 @@ def accumulate_density(
     filled = restarts = 0
     # step s records iterates s*k + 1 .. s*k + k, so the warm-up's steps,
     # s < 0, record none
-    for s in range(-CHAIN_WARMUP, -(-n // k)):
+    for s in density_steps(n):
         x = problem.step_array(x)
         out = ~(np.abs(x) <= OVERFLOW_BOUND)
         if out.any():

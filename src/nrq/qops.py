@@ -18,7 +18,7 @@ _BLOCK_COLUMNS at a time, which fill ``.matrix`` on each access and carry
 ``unitarity_residual``.  An N x N array is made only after
 ``_require_dense``: in ``.matrix``, a spectrum's ``eigh`` basis and
 ``ops_check``, which holds one, the matrix whose Hermiticity it compares.
-Every state norm and inner product is ``_norm`` or ``_vdot``, numpy's
+Every state norm and inner product is ``_norms`` or ``_inner``, numpy's
 pairwise sum of elementwise products, so no BLAS kernel or thread count
 touches their bits.
 """
@@ -102,20 +102,10 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _norm(a: np.ndarray) -> float:
-    """Euclidean norm of a complex vector."""
-    return float(_norms(a))
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a|b> along the last axis, as the pairwise sum of conj(a) * b: one
     inner product of two vectors, or one per row of a block."""
     return np.add.reduce(a.conj() * b, axis=-1)
-
-
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> of two vectors."""
-    return complex(_inner(a, b))
 
 
 def _worst(residuals) -> float:
@@ -156,7 +146,7 @@ class StateVector:
         a = np.asarray(amplitudes, dtype=complex)
         if a.ndim != 1 or a.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
-        nrm = _norm(a)
+        nrm = float(_norms(a))
         if normalize:
             if not 0 < nrm < math.inf:
                 raise ValueError(f"cannot normalize a vector of norm {nrm}")
@@ -170,13 +160,13 @@ class StateVector:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return _norm(self.amplitudes)
+        return float(_norms(self.amplitudes))
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         if self.dim != other.dim:
             raise DimensionMismatch("state dimensions differ")
-        return _vdot(self.amplitudes, other.amplitudes)
+        return complex(_inner(self.amplitudes, other.amplitudes))
 
 
 class LinearOp:
@@ -329,11 +319,6 @@ class _Composition(LinearOp):
         return self._n
 
 
-def _check_same_dim(a: LinearOp, b: LinearOp):
-    if a.n != b.n:
-        raise DimensionMismatch("operator dimensions differ")
-
-
 def _diagonal(values) -> LinearOp:
     """The operator diagonal on the sites with these values, applied elementwise."""
     op = LinearOp(spectrum=values)
@@ -406,7 +391,7 @@ def position_operator(grid: Grid) -> LinearOp:
 
 def expectation(op: LinearOp, state: StateVector) -> complex:
     """<psi|O|psi>; real up to rounding when the operator is Hermitian."""
-    return _vdot(state.amplitudes, op.apply(state))
+    return complex(_inner(state.amplitudes, op.apply(state)))
 
 
 def projector(onto: StateVector) -> LinearOp:
@@ -423,7 +408,8 @@ def born_probability(state: StateVector, outcome: StateVector) -> float:
 
 def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
     """[A, B], applied as A(Bv) - B(Av)."""
-    _check_same_dim(a, b)
+    if a.n != b.n:
+        raise DimensionMismatch("operator dimensions differ")
     return _Composition(
         a.n, lambda v, out=None: np.subtract(a._apply(b._apply(v)), b._apply(a._apply(v)), out=out)
     )
@@ -438,8 +424,8 @@ def uncertainty_product(state: StateVector, a: LinearOp, b: LinearOp) -> float:
 
     def sigma(op: LinearOp) -> float:
         v = op.apply(state)
-        mean = _vdot(state.amplitudes, v).real
-        return _norm(v - mean * state.amplitudes)
+        mean = _inner(state.amplitudes, v).real
+        return float(_norms(v - mean * state.amplitudes))
 
     return sigma(a) * sigma(b)
 

@@ -1007,6 +1007,30 @@ def test_failed_replace_exits_3_and_removes_its_temporary_file(tmp_path, capsys)
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_3_with_one_json_line(unbuffered, tmp_path):
+    # the reader of stdout has exited before the run starts, so printing the
+    # report fails; buffered, the interpreter's flush at exit would fail again
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "d.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nrq.cli", "density", "--poly", "x^2+1", "--iters", "20000", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_RUNTIME, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "BrokenPipeError"
+    assert out.read_text().startswith(CSV_MAGIC)
+
+
 _DEEP = 3000
 
 
@@ -1154,9 +1178,26 @@ def test_report_phases_sum_to_the_wall_time(tmp_path, capsys):
     assert all(ms > 0 for ms in phases.values())
     wall_ms = 1e3 * report["wall_time_s"]
     assert abs(phases["compute"] + phases["render"] + phases["write"] - wall_ms) <= 0.05 * wall_ms
-    # every iterate, burn-in included, over the compute phase
+    # every iterate stepped, over the compute phase: the 64 warm-up steps and
+    # the ceil(201000 / 1024) = 197 recorded steps of 1024 chains
     iterates = report["statuses"]["iterates_per_s"] * phases["compute"] / 1e3
-    assert iterates == pytest.approx(201000, rel=1e-12)
+    assert iterates == pytest.approx((64 + 197) * 1024, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["density", "interfere"])
+@pytest.mark.parametrize("n", [1, 1024, 1025, 201000])
+def test_the_throughput_counts_the_iterates_stepped(command, n, monkeypatch):
+    step_array = PolynomialProblem.step_array
+    stepped = []
+
+    def counting(self, xs, times=1):
+        stepped.append(np.size(xs) * times)
+        return step_array(self, xs, times)
+
+    monkeypatch.setattr(PolynomialProblem, "step_array", counting)
+    spec = cli.COMMANDS[command]
+    options = {**spec.defaults(), "poly": "x^2+1", "delta": 0.01, "iters": n, "burnin": 0, "seed": 1}
+    assert spec.runner(options).iterates == sum(stepped)
 
 
 # ---------------------------------------------------------------------------

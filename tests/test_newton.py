@@ -24,6 +24,7 @@ from nrq import (
     iterate_orbit,
     newton_step,
 )
+from nrq.measure import CHAIN_WARMUP, DENSITY_CHAINS, accumulate_density
 from nrq.newton import MAX_DEGREE, OVERFLOW_BOUND, POLE_EPSILON
 
 SQRT2_MINUS_2 = PolynomialProblem((-2.0, 0.0, 1.0))  # x^2 - 2
@@ -505,6 +506,37 @@ def test_the_doubling_defect_sees_a_map_of_another_c():
     # the map of x^2 + 1.000001 read as that of x^2 + 1
     orbit = iterate_orbit(PolynomialProblem((1.000001, 0.0, 1.0)), 0.7, IterationPolicy(max_steps=1000))
     assert _doubling_defect(orbit.iterates, 1.0) > _DOUBLING_DEFECT_BOUND
+
+
+class _RecordingProblem(PolynomialProblem):
+    """A problem whose ``step_array`` keeps a copy of every call's input and output."""
+
+    def __init__(self, coefficients):
+        super().__init__(coefficients)
+        object.__setattr__(self, "calls", [])
+
+    def step_array(self, xs, times=1):
+        ys = super().step_array(xs, times)
+        self.calls.append((np.array(xs), ys.copy()))
+        return ys
+
+
+def _density_chain_defects(c, root):
+    """The doubling defect of each ``step_array`` call that the density
+    engine makes for x^2 + c on the default window, warm-up included."""
+    problem = _RecordingProblem((c, 0.0, 1.0))
+    accumulate_density(problem, None, 1000, 201000, -10.0, 10.0, 200, seed=1)
+    assert len(problem.calls) == CHAIN_WARMUP + -(-201000 // DENSITY_CHAINS)
+    return [_doubling_defect(np.stack(call), root) for call in problem.calls]
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_the_density_chains_step_conjugate_to_angle_doubling(c):
+    assert max(_density_chain_defects(c, math.sqrt(c))) <= _DOUBLING_DEFECT_BOUND
+
+
+def test_the_doubling_defect_sees_density_chains_of_another_c():
+    assert max(_density_chain_defects(1.000001, 1.0)) > _DOUBLING_DEFECT_BOUND
 
 
 _U = 2.0**-53
