@@ -719,14 +719,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        config = resolve_config(_parser().parse_args(argv))
+        try:
+            config = resolve_config(_parser().parse_args(argv))
+        except SystemExit as exc:  # --help / --version
+            # flushed here, so a closed stdout ends below like a report's
+            sys.stdout.flush()
+            return int(exc.code or 0)
         parsed = time.perf_counter()
         report = run(config)
         report.phases["parse"] = 1e3 * (parsed - started)
         print(report.to_json(), flush=True)
         return EXIT_OK
-    except SystemExit as exc:  # --help / --version
-        return int(exc.code or 0)
     except Exception as exc:  # noqa: BLE001 - boundary: one JSON line, exit 2 or 3
         if isinstance(exc, BrokenPipeError):
             # stdout's reader is gone: the interpreter's flush at exit then

@@ -29,9 +29,9 @@ def _require_window(lo, hi):
         raise InvalidRange(f"need lo < hi and |lo|, |hi| <= {bound:g}, got [{lo}, {hi}]")
 
 
-# accumulate_density bins its kept iterates in blocks of this many and
-# _Tally bins at most this many samples a call, into work buffers of this
-# length made once, so memory grows with neither the orbit nor the sample.
+# accumulate_density and from_samples add samples to a density in blocks of
+# at most this many, each pass with work buffers of its block's length, so
+# memory grows with neither the orbit nor the sample.
 ACCUMULATE_BLOCK = 16384
 # accumulate_density runs this many chains of the map in lockstep, one
 # step_array call a step for all of them, which costs far less a step than a
@@ -68,11 +68,13 @@ def _binning(lo, hi, bins) -> np.ndarray:
 class EmpiricalDensity:
     """Binned visit-frequency histogram with out-of-range mass tracked.
 
-    The normalized density integrates to exactly 1 over [lo, hi]; mass
-    outside the window is kept in ``below_count`` / ``above_count`` so that
-    ``total`` is conserved.  Counts form a commutative monoid under
-    ``merge``, which is what makes chunked or parallel accumulation exact.
-    The window and ``bins`` obey ``_binning``.
+    A density is built by adding samples: ``from_samples`` and
+    ``accumulate_density`` start from empty counts and add blocks of at most
+    ``ACCUMULATE_BLOCK`` samples.  The normalized density integrates to
+    exactly 1 over [lo, hi]; mass outside the window is kept in
+    ``below_count`` / ``above_count`` so that ``total`` is conserved.  Counts
+    form a commutative monoid under ``merge``, which is what makes chunked or
+    parallel accumulation exact.  The window and ``bins`` obey ``_binning``.
     """
 
     lo: float
@@ -84,7 +86,10 @@ class EmpiricalDensity:
     restarts: int = 0
 
     def __post_init__(self):
-        _binning(self.lo, self.hi, self.bins)
+        self._edges = _binning(self.lo, self.hi, self.bins)
+        # _upper[k + 1] is the edge that bin k steps up at; slot 0 (below lo)
+        # never steps up
+        self._upper = np.concatenate(([np.inf], self._edges[1:-1], [np.nextafter(self.hi, np.inf)]))
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (self.bins,):
             raise ValueError("counts length must equal bins")
@@ -132,48 +137,33 @@ class EmpiricalDensity:
 
     @classmethod
     def from_samples(cls, samples, lo: float, hi: float, bins: int):
-        """``np.histogram(samples, bins, range=(lo, hi))`` with the two tails,
-        counted by ``_Tally`` ``ACCUMULATE_BLOCK`` samples at a time; a NaN
-        sample raises ValueError, and so does ``bins`` outside 2..MAX_BINS."""
-        tally = _Tally(lo, hi, bins)
+        """``np.histogram(samples, bins, range=(lo, hi))`` with the two tails:
+        empty counts, to which ``_add`` adds ``ACCUMULATE_BLOCK`` samples at a
+        time; a NaN sample raises ValueError, and so does ``bins`` outside
+        2..MAX_BINS, before the counts are allocated."""
+        _binning(lo, hi, bins)
+        density = cls(lo, hi, bins, np.zeros(bins, dtype=np.int64))
         x = np.asarray(samples, dtype=float).reshape(-1)
         for i in range(0, x.size, ACCUMULATE_BLOCK):
-            tally.add(x[i : i + ACCUMULATE_BLOCK])
-        return tally.density()
+            density._add(x[i : i + ACCUMULATE_BLOCK])
+        return density
 
+    def _add(self, x: np.ndarray) -> None:
+        """Add a 1-D float64 array of samples as ``np.histogram`` on the
+        uniform bins would count them, to the bit, and the tails; a NaN in it
+        raises ValueError.  The work buffers are made for the one pass.
 
-class _Tally:
-    """``np.histogram`` on uniform bins, with its counts to the bit, and tails.
-
-    ``add`` counts sample arrays into bins + 2 slots: below lo, the bins of
-    ``np.linspace(lo, hi, bins + 1)`` (``EmpiricalDensity.edges``), above
-    hi.  A slot is found by numpy's uniform-bin steps, shifted up one: k =
-    (x - lo)/(hi - lo)*bins truncated, with bins taken as bins - 1; then k
-    + 1, less one where x < edges[k]; then one more where x >= edges[k +
-    1] and k is not the last bin.  The tails fall out of the same steps: x
-    < lo = edges[0] steps down from k = 0 to slot 0, and the last bin steps
-    up to slot bins + 1 where x >= the double after hi, that is where x >
-    hi.  Every pass writes into ``ACCUMULATE_BLOCK``-slot work buffers
-    made once.  The window and ``bins`` obey ``_binning``.
-    """
-
-    def __init__(self, lo: float, hi: float, bins: int):
-        edges = _binning(lo, hi, bins)
-        self.lo, self.hi, self.bins = lo, hi, bins
-        self._edges = edges
-        # _upper[k + 1] is the edge that bin k steps up at; slot 0 (below lo)
-        # never steps up
-        self._upper = np.concatenate(([np.inf], edges[1:-1], [np.nextafter(hi, np.inf)]))
-        self._counts = np.zeros(bins + 2, dtype=np.int64)
-        self._f = np.empty(ACCUMULATE_BLOCK)
-        self._k = np.empty(ACCUMULATE_BLOCK, dtype=np.intp)
-        self._b = np.empty(ACCUMULATE_BLOCK, dtype=bool)
-
-    def add(self, x: np.ndarray) -> None:
-        """Bin a 1-D float64 array of at most ``ACCUMULATE_BLOCK`` samples;
-        a NaN in it raises ValueError."""
+        Each sample gets one of bins + 2 slots: below lo, the bins of
+        ``edges()``, above hi.  A slot is found by numpy's uniform-bin steps,
+        shifted up one: k = (x - lo)/(hi - lo)*bins truncated, with bins taken
+        as bins - 1; then k + 1, less one where x < edges[k]; then one more
+        where x >= edges[k + 1] and k is not the last bin.  The tails fall out
+        of the same steps: x < lo = edges[0] steps down from k = 0 to slot 0,
+        and the last bin steps up to slot bins + 1 where x >= the double after
+        hi, that is where x > hi.
+        """
         lo, hi, bins = self.lo, self.hi, self.bins
-        f, k, b = self._f[: x.size], self._k[: x.size], self._b[: x.size]
+        f, k, b = np.empty(x.size), np.empty(x.size, dtype=np.intp), np.empty(x.size, dtype=bool)
         if np.isnan(x, out=b).any():
             raise ValueError("samples contain NaN, which no bin or tail can hold")
         # a sample far outside the window may overflow its estimate to +-inf
@@ -192,11 +182,10 @@ class _Tally:
             np.add(k, np.greater_equal(x, f, out=b), out=k)
             np.take(self._upper, k, out=f, mode="clip")
             np.add(k, np.greater_equal(x, f, out=b), out=k)
-            self._counts += np.bincount(k, minlength=bins + 2)
-
-    def density(self, restarts: int = 0) -> EmpiricalDensity:
-        c = self._counts
-        return EmpiricalDensity(self.lo, self.hi, self.bins, c[1:-1].copy(), int(c[0]), int(c[-1]), restarts)
+            slots = np.bincount(k, minlength=bins + 2)
+        self.counts += slots[1:-1]
+        self.below_count += int(slots[0])
+        self.above_count += int(slots[-1])
 
 
 def density_steps(n: int) -> range:
@@ -228,15 +217,15 @@ def accumulate_density(
     chain (i - 1) mod ``DENSITY_CHAINS``.  Its first n0 iterates are burn-in
     and discarded, and the result's ``restarts`` counts every restart of the
     steps run, the warm-up included.  The kept iterates fill one
-    ``ACCUMULATE_BLOCK``-sample buffer, which goes whole to one ``_Tally``,
-    which counts them as ``np.histogram`` would, to the bit, in work buffers
-    made once; so memory is bounded by the chains, the block and the bins,
-    not by ``n``.  Inputs are checked in this order before any step runs: the
+    ``ACCUMULATE_BLOCK``-sample buffer, which is added whole to the density
+    (``EmpiricalDensity._add``, counting as ``np.histogram`` would, to the
+    bit); so memory is bounded by the chains, the block and the bins, not by
+    ``n``.  Inputs are checked in this order before any step runs: the
     window, ``bins`` and the edges as ``_binning`` checks them, then n > n0
     >= 0, then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange),
     then n <= MAX_DENSITY_ITERS.
     """
-    tally = _Tally(lo, hi, bins)
+    density = EmpiricalDensity.from_samples((), lo, hi, bins)
     if not (n > n0 >= 0):
         raise ValueError("need n > n0 >= 0")
     # densities divide by samples * bin width
@@ -266,10 +255,11 @@ def accumulate_density(
             samples[filled : filled + m] = row[:m]
             filled, row = filled + m, row[m:]
             if filled == samples.size:
-                tally.add(samples)
+                density._add(samples)
                 filled = 0
-    tally.add(samples[:filled])
-    return tally.density(restarts)
+    density._add(samples[:filled])
+    density.restarts = restarts
+    return density
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,8 @@ def _expand(tokens) -> list:
 
 
 def parse_polynomial(text: str) -> PolynomialProblem:
-    """Parse and exactly expand an expression into a PolynomialProblem."""
+    """Parse and exactly expand an expression into a PolynomialProblem, which
+    rounds each exact coefficient to a float once."""
     if len(text) > MAX_POLY_LENGTH:
         raise PolynomialSyntaxError(
             f"expression of {len(text)} characters exceeds the cap of {MAX_POLY_LENGTH}", MAX_POLY_LENGTH
@@ -197,7 +198,7 @@ def parse_polynomial(text: str) -> PolynomialProblem:
         coeffs.pop()
     if len(coeffs) < 2:
         raise DegreeZeroError("expression reduces to a constant; need degree >= 1")
-    return PolynomialProblem(tuple(float(c) for c in coeffs))
+    return PolynomialProblem(coeffs)
 
 
 def pretty_polynomial(problem: PolynomialProblem) -> str:

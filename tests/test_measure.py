@@ -298,6 +298,35 @@ def test_merge_requires_same_binning():
         a.merge(b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False), max_size=60)
+    | st.lists(st.floats(min_value=-4.0, max_value=4.0), max_size=60),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+)
+def test_a_density_is_a_monoid_under_adding_samples(samples, cuts):
+    # blocks of 7 samples, so parts straddle the blocks from_samples adds;
+    # the parts added in turn to one density, the merge of the parts'
+    # densities and the density of the whole count the same
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
+        x = np.array(samples, dtype=float)
+        bounds = [0, *sorted(min(c, x.size) for c in cuts), x.size]
+        parts = [x[a:b] for a, b in zip(bounds, bounds[1:])]
+        added = EmpiricalDensity.from_samples((), -3.0, 3.0, 12)
+        for part in parts:
+            added._add(part)
+        merged = EmpiricalDensity.from_samples((), -3.0, 3.0, 12)
+        for part in parts:
+            merged = merged.merge(EmpiricalDensity.from_samples(part, -3.0, 3.0, 12))
+        whole = EmpiricalDensity.from_samples(x, -3.0, 3.0, 12)
+    for d in (added, merged):
+        assert (d.counts.tolist(), d.below_count, d.above_count) == (
+            whole.counts.tolist(), whole.below_count, whole.above_count
+        )
+    assert added.total == merged.total == whole.total == x.size
+
+
 # ---------------------------------------------------------------------------
 # accumulation
 
@@ -527,6 +556,15 @@ def test_accumulate_binning_takes_no_fresh_pages():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) <= 50
+
+
+def test_a_returned_density_holds_no_work_buffer():
+    # the staging buffer and the work buffers are ACCUMULATE_BLOCK long and
+    # live for one call; the density keeps only its counts and edges
+    d = accumulate_density(NO_REAL_ROOT, None, 1000, 41000, -10.0, 10.0, 200, seed=1)
+    arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size <= d.bins + 2 for a in arrays)
+    assert not any(a.size == measure.ACCUMULATE_BLOCK for a in arrays)
 
 
 def test_accumulate_deterministic():

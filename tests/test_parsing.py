@@ -55,6 +55,23 @@ def test_unary_and_precedence():
     assert parse_polynomial(" ( x - 3 ) * ( x + 3 ) ").coefficients == (-9.0, 0.0, 1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9), min_size=1, max_size=8),
+    st.fractions(min_value=1, max_value=10**6, max_denominator=10**9),
+)
+def test_a_problem_from_fractions_equals_one_from_their_floats(lower, lead):
+    # parse_polynomial hands its exact coefficients over; the problem rounds
+    # each once, as float() before construction would
+    coeffs = [*lower, lead]
+    exact = PolynomialProblem(coeffs)
+    rounded = PolynomialProblem([float(c) for c in coeffs])
+    assert exact == rounded
+    assert exact.coefficients == tuple(float(c) for c in coeffs)
+    xs = [-2.5, -0.3, 0.7, 3.0]
+    assert exact.step_array(xs).tobytes() == rounded.step_array(xs).tobytes()
+
+
 def test_decimal_and_scientific_coefficients():
     assert parse_polynomial("1e-2*x^2 + .5*x + 2.25").coefficients == (2.25, 0.5, 0.01)
 
