@@ -30,8 +30,8 @@ def _require_window(lo, hi):
 
 
 # accumulate_density and from_samples add samples to a density in blocks of
-# at most this many, each pass with work buffers of its block's length, so
-# memory grows with neither the orbit nor the sample.
+# at most this many, and a pass's arrays are as long as its block, so memory
+# grows with neither the orbit nor the sample.
 ACCUMULATE_BLOCK = 16384
 # accumulate_density runs this many chains of the map in lockstep, one
 # step_array call a step for all of them, which costs far less a step than a
@@ -74,7 +74,8 @@ class EmpiricalDensity:
     exactly 1 over [lo, hi]; mass outside the window is kept in
     ``below_count`` / ``above_count`` so that ``total`` is conserved.  Counts
     form a commutative monoid under ``merge``, which is what makes chunked or
-    parallel accumulation exact.  The window and ``bins`` obey ``_binning``.
+    parallel accumulation exact.  The window and ``bins`` obey ``_binning``,
+    and the counts and tails are whole numbers (a float one must be integral).
     """
 
     lo: float
@@ -90,7 +91,13 @@ class EmpiricalDensity:
         # _upper[k + 1] is the edge that bin k steps up at; slot 0 (below lo)
         # never steps up
         self._upper = np.concatenate(([np.inf], self._edges[1:-1], [np.nextafter(self.hi, np.inf)]))
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind == "f" and not ((abs(counts) < 2.0**63) & (counts == np.trunc(counts))).all():
+            raise ValueError("counts must be integers below 2**63")
+        for tail in (self.below_count, self.above_count):
+            if not isinstance(tail, (int, np.integer)) and not (isinstance(tail, float) and tail.is_integer()):
+                raise ValueError(f"tail counts must be integers, got {tail!r}")
+        self.counts = np.asarray(counts, dtype=np.int64)
         if self.counts.shape != (self.bins,):
             raise ValueError("counts length must equal bins")
         if (self.counts < 0).any() or self.below_count < 0 or self.above_count < 0:
@@ -109,10 +116,10 @@ class EmpiricalDensity:
         return self.in_range + self.below_count + self.above_count
 
     def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
+        return self._edges.copy()
 
     def centers(self) -> np.ndarray:
-        e = self.edges()
+        e = self._edges
         return 0.5 * (e[:-1] + e[1:])
 
     def densities(self) -> np.ndarray:
@@ -120,7 +127,12 @@ class EmpiricalDensity:
         n = self.in_range
         if n == 0:
             return np.zeros(self.bins)
-        return self.counts / (n * self.bin_width)
+        with np.errstate(over="ignore"):
+            scale = n * self.bin_width
+            dens = self.counts / scale
+        if not (math.isfinite(scale) and np.isfinite(dens).all()):
+            raise InvalidRange(f"densities on [{self.lo}, {self.hi}] with {self.bins} bins overflow")
+        return dens
 
     def merge(self, other: "EmpiricalDensity") -> "EmpiricalDensity":
         if (self.lo, self.hi, self.bins) != (other.lo, other.hi, other.bins):
@@ -151,7 +163,7 @@ class EmpiricalDensity:
     def _add(self, x: np.ndarray) -> None:
         """Add a 1-D float64 array of samples as ``np.histogram`` on the
         uniform bins would count them, to the bit, and the tails; a NaN in it
-        raises ValueError.  The work buffers are made for the one pass.
+        raises ValueError.  Its arrays are the block's length and last the pass.
 
         Each sample gets one of bins + 2 slots: below lo, the bins of
         ``edges()``, above hi.  A slot is found by numpy's uniform-bin steps,
@@ -163,25 +175,16 @@ class EmpiricalDensity:
         hi, that is where x > hi.
         """
         lo, hi, bins = self.lo, self.hi, self.bins
-        f, k, b = np.empty(x.size), np.empty(x.size, dtype=np.intp), np.empty(x.size, dtype=bool)
-        if np.isnan(x, out=b).any():
+        if np.isnan(x).any():
             raise ValueError("samples contain NaN, which no bin or tail can hold")
         # a sample far outside the window may overflow its estimate to +-inf
         with np.errstate(over="ignore"):
-            np.subtract(x, lo, out=f)
-            np.divide(f, hi - lo, out=f)
-            np.multiply(f, bins, out=f)
             # an in-window estimate lies in [0, bins], so truncating it
             # clipped to [0, bins - 1] is numpy's truncation with bins taken
             # to bins - 1; a tail's estimate is clipped to an end
-            np.clip(f, 0, bins - 1, out=f)
-            np.copyto(k, f, casting="unsafe")
-            # take writes to out unbuffered unless mode="raise"; every index
-            # is in range
-            np.take(self._edges, k, out=f, mode="clip")
-            np.add(k, np.greater_equal(x, f, out=b), out=k)
-            np.take(self._upper, k, out=f, mode="clip")
-            np.add(k, np.greater_equal(x, f, out=b), out=k)
+            k = np.clip((x - lo) / (hi - lo) * bins, 0, bins - 1).astype(np.intp)
+            k += x >= self._edges[k]
+            k += x >= self._upper[k]
             slots = np.bincount(k, minlength=bins + 2)
         self.counts += slots[1:-1]
         self.below_count += int(slots[0])

@@ -772,6 +772,17 @@ def test_bad_range_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "InvalidRange"
 
 
+def test_subnormal_bin_width_exits_2_with_invalid_range(tmp_path, capsys):
+    # its densities overflowed to inf, which the cli read as a FloatingPointError
+    out = tmp_path / "sub.csv"
+    code, _, err = run_cli(
+        ["density", "--poly", "x^2+1", "--bins", "2", "--range=0:1e-320", "--out", str(out)], capsys
+    )
+    assert code == EXIT_CONFIG and err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidRange"
+    assert not out.exists()
+
+
 def test_window_too_narrow_for_its_bins_exits_2_with_numpys_message(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code, stdout, err = run_cli(

@@ -157,6 +157,26 @@ def test_density_validation():
         EmpiricalDensity(0.0, 1.0, 4, np.array([1, -1, 0, 0]))
     with pytest.raises(ValueError):
         EmpiricalDensity(0.0, 1.0, 1, np.array([1]))
+    # a count or tail that is not a whole number was once truncated or kept
+    for counts in ([1.5, 2.7], [math.inf, 1.0], [math.nan, 1.0], [1e30, 1.0]):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            EmpiricalDensity(0.0, 1.0, 2, counts)
+    for tail in (1.5, math.inf, math.nan, "1"):
+        with pytest.raises(ValueError, match="tail counts must be integers"):
+            EmpiricalDensity(0.0, 1.0, 2, [1, 2], below_count=tail)
+        with pytest.raises(ValueError, match="tail counts must be integers"):
+            EmpiricalDensity(0.0, 1.0, 2, [1, 2], above_count=tail)
+    d = EmpiricalDensity(0.0, 1.0, 2, [1.0, True], below_count=np.int64(2), above_count=3.0)
+    assert d.counts.tolist() == [1, 1] and d.total == 7
+
+
+@pytest.mark.parametrize("lo, hi", [(-8e307, 8e307), (0.0, 1e-320)])
+def test_densities_that_overflow_raise_invalid_range(lo, hi):
+    # n * bin_width overflowed to inf and gave all-zero densities, and a
+    # subnormal bin width gave inf densities
+    d = EmpiricalDensity.from_samples(np.full(10, 0.5 * (lo + hi)), lo, hi, 2)
+    with pytest.raises(InvalidRange, match="overflow"):
+        d.densities()
 
 
 
@@ -348,7 +368,7 @@ def test_accumulate_bins_cap():
 
 
 def test_bins_cap_is_checked_before_anything_is_allocated():
-    # the edges alone would take 800 kB at MAX_BINS + 1, the work buffers 280 kB
+    # the edges alone would take 800 kB at MAX_BINS + 1, a binning pass 280 kB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="bins must lie in"):
@@ -523,7 +543,7 @@ def test_accumulate_memory_does_not_grow_with_the_orbit():
 @pytest.mark.parametrize("n", [201_000, 2_001_000])
 def test_accumulate_peak_memory_does_not_grow_with_iters(n):
     # the density command's x^2+1 run: one block of samples, the chains'
-    # step arrays and the tally's work buffers, whatever n is
+    # step arrays and one binning pass's arrays, whatever n is
     tracemalloc.start()
     try:
         d = accumulate_density(NO_REAL_ROOT, None, 1000, n, -10.0, 10.0, 200, seed=1)
@@ -550,8 +570,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_accumulate_binning_takes_no_fresh_pages():
     # np.histogram made about 2.3 MB of temporaries a block, which the
     # allocator handed back to the OS each time, so a second run faulted
-    # about 1800 fresh pages; the tally's buffers are reused, and the chains'
-    # step arrays (8 kB each) stay below the allocator's mmap threshold
+    # about 1800 fresh pages; a binning pass's few block-long arrays reuse
+    # the memory the pass before freed, and the chains' step arrays (8 kB
+    # each) stay below the allocator's mmap threshold
     src = str(Path(nrq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, capture_output=True, text=True, check=True)
@@ -559,8 +580,8 @@ def test_accumulate_binning_takes_no_fresh_pages():
 
 
 def test_a_returned_density_holds_no_work_buffer():
-    # the staging buffer and the work buffers are ACCUMULATE_BLOCK long and
-    # live for one call; the density keeps only its counts and edges
+    # the staging buffer and a binning pass's arrays are ACCUMULATE_BLOCK long
+    # and live for one call; the density keeps only its counts and edges
     d = accumulate_density(NO_REAL_ROOT, None, 1000, 41000, -10.0, 10.0, 200, seed=1)
     arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
     assert arrays and all(a.size <= d.bins + 2 for a in arrays)
