@@ -14,7 +14,7 @@ import numpy as np
 
 # newton_step is not called here; the name stays because perfbench/spans.py
 # traces nrq.measure.newton_step
-from .newton import OVERFLOW_BOUND, PolynomialProblem, newton_step  # noqa: F401
+from .newton import PolynomialProblem, newton_step  # noqa: F401
 
 
 class InvalidRange(ValueError):
@@ -31,12 +31,14 @@ def _require_window(lo, hi):
 
 # accumulate_density and from_samples add samples to a density in blocks of
 # at most this many, and a pass's arrays are as long as its block, so memory
-# grows with neither the orbit nor the sample.
+# grows with neither the orbit nor the sample.  accumulate_density's block is
+# ACCUMULATE_BLOCK // DENSITY_CHAINS rows of steps (at least one), which its
+# step_rows calls write in place.
 ACCUMULATE_BLOCK = 16384
-# accumulate_density runs this many chains of the map in lockstep, one
-# step_array call a step for all of them, which costs far less a step than a
-# scalar chain's Python loop.  It never depends on n, so that (n0, n] indexes
-# one fixed stream.
+# accumulate_density runs this many chains of the map in lockstep, every step
+# one row of a step_rows call for all of them, which costs far less a step
+# than a scalar chain's Python loop.  It never depends on n, so that (n0, n]
+# indexes one fixed stream.
 DENSITY_CHAINS = 1024
 # Each chain runs this many steps from its start before any is recorded.
 CHAIN_WARMUP = 64
@@ -94,9 +96,11 @@ class EmpiricalDensity:
         counts = np.asarray(self.counts)
         if counts.dtype.kind == "f" and not ((abs(counts) < 2.0**63) & (counts == np.trunc(counts))).all():
             raise ValueError("counts must be integers below 2**63")
-        for tail in (self.below_count, self.above_count):
-            if not isinstance(tail, (int, np.integer)) and not (isinstance(tail, float) and tail.is_integer()):
-                raise ValueError(f"tail counts must be integers, got {tail!r}")
+        for name, what in (("below_count", "tail counts"), ("above_count", "tail counts"), ("restarts", "restarts")):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) and not (isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{what} must be integers, got {value!r}")
+            setattr(self, name, int(value))
         self.counts = np.asarray(counts, dtype=np.int64)
         if self.counts.shape != (self.bins,):
             raise ValueError("counts length must equal bins")
@@ -192,8 +196,8 @@ class EmpiricalDensity:
 
 
 def density_steps(n: int) -> range:
-    """The steps s of ``accumulate_density``'s loop for n iterates, the warm-up's
-    (s < 0) included: each is one ``step_array`` call on ``DENSITY_CHAINS`` chains."""
+    """The steps s that ``accumulate_density`` keeps for n iterates, the warm-up's
+    (s < 0) included: each is one row of ``DENSITY_CHAINS`` chains."""
     return range(-CHAIN_WARMUP, -(-n // DENSITY_CHAINS))
 
 
@@ -210,17 +214,24 @@ def accumulate_density(
     """Bin the iterates with index in (n0, n] of the map's lockstep chains.
 
     ``DENSITY_CHAINS`` chains start from uniform draws on [lo, hi] of one
-    seeded PCG64, and ``x0``, when given, replaces chain 0's start.  Every
-    step advances all of them with one ``problem.step_array`` call.  A chain
-    whose step hits a pole or leaves [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN
-    included, restarts from a fresh draw; the restarts of one step come from
-    one draw, in chain order, and the restart value is that step's iterate.
-    Each chain first runs ``CHAIN_WARMUP`` steps that are not recorded.  The
-    recorded stream is then step-major, chain-minor: iterate i comes from
-    chain (i - 1) mod ``DENSITY_CHAINS``.  Its first n0 iterates are burn-in
-    and discarded, and the result's ``restarts`` counts every restart of the
-    steps run, the warm-up included.  The kept iterates fill one
-    ``ACCUMULATE_BLOCK``-sample buffer, which is added whole to the density
+    seeded PCG64, and ``x0``, when given, replaces chain 0's start.  A chain
+    whose step stops (``problem.step_rows``'s rule: a pole, or a value
+    outside [-OVERFLOW_BOUND, OVERFLOW_BOUND], NaN included) restarts from a
+    fresh draw; the restarts of one step come from one draw, in chain order,
+    and the restart value is that step's iterate.  Each chain first runs
+    ``CHAIN_WARMUP`` steps that are not recorded.  The recorded stream is
+    then step-major, chain-minor: iterate i comes from chain (i - 1) mod
+    ``DENSITY_CHAINS``.  Its first n0 iterates are burn-in and discarded, and
+    the result's ``restarts`` counts every restart of the steps run, the
+    warm-up included.
+
+    The steps are the rows of one block of ``ACCUMULATE_BLOCK //
+    DENSITY_CHAINS`` rows (at least one), written a span of rows at a time
+    by one ``step_rows`` call.  A span is kept up to and including its first
+    row with a stop, whose stopped chains restart, and its later rows are
+    discarded and stepped again.  The next span is as long as the rows kept
+    after a stop, and twice as long, up to the block, after none.  A full
+    block's recorded iterates are added to the density in one call
     (``EmpiricalDensity._add``, counting as ``np.histogram`` would, to the
     bit); so memory is bounded by the chains, the block and the bins, not by
     ``n``.  Inputs are checked in this order before any step runs: the
@@ -241,26 +252,31 @@ def accumulate_density(
     x = rng.uniform(lo, hi, k)
     if x0 is not None:
         x[0] = x0
-    samples = np.empty(min(ACCUMULATE_BLOCK, n - n0))
-    filled = restarts = 0
-    # step s records iterates s*k + 1 .. s*k + k, so the warm-up's steps,
-    # s < 0, record none
-    for s in density_steps(n):
-        x = problem.step_array(x)
-        out = ~(np.abs(x) <= OVERFLOW_BOUND)
-        if out.any():
+    block = np.empty((max(ACCUMULATE_BLOCK // k, 1), k))
+    steps = density_steps(n)
+    s, filled, span, restarts = steps.start, 0, 1, 0
+    while s + filled < steps.stop:
+        rows = block[filled : filled + min(span, len(block) - filled, steps.stop - s - filled)]
+        stop = problem.step_rows(x, rows)
+        i, c = divmod(int(stop.argmax()), k)
+        if stop[i, c]:
+            # keep the span up to its first row with a stop, restarted
+            out = stop[i]
             count = int(np.count_nonzero(out))
-            x[out] = rng.uniform(lo, hi, count)
+            rows[i][out] = rng.uniform(lo, hi, count)
             restarts += count
-        row = x[max(n0 - s * k, 0) : n - s * k]
-        while row.size:
-            m = min(row.size, samples.size - filled)
-            samples[filled : filled + m] = row[:m]
-            filled, row = filled + m, row[m:]
-            if filled == samples.size:
-                density._add(samples)
-                filled = 0
-    density._add(samples[:filled])
+            rows, span = rows[: i + 1], i + 1
+        else:
+            span = min(2 * span, len(block))
+        filled += len(rows)
+        x = rows[-1]
+        if filled == len(block) or s + filled == steps.stop:
+            # step s records iterates s*k + 1 .. s*k + k, so the warm-up's
+            # steps, s < 0, record none
+            recorded = block[:filled].reshape(-1)[max(n0 - s * k, 0) : n - s * k]
+            if recorded.size:
+                density._add(recorded)
+            s, filled = s + filled, 0
     density.restarts = restarts
     return density
 

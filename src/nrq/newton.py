@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # |f'(x)| at or below this is a pole of the map: iterate_orbit stops
-# there, newton_step raises DerivativeZero and step_array returns NaN.
+# there, newton_step raises DerivativeZero, step_array returns NaN and
+# step_rows flags a stop.
 POLE_EPSILON = 1e-300
 # An iterate beyond this magnitude counts as an overflow.
 OVERFLOW_BOUND = 1e300
@@ -116,11 +117,12 @@ class PolynomialProblem:
     descending tuples by ``_kernel``, the map's one definition, which
     leaves out the terms that cannot change a bit (a factor 1.0, an added
     zero).  ``step_array`` applies the map, or its ``times``-th power, to an
-    array, and ``newton_step`` and ``iterate_orbit`` apply it to floats, all
-    through the generated f'(x) and numerator(x), so every entry evaluates the
-    single fraction (x*f'(x) - f(x)) / f'(x) from the same source and they
-    agree bit for bit; it reduces to the recursions the experiments are
-    defined by, e.g. (x^2+2)/(2x) for x^2-2 and (x^2-1)/(2x) for x^2+1.
+    array, ``step_rows`` writes its powers row by row, and ``newton_step``
+    and ``iterate_orbit`` apply it to floats, all through the generated
+    f'(x) and numerator(x), so every entry evaluates the single fraction
+    (x*f'(x) - f(x)) / f'(x) from the same source and they agree bit for
+    bit; it reduces to the recursions the experiments are defined by, e.g.
+    (x^2+2)/(2x) for x^2-2 and (x^2-1)/(2x) for x^2+1.
     """
 
     coefficients: tuple[float, ...]
@@ -181,6 +183,28 @@ class PolynomialProblem:
             # every non-finite value, an arithmetic NaN of either sign too
             y[~np.isfinite(y)] = np.nan
         return y
+
+    def step_rows(self, xs, rows: np.ndarray) -> np.ndarray:
+        """Write the map's (i + 1)-th power of ``xs`` into ``rows[i]``, masking
+        nothing, and return where each step stopped.
+
+        The stop flags have the shape of ``rows``: True where that step met
+        |f'(x)| <= POLE_EPSILON or its value is not within [-OVERFLOW_BOUND,
+        OVERFLOW_BOUND], NaN included, which is ``iterate_orbit``'s stop rule.
+        Up to an element's first stop its rows equal ``step_array``'s bits;
+        past it they are whatever the arithmetic gives.
+        """
+        fprime, numer = self._fprime, self._numer
+        stop = np.empty(rows.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            x = xs
+            for row, pole in zip(rows, stop):
+                fpx = fprime(x)
+                np.less_equal(np.abs(fpx), POLE_EPSILON, out=pole)
+                np.divide(numer(x), fpx, out=row)
+                x = row
+            stop |= ~(np.abs(rows) <= OVERFLOW_BOUND)
+        return stop
 
 
 def newton_step(problem: PolynomialProblem, x: float) -> float:

@@ -1217,17 +1217,20 @@ def test_report_phases_sum_to_the_wall_time(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["density", "interfere"])
 @pytest.mark.parametrize("n", [1, 1024, 1025, 201000])
 def test_the_throughput_counts_the_iterates_stepped(command, n, monkeypatch):
-    step_array = PolynomialProblem.step_array
+    step_rows = PolynomialProblem.step_rows
     stepped = []
 
-    def counting(self, xs, times=1):
-        stepped.append(np.size(xs) * times)
-        return step_array(self, xs, times)
+    def counting(self, xs, rows):
+        stepped.append(rows.size)
+        return step_rows(self, xs, rows)
 
-    monkeypatch.setattr(PolynomialProblem, "step_array", counting)
+    monkeypatch.setattr(PolynomialProblem, "step_rows", counting)
     spec = cli.COMMANDS[command]
     options = {**spec.defaults(), "poly": "x^2+1", "delta": 0.01, "iters": n, "burnin": 0, "seed": 1}
-    assert spec.runner(options).iterates == sum(stepped)
+    result = spec.runner(options)
+    # no chain restarted, so no row was stepped and then discarded
+    assert result.restarts == 0
+    assert result.iterates == sum(stepped)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,13 @@ def test_density_validation():
             EmpiricalDensity(0.0, 1.0, 2, [1, 2], below_count=tail)
         with pytest.raises(ValueError, match="tail counts must be integers"):
             EmpiricalDensity(0.0, 1.0, 2, [1, 2], above_count=tail)
-    d = EmpiricalDensity(0.0, 1.0, 2, [1.0, True], below_count=np.int64(2), above_count=3.0)
+    d = EmpiricalDensity(0.0, 1.0, 2, [1.0, True], below_count=np.int64(2), above_count=3.0, restarts=np.float64(4))
     assert d.counts.tolist() == [1, 1] and d.total == 7
+    # an integral float or numpy tail is kept as an int, and so are restarts
+    assert type(d.total) is int and type(d.merge(d).total) is int
+    assert type(d.restarts) is int and d.restarts == 4
+    with pytest.raises(ValueError, match="restarts must be integers"):
+        EmpiricalDensity(0.0, 1.0, 2, [1, 2], restarts=0.5)
 
 
 @pytest.mark.parametrize("lo, hi", [(-8e307, 8e307), (0.0, 1e-320)])
@@ -405,7 +410,7 @@ def test_accumulate_checks_its_inputs_in_the_documented_order(lo, hi, bins, n0, 
 
 
 def test_accumulate_caps_n_before_any_step():
-    fails_on_a_step = types.SimpleNamespace(step_array=_no_orbit)
+    fails_on_a_step = types.SimpleNamespace(step_rows=_no_orbit)
     with pytest.raises(AssertionError, match="the orbit ran"):  # admitted: it steps
         accumulate_density(fails_on_a_step, 0.5, 0, measure.MAX_DENSITY_ITERS, -1.0, 1.0, 4)
     with pytest.raises(ValueError, match=f"capped at {measure.MAX_DENSITY_ITERS} iterates"):
@@ -465,6 +470,49 @@ def _reference_stream(problem, x0, n, lo, hi, seed):
     return stream[:n], restarts
 
 
+class _HitRecorder(PolynomialProblem):
+    """A problem that records, for each ``step_rows`` call with a stop, its
+    first stopped row's index in the span, the span's rows, that row's index
+    in the block the span is a slice of, and the block's rows."""
+
+    def __init__(self, coefficients):
+        super().__init__(coefficients)
+        object.__setattr__(self, "hits", [])
+
+    def step_rows(self, xs, rows):
+        stop = super().step_rows(xs, rows)
+        hit = np.flatnonzero(stop.any(axis=1))
+        if hit.size:
+            block = rows.base
+            start = (rows.ctypes.data - block.ctypes.data) // rows.strides[0]
+            self.hits.append((int(hit[0]), len(rows), start + int(hit[0]), len(block)))
+        return stop
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        (0, lambda i, span, b, block: i == 0),  # a span's first row
+        (5, lambda i, span, b, block: 0 < i < span - 1),  # a middle row
+        (15, lambda i, span, b, block: b == block - 1),  # a block's last row
+    ],
+)
+def test_a_stop_anywhere_in_a_span_restarts_as_the_whole_stream_does(row, where):
+    # x^2's map x*x / 2x halves a power of two until x*x underflows: 2^-538
+    # maps to 0, where f' = 0 is a pole, so chain 0 started at 2^(j - 540)
+    # meets the pole on its j-th step, and no chain drawn from [-3, 3] meets
+    # one; step j = CHAIN_WARMUP + 1 + row is the recorded step row
+    problem = _HitRecorder((0.0, 0.0, 1.0))
+    x0 = 2.0 ** (measure.CHAIN_WARMUP + 1 + row - 540)
+    n0, n = 1000, 20 * measure.DENSITY_CHAINS
+    xs, restarts = _reference_stream(problem, x0, n, -3.0, 3.0, seed=4)
+    got = accumulate_density(problem, x0, n0, n, -3.0, 3.0, 12, seed=4)
+    assert (got.counts.tolist(), got.below_count, got.above_count) == _numpy_tally(np.array(xs[n0:]), -3.0, 3.0, 12)
+    assert got.restarts == restarts == 1
+    [hit] = problem.hits
+    assert where(*hit), hit
+
+
 def _assert_blocks_match_the_whole_stream(problem, x0, n0, n, chains, monkeypatch):
     # blocks of 7 kept iterates, so a step's row of kept iterates straddles
     # block edges; n0 ends inside a step's row, or on its edge where chains
@@ -509,15 +557,16 @@ def test_accumulate_in_blocks_matches_numpy_on_the_whole_orbit(problem, x0, n0, 
     _assert_blocks_match_the_whole_stream(problem, x0, n0, n, chains, monkeypatch)
 
 
-def _identity(xs):
-    """A map that leaves every chain where it is and allocates nothing."""
-    return xs
+def _identity(xs, rows):
+    """A map that leaves every chain where it is, stops none and allocates no float."""
+    rows[...] = xs
+    return np.zeros(rows.shape, dtype=bool)
 
 
 def test_x0_starts_chain_0_and_the_stream_is_step_major():
     # under the identity every step records each chain's start again, in
     # chain order; only chain 0's start, 100, lies above the window
-    fixed = types.SimpleNamespace(step_array=_identity)
+    fixed = types.SimpleNamespace(step_rows=_identity)
     k = measure.DENSITY_CHAINS
     assert accumulate_density(fixed, 100.0, 0, 3 * k, -10, 10, 20).above_count == 3
     assert accumulate_density(fixed, 100.0, 1, 3 * k, -10, 10, 20).above_count == 2
@@ -526,10 +575,10 @@ def test_x0_starts_chain_0_and_the_stream_is_step_major():
 
 
 def test_accumulate_memory_does_not_grow_with_the_orbit():
-    # a map that returns its argument allocates no float, so what is traced
+    # a map that copies its argument allocates no float, so what is traced
     # is the accumulator's own storage; keeping the 1e6 iterates would take
     # 8 MB as one float64 array, and more as a list
-    fixed = types.SimpleNamespace(step_array=_identity)
+    fixed = types.SimpleNamespace(step_rows=_identity)
     tracemalloc.start()
     try:
         d = accumulate_density(fixed, 0.7, 1000, 1_000_000, -10, 10, 200, seed=1)

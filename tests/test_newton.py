@@ -193,6 +193,45 @@ def test_step_array_times_matches_a_chain_of_calls(coefficients, xs, times):
     assert single.shape == () and _bits(single) == _bits(chained[0])
 
 
+_STOP_POINT = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-305.0, 305.0)),
+    st.sampled_from([0.0, -0.0, 4e-301, 1e300, math.inf, math.nan]),
+)
+
+
+@given(
+    st.integers(1, 8)
+    .flatmap(lambda d: st.lists(st.floats(-1e3, 1e3), min_size=d + 1, max_size=d + 1))
+    .filter(lambda c: c[-1] != 0.0),
+    st.lists(_STOP_POINT, min_size=1, max_size=8),
+    st.integers(1, 6),
+)
+@example([1e301, 1.0], [0.5, -2.0, 1e300], 3)  # x + 1e301: every step overflows
+@example([0.0, 0.0, 1.0], [2.0**-536, 0.0, 3.0], 4)  # x^2: 2^-538 underflows to 0, a pole
+@example([0.0, 0.0, 5e-301], [3.0, 1.5, -0.75, 9.0], 5)  # f' = 1e-300 x: a pole wherever |x| <= 1
+@example([1.0, 0.0, 1.0], [1.0, 4e-301, 0.3], 3)  # x^2 + 1: 1 -> 0, then the pole; f'(4e-301) is one
+def test_step_rows_matches_the_scalar_step(coefficients, xs, times):
+    problem = PolynomialProblem(coefficients)
+    rows = np.empty((times, len(xs)))
+    stop = problem.step_rows(np.array(xs), rows)
+    assert stop.shape == rows.shape and stop.dtype == bool
+    chained, stopped = np.array(xs), np.zeros(len(xs), dtype=bool)
+    for before, row, flags in zip([np.array(xs), *rows], rows, stop):
+        # every flag, past an element's first stop too, is the scalar step's
+        # stop rule on that row's input
+        for x, flag in zip(before.tolist(), flags.tolist()):
+            try:
+                y = newton_step(problem, x)
+                assert flag is not (-OVERFLOW_BOUND <= y <= OVERFLOW_BOUND), (x, y)
+            except DerivativeZero:
+                assert flag, x
+        # up to an element's first stop, its rows are step_array's bits
+        chained = problem.step_array(chained)
+        stopped |= flags
+        assert _bits_of(row[~stopped]) == _bits_of(chained[~stopped])
+
+
 def test_step_array_needs_a_step():
     with pytest.raises(ValueError, match="times"):
         NO_REAL_ROOT.step_array([0.5], 0)
@@ -509,25 +548,27 @@ def test_the_doubling_defect_sees_a_map_of_another_c():
 
 
 class _RecordingProblem(PolynomialProblem):
-    """A problem whose ``step_array`` keeps a copy of every call's input and output."""
+    """A problem whose ``step_rows`` keeps a copy of every call's input and rows."""
 
     def __init__(self, coefficients):
         super().__init__(coefficients)
         object.__setattr__(self, "calls", [])
 
-    def step_array(self, xs, times=1):
-        ys = super().step_array(xs, times)
-        self.calls.append((np.array(xs), ys.copy()))
-        return ys
+    def step_rows(self, xs, rows):
+        xs = np.array(xs)  # the engine's last row, which this call may overwrite
+        stop = super().step_rows(xs, rows)
+        self.calls.append((xs, rows.copy()))
+        return stop
 
 
 def _density_chain_defects(c, root):
-    """The doubling defect of each ``step_array`` call that the density
-    engine makes for x^2 + c on the default window, warm-up included."""
+    """The doubling defect of each ``step_rows`` call that the density
+    engine makes for x^2 + c on the default window, warm-up included, over
+    every row it wrote, kept or discarded."""
     problem = _RecordingProblem((c, 0.0, 1.0))
     accumulate_density(problem, None, 1000, 201000, -10.0, 10.0, 200, seed=1)
-    assert len(problem.calls) == CHAIN_WARMUP + -(-201000 // DENSITY_CHAINS)
-    return [_doubling_defect(np.stack(call), root) for call in problem.calls]
+    assert sum(len(rows) for _, rows in problem.calls) == CHAIN_WARMUP + -(-201000 // DENSITY_CHAINS)
+    return [_doubling_defect(np.stack([xs, *rows]), root) for xs, rows in problem.calls]
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
