@@ -57,10 +57,10 @@ CSV_MAGIC = "# nrq-csv v1"
 # An orbit keeps every iterate and its output is rendered as one string,
 # about 260 B a step of peak RSS for csv, so this bounds it to roughly 26 MB.
 MAX_ORBIT_STEPS = 100_000
-# An ops-check evolve step costs about 9 us at n = 8 and 40 us at n = 1024,
-# on top of about 0.2 s a size at n = 1024, so the step count and the
+# An ops-check evolve step costs about 1 us at n = 8 and 15 us at n = 1024,
+# on top of about 0.17 s a size at n = 1024, so the step count and the
 # number of sizes are capped: the slowest admitted run, eight sizes of 1024
-# at 10000 steps each, takes about 5.5 s end to end on 2 cores.
+# at 10000 steps each, takes about 2.8 s end to end on 2 cores.
 MAX_OPS_CHECK_STEPS = 10_000
 MAX_OPS_CHECK_SIZES = 8
 # A dispersion sample is one csv row or two json numbers, about 40 B of

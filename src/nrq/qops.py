@@ -50,7 +50,7 @@ class BadRepresentation(ValueError):
 MAX_DENSE_N = 1024
 # columns or rows per block: the identity's column blocks, wherever an
 # operator is applied to the identity, and ops_check's evolve steps per
-# norm pass
+# FFT pair and norm pass
 _BLOCK_COLUMNS = 64
 
 HERMITIAN_TOL = 1e-12
@@ -633,12 +633,18 @@ def ops_check(
     T^n's identity columns: T is applied to each block of its columns,
     which are its rows, the Fourier modes, as the table is symmetric, and
     those modes carry the Born sum, summed in mode order.  The evolve loop
-    applies one propagator ``evolve_steps`` times, writing each step into
-    the next row of one _BLOCK_COLUMNS x n block; after each block it takes
-    every row's norm in one ``_norms`` call and holds each step's norm^2 to
-    NORM_TOL as ``StateVector`` does, in step order.
+    advances ``evolve_steps`` steps of the propagator exp(-i*freq*0.05),
+    whose spectrum is s, _BLOCK_COLUMNS at a time in one _BLOCK_COLUMNS x n
+    block: step i of a block is the circulant s^i applied to the block's
+    start state, the last step of the block before, with s^1..s^m the
+    running product of one ``np.cumprod``, so a block costs one FFT, one
+    product and one batched inverse FFT.  After each block it takes every
+    row's norm in one ``_norms`` call and holds each step's norm^2 to
+    NORM_TOL as ``StateVector`` does, in step order.  ``evolve_steps`` must
+    be an integer (``operator.index``) of at least 1.
     """
     _require_dense(n)
+    evolve_steps = operator.index(evolve_steps)
     if evolve_steps < 1:
         raise ValueError(f"evolve_steps must be >= 1, got {evolve_steps}")
     grid = Grid(n, spacing)
@@ -669,14 +675,17 @@ def ops_check(
         "born_sum_deviation": abs(sum(born) - 1.0),
     }
 
-    step = _propagator(freq, 0.05)  # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
+    # evolve(state, freq, 0.05): tau = 0.05 / hbar, hbar = 1
+    s = _propagator(freq, 0.05).spectrum
     block = np.empty((_BLOCK_COLUMNS, n), dtype=complex)
     a = psi.amplitudes
     drift = 0.0
     for start in range(0, evolve_steps, _BLOCK_COLUMNS):
         rows = block[:evolve_steps - start]
-        for row in rows:
-            a = step._apply(a, out=row)
+        f = np.fft.fft(a)  # before the rows, which hold a, are overwritten
+        np.cumprod(np.broadcast_to(s, rows.shape), axis=0, out=rows)
+        rows *= f
+        a = np.fft.ifft(rows, axis=-1, out=rows)[-1]
         for nrm in _norms(rows):
             drift = max(drift, _require_unit_norm(nrm))
     once = evolve(psi, freq, 0.35)

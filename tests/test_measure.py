@@ -514,9 +514,11 @@ def test_a_stop_anywhere_in_a_span_restarts_as_the_whole_stream_does(row, where)
 
 
 def _assert_blocks_match_the_whole_stream(problem, x0, n0, n, chains, monkeypatch):
-    # blocks of 7 kept iterates, so a step's row of kept iterates straddles
-    # block edges; n0 ends inside a step's row, or on its edge where chains
-    # divides it
+    # ACCUMULATE_BLOCK = 7 shrinks the engine's block to max(7 // chains, 1)
+    # whole rows of steps (one row, or two for 3 chains), so every span is at
+    # most that long, each block goes to the tally in its own call and a run
+    # crosses many block edges; n0 ends inside a step's row, or on its edge
+    # where chains divides it
     monkeypatch.setattr("nrq.measure.ACCUMULATE_BLOCK", 7)
     monkeypatch.setattr("nrq.measure.DENSITY_CHAINS", chains)
     xs, restarts = _reference_stream(problem, x0, n, -3.0, 3.0, seed=4)

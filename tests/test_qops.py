@@ -711,11 +711,18 @@ def test_ops_check_report():
 
 
 @pytest.mark.parametrize(
-    "n, steps",
-    [(8, 0), (8, -5), (MAX_DENSE_N + 1, 1000)],
-    ids=["steps-0", "steps-neg5", "n-over-cap"],
+    "n, steps, error",
+    [
+        (8, 0, ValueError),
+        (8, -5, ValueError),
+        (MAX_DENSE_N + 1, 1000, ValueError),
+        (512, 64.0, TypeError),
+        (512, 1.5, TypeError),
+        (512, math.nan, TypeError),
+    ],
+    ids=["steps-0", "steps-neg5", "n-over-cap", "steps-float", "steps-1.5", "steps-nan"],
 )
-def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
+def test_ops_check_rejects_bad_input_before_building(n, steps, error, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("ops_check built an operator")
 
@@ -726,15 +733,17 @@ def test_ops_check_rejects_bad_input_before_building(n, steps, monkeypatch):
         "_propagator",
     ):
         monkeypatch.setattr(f"nrq.qops.{name}", no_build)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         ops_check(n, evolve_steps=steps)
 
 
 def _reference_ops_check(n, spacing, seed, steps):
     """ops_check from public calls only, one operation at a time: each
     operator materialized through ``.matrix``, T applied to each DFT column
-    alone, one ``fourier_eigenstate`` per Born mode and one ``evolve`` call
-    per step."""
+    alone, one ``fourier_eigenstate`` per Born mode, and each evolve step
+    applied from its block's start state: step i of a block of _BLOCK_COLUMNS
+    is the circulant with the running product s^i of the step's spectrum
+    s = exp(-0.05j * omega), formed with np.cumprod as ops_check forms it."""
     grid = Grid(n, spacing)
     t = shift_operator(grid)
     freq = frequency_operator(grid)
@@ -747,11 +756,15 @@ def _reference_ops_check(n, spacing, seed, steps):
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
     born_sum = sum(born_probability(psi, fourier_eigenstate(grid, m)) for m in range(n))
+    s = np.exp(-1j * freq.spectrum.real * 0.05)
     state = psi
     drift = 0.0
-    for _ in range(steps):
-        state = evolve(state, freq, 0.05)
-        drift = max(drift, abs(state.norm() ** 2 - 1.0))
+    for start in range(0, steps, _BLOCK_COLUMNS):
+        m = min(_BLOCK_COLUMNS, steps - start)
+        for p in np.cumprod(np.broadcast_to(s, (m, n)), axis=0):
+            row = StateVector(LinearOp(spectrum=p).apply(state), normalize=False)
+            drift = max(drift, abs(row.norm() ** 2 - 1.0))
+        state = row
     once = evolve(psi, freq, 0.35)
     twice = evolve(evolve(psi, freq, 0.2), freq, 0.15)
     return {
@@ -781,22 +794,53 @@ def test_ops_check_matches_the_public_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [3, 64])
 def test_ops_check_raises_at_the_step_a_step_at_a_time_loop_fails(n, monkeypatch):
     """A propagator whose spectrum is scaled by 1 + 6e-13 grows norm^2 by
-    about 1.2e-12 a step, past NORM_TOL in the second block of 64 steps;
-    ops_check raises the ValueError that one evolve call per step raises."""
-    def grown(hamiltonian, tau):
-        return LinearOp(spectrum=_propagator(hamiltonian, tau).spectrum * (1 + 6e-13))
+    about 1.2e-12 a step, and one scaled by 1 - 6e-13 shrinks it as much,
+    past NORM_TOL in the second block of 64 steps; ops_check raises the
+    ValueError that one evolve call per step raises."""
+    for scale in (1 + 6e-13, 1 - 6e-13):
+        def scaled(hamiltonian, tau, scale=scale):
+            return LinearOp(spectrum=_propagator(hamiltonian, tau).spectrum * scale)
 
-    monkeypatch.setattr("nrq.qops._propagator", grown)
+        monkeypatch.setattr("nrq.qops._propagator", scaled)
+        freq = frequency_operator(Grid(n))
+        rng = np.random.default_rng(0)
+        state = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+        with pytest.raises(ValueError) as step_at_a_time:
+            for step in range(1, 1000):
+                state = evolve(state, freq, 0.05)
+        assert _BLOCK_COLUMNS < step <= 2 * _BLOCK_COLUMNS
+        with pytest.raises(ValueError) as blocked:
+            ops_check(n, evolve_steps=3 * _BLOCK_COLUMNS)
+        assert str(blocked.value) == str(step_at_a_time.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+def test_ops_check_evolves_the_trajectory_of_one_evolve_per_step(n, monkeypatch):
+    """The states ops_check's evolve loop writes, each from its block's
+    start state, stay within 1e-12 max-abs of 1000 ``evolve`` calls of one
+    step each.  The gap measured at most 8.2e-14 (n = 3) over seeds 0-3 at
+    these sizes, so the bound leaves a factor of about 12."""
+    blocks = []
+
+    def captured(a):
+        if a.ndim == 2:
+            blocks.append(a.copy())
+        return _norms(a)
+
+    monkeypatch.setattr("nrq.qops._norms", captured)
+    ops_check(n, evolve_steps=1000)
+    # the evolve loop's norm passes are the last 2-D ones, after the DFT blocks'
+    rows = np.concatenate(blocks[-math.ceil(1000 / _BLOCK_COLUMNS):])
+    assert rows.shape == (1000, n)
+
     freq = frequency_operator(Grid(n))
     rng = np.random.default_rng(0)
     state = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-    with pytest.raises(ValueError) as step_at_a_time:
-        for step in range(1, 1000):
-            state = evolve(state, freq, 0.05)
-    assert _BLOCK_COLUMNS < step <= 2 * _BLOCK_COLUMNS
-    with pytest.raises(ValueError) as blocked:
-        ops_check(n, evolve_steps=3 * _BLOCK_COLUMNS)
-    assert str(blocked.value) == str(step_at_a_time.value)
+    worst = 0.0
+    for row in rows:
+        state = evolve(state, freq, 0.05)
+        worst = max(worst, float(np.abs(row - state.amplitudes).max()))
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1000, 1024, 4097])
