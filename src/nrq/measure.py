@@ -42,9 +42,9 @@ ACCUMULATE_BLOCK = 16384
 DENSITY_CHAINS = 1024
 # Each chain runs this many steps from its start before any is recorded.
 CHAIN_WARMUP = 64
-# A run's time grows with n, at up to about 0.5 us an iterate at degree 100
-# with every coefficient nonzero, so n is capped: the slowest admitted run
-# ends within about 20 s.
+# A run's time grows with n, at up to about 0.3 us a stepped iterate at degree
+# 100 with every coefficient nonzero (274-295 ns for (x+1)^100, best of 3 in
+# process), so n is capped: the slowest admitted run ends within about 20 s.
 MAX_DENSITY_ITERS = 40_000_000
 
 # The counts, edges and densities grow with the bin count, and an svg writes
@@ -237,7 +237,7 @@ def accumulate_density(
     ``n``.  Inputs are checked in this order before any step runs: the
     window, ``bins`` and the edges as ``_binning`` checks them, then n > n0
     >= 0, then (n - n0)*(hi - lo)/bins must be finite (else InvalidRange),
-    then n <= MAX_DENSITY_ITERS.
+    then n <= MAX_DENSITY_ITERS, then ``x0``, when given, must be finite.
     """
     density = EmpiricalDensity.from_samples((), lo, hi, bins)
     if not (n > n0 >= 0):
@@ -247,6 +247,8 @@ def accumulate_density(
         raise InvalidRange(f"bin arithmetic on [{lo}, {hi}] with {bins} bins overflows")
     if not n <= MAX_DENSITY_ITERS:
         raise ValueError(f"n is capped at {MAX_DENSITY_ITERS} iterates, got {n}")
+    if x0 is not None and not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     rng = np.random.default_rng(seed)
     k = DENSITY_CHAINS
     x = rng.uniform(lo, hi, k)
@@ -327,7 +329,6 @@ class Lorentzian:
 
 
 cauchy_density = Lorentzian()
-cauchy_quantile = cauchy_density.quantile
 
 
 def density_distance(emp: EmpiricalDensity, analytic, metric: str = "l1") -> float:
@@ -360,9 +361,8 @@ def density_distance(emp: EmpiricalDensity, analytic, metric: str = "l1") -> flo
 
 @dataclass(frozen=True)
 class Cycle:
-    """A periodic orbit: applying the map ``period`` times returns to start."""
+    """A periodic orbit: the map applied ``len(points)`` times returns each point."""
 
-    period: int
     points: tuple[float, ...]
     residual: float
 
@@ -383,9 +383,9 @@ class CycleScan:
 # The cap admits x^2+1 at 100000 points and period 3, or 20000 and period 8.
 MAX_CYCLE_WORK = 600_000
 # The brackets are bisected in lockstep, each level one step_array call that
-# runs the period steps of O^period, and on few brackets a step costs about
-# 2.5 us a degree with a floor of 7-9 us below degree 4 (245 us at degree
-# 100), so period * max(degree, 4) is capped to bound a level's cost.  No
+# runs the period steps of O^period, and on 2 brackets a step costs 6-7 us
+# at degree 2-3, 10 us at degree 4 and 73-179 us at degree 100 (x^100-x+0.5,
+# (x+1)^100), so period * max(degree, 4) is capped to bound a level's cost.  No
 # x^2+1 cycle above period 60 or so is resolvable in double precision anyway.
 MAX_CYCLE_STEP_WORK = 4000
 # Bisection stops once a bracket is no wider than this relative to its
@@ -521,7 +521,7 @@ def find_cycles(
         if (np.abs(accepted[: len(cycles)] - srt_row).max(axis=1) <= _DISTINCT_TOL).any():
             continue
         accepted[len(cycles)] = srt_row
-        cycles.append(Cycle(period, tuple(row[start:] + row[:start]), res))
+        cycles.append(Cycle(tuple(row[start:] + row[:start]), res))
 
     cycles.sort(key=lambda c: c.points[0])
     return CycleScan(tuple(cycles), tuple(pole_intervals))
@@ -580,7 +580,7 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
     minima separating it from its neighboring peaks (or range ends).
     Returns (center, height, prominence) triples in center order.
     """
-    if min_prominence < 0:
+    if not min_prominence >= 0:  # NaN fails too
         raise ValueError("min_prominence must be >= 0")
     kernel = np.ones(_SMOOTHING_BINS) / _SMOOTHING_BINS
     # the full convolution's middle bins values (mode="same" gives max(bins, 5))
@@ -610,8 +610,11 @@ def peak_detect(density: EmpiricalDensity, min_prominence: float):
 def half_width_at_half_max(density: EmpiricalDensity, center: float) -> float:
     """Half width at half maximum of the raw-density peak nearest ``center``.
 
-    Crossing positions are linearly interpolated between bin centers.
+    Crossing positions are linearly interpolated between bin centers.  A
+    non-finite ``center`` names no peak and raises ValueError.
     """
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     dens = density.densities()
     centers = density.centers()
     i0 = int(np.argmin(np.abs(centers - center)))

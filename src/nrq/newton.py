@@ -246,16 +246,14 @@ class Orbit:
 
     ``iterates`` is a read-only float64 view of the array given, which stays
     writeable; slot 0 is the start.  For CONVERGED, ``step`` indexes the
-    iterate at which the overlap criterion first held and ``value`` is that
-    iterate, a float.  For POLE_HIT / OVERFLOWED, ``step`` indexes the last
-    recorded iterate (the one whose successor could not be represented).
+    iterate at which the overlap criterion first held, the orbit's value.
+    For POLE_HIT / OVERFLOWED, ``step`` indexes the last recorded iterate
+    (the one whose successor could not be represented).
     """
 
-    start: float
     iterates: np.ndarray
     status: OrbitStatus
     step: int | None = None
-    value: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "iterates", np.asarray(self.iterates, dtype=np.float64).view())
@@ -279,12 +277,12 @@ def iterate_orbit(problem: PolynomialProblem, x0: float, policy: IterationPolicy
     for _ in range(policy.max_steps):
         fpx = fprime(x)
         if -POLE_EPSILON <= fpx <= POLE_EPSILON:
-            return Orbit(x0, np.frombuffer(xs), OrbitStatus.POLE_HIT, step=len(xs) - 1)
+            return Orbit(np.frombuffer(xs), OrbitStatus.POLE_HIT, step=len(xs) - 1)
         y = numer(x) / fpx
         if not -OVERFLOW_BOUND <= y <= OVERFLOW_BOUND:
-            return Orbit(x0, np.frombuffer(xs), OrbitStatus.OVERFLOWED, step=len(xs) - 1)
+            return Orbit(np.frombuffer(xs), OrbitStatus.OVERFLOWED, step=len(xs) - 1)
         xs.append(y)
         if abs(y - x) <= tol * (1.0 + abs(x)):
-            return Orbit(x0, np.frombuffer(xs), OrbitStatus.CONVERGED, step=len(xs) - 1, value=y)
+            return Orbit(np.frombuffer(xs), OrbitStatus.CONVERGED, step=len(xs) - 1)
         x = y
-    return Orbit(x0, np.frombuffer(xs), OrbitStatus.RUNNING)
+    return Orbit(np.frombuffer(xs), OrbitStatus.RUNNING)

@@ -199,24 +199,3 @@ def parse_polynomial(text: str) -> PolynomialProblem:
     if len(coeffs) < 2:
         raise DegreeZeroError("expression reduces to a constant; need degree >= 1")
     return PolynomialProblem(coeffs)
-
-
-def pretty_polynomial(problem: PolynomialProblem) -> str:
-    """Canonical text form; parse_polynomial round-trips it bit-exactly."""
-    parts = []
-    for power in range(problem.degree, -1, -1):
-        c = problem.coefficients[power]
-        if c == 0.0:
-            continue
-        mag = abs(c)
-        if power == 0:
-            body = repr(mag)
-        elif power == 1:
-            body = "x" if mag == 1.0 else f"{mag!r}*x"
-        else:
-            body = f"x^{power}" if mag == 1.0 else f"{mag!r}*x^{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)

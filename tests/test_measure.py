@@ -24,7 +24,6 @@ from nrq import (
     PolynomialProblem,
     accumulate_density,
     cauchy_density,
-    cauchy_quantile,
     density_distance,
     find_cycles,
     half_width_at_half_max,
@@ -71,7 +70,7 @@ def test_cauchy_density_integrates_to_one():
 
 def test_cauchy_quantile_inverts_cdf():
     for u in (0.05, 0.25, 0.5, 0.9):
-        x = cauchy_quantile(u)
+        x = cauchy_density.quantile(u)
         cdf = 0.5 + math.atan(x) / math.pi
         assert cdf == pytest.approx(u, abs=1e-12)
 
@@ -126,7 +125,7 @@ def test_lorentzian_scale_family():
     ys = np.linspace(-20.0, 20.0, 41)
     assert np.allclose(wide(ys), cauchy_density((ys - 3.0) / 2.0) / 2.0, rtol=1e-15, atol=0.0)
     us = np.array([0.05, 0.25, 0.5, 0.9])
-    assert np.allclose(wide.quantile(us), 3.0 + 2.0 * cauchy_quantile(us), rtol=1e-15, atol=0.0)
+    assert np.allclose(wide.quantile(us), 3.0 + 2.0 * cauchy_density.quantile(us), rtol=1e-15, atol=0.0)
     assert type(wide(1.0)) is float and type(wide.quantile(0.3)) is float
 
 
@@ -361,6 +360,10 @@ def test_accumulate_validation():
         accumulate_density(NO_REAL_ROOT, 0.7, 0, 10, 5.0, -5.0, 10)
     with pytest.raises(ValueError):
         accumulate_density(NO_REAL_ROOT, 0.7, 10, 10, -1.0, 1.0, 10)
+    # a non-finite start is refused before any step, as iterate_orbit refuses it
+    for x0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            accumulate_density(types.SimpleNamespace(step_rows=_no_orbit), x0, 0, 10, -1.0, 1.0, 4)
 
 
 def test_accumulate_bins_cap():
@@ -394,8 +397,8 @@ def _no_orbit(*args):
     "lo, hi, bins, n0, n, error",
     [
         # the window first, then bins, then its edges, then n > n0 >= 0, then
-        # the bin arithmetic, then the cap on n; each case is also bad in every
-        # later way it can be
+        # the bin arithmetic, then the cap on n, then x0; each case is also bad
+        # in every later way it can be, its x0 a NaN
         (5.0, -5.0, 1, 10, 10, "need lo < hi"),
         (1e15, 1e15 + 2, 1, 10, 10, "bins must lie in"),
         (1e15, 1e15 + 2, 100, 10, 10, "Too many bins"),
@@ -406,7 +409,7 @@ def _no_orbit(*args):
 )
 def test_accumulate_checks_its_inputs_in_the_documented_order(lo, hi, bins, n0, n, error):
     with pytest.raises(ValueError, match=error):
-        accumulate_density(types.SimpleNamespace(step_array=_no_orbit), 0.5, n0, n, lo, hi, bins)
+        accumulate_density(types.SimpleNamespace(step_rows=_no_orbit), math.nan, n0, n, lo, hi, bins)
 
 
 def test_accumulate_caps_n_before_any_step():
@@ -779,7 +782,7 @@ def test_cycles_reverify_through_newton_step():
     scan = find_cycles(NO_REAL_ROOT, 2, -3.0, 3.0, 1000)
     for cycle in scan.cycles:
         x = cycle.points[0]
-        for _ in range(cycle.period):
+        for _ in range(len(cycle.points)):
             x = newton_step(NO_REAL_ROOT, x)
         assert abs(x - cycle.points[0]) <= max(cycle.residual, 1e-12)
 
@@ -953,7 +956,7 @@ def _reference_find_cycles(problem, period, lo, hi, grid_points):
         ):
             continue
         start = int(np.argmin(pts))
-        cycles.append(measure.Cycle(period, tuple(pts[start:] + pts[:start]), residual))
+        cycles.append(measure.Cycle(tuple(pts[start:] + pts[:start]), residual))
 
     cycles.sort(key=lambda c: c.points[0])
     return measure.CycleScan(tuple(cycles), tuple(pole_intervals))
@@ -1072,6 +1075,24 @@ def test_pushforward_point_mass_stays_put():
     assert abs(pushed[0] - root) <= 1e-15 * root
 
 
+@pytest.mark.parametrize(
+    "text, a, b",
+    [("(x^2+1)^2", 0.0, 1.0), ("(x^2+1)^3", 0.0, 1.0), ("(x^2+1)^5", 0.0, 1.0), ("(x^2+1)^10", 0.0, 1.0),
+     ("((x-1)^2+4)^2", 1.0, 2.0)],
+)
+def test_power_of_a_positive_quadratic_keeps_the_cauchy_law(text, a, b):
+    # with u = x - a, the map of ((x-a)^2 + b^2)^k is a + (1 - 1/2k)u - b^2/(2ku),
+    # an inner function of the upper half-plane fixing a + ib, so it keeps the
+    # Cauchy law of center a and scale b (Letac 1977), although for k > 1 it is
+    # not conjugate to angle doubling; criterion 1's runs and gate, unchanged
+    problem = parse_polynomial(text)
+    merged = None
+    for seed in range(1, 6):
+        d = accumulate_density(problem, None, 1000, 201000, a - 10 * b, a + 10 * b, 200, seed=seed)
+        merged = d if merged is None else merged.merge(d)
+    assert density_distance(merged, Lorentzian(a, b)) <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # interference
 
@@ -1162,8 +1183,9 @@ def test_peak_detect_prominence_filters_noise():
     d = EmpiricalDensity(0.0, 10.0, 100, counts)
     big = peak_detect(d, min_prominence=0.05)
     assert len(big) == 1
-    with pytest.raises(ValueError):
-        peak_detect(d, min_prominence=-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="min_prominence must be >= 0"):
+            peak_detect(d, min_prominence=bad)
 
 
 def test_pushforward_needs_a_sample():
@@ -1254,6 +1276,13 @@ def test_half_width_needs_a_nonzero_peak():
     d = spike_density([50])
     with pytest.raises(ValueError, match="peak height is zero"):
         half_width_at_half_max(d, d.centers()[20])
+
+
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_half_width_needs_a_finite_center(center):
+    d = spike_density([50])
+    with pytest.raises(ValueError, match="center must be finite"):
+        half_width_at_half_max(d, center)
 
 
 def test_half_width_needs_both_half_maximum_crossings():

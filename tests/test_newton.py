@@ -280,7 +280,7 @@ def test_overlap_converged():
     ]:
         policy = IterationPolicy(max_steps=5, convergence_tol=tol)
         orbit = iterate_orbit(PolynomialProblem((-root, 1.0)), x0, policy)
-        assert (orbit.status, orbit.step, orbit.value) == (OrbitStatus.CONVERGED, step, root)
+        assert (orbit.status, orbit.step, orbit.iterates[step]) == (OrbitStatus.CONVERGED, step, root)
 
 
 def _scalar_orbit(problem, x0, policy):
@@ -292,20 +292,19 @@ def _scalar_orbit(problem, x0, policy):
         try:
             y = newton_step(problem, x)
         except DerivativeZero:
-            return Orbit(x0, np.array(xs), OrbitStatus.POLE_HIT, step=i - 1)
+            return Orbit(np.array(xs), OrbitStatus.POLE_HIT, step=i - 1)
         if not (-OVERFLOW_BOUND <= y <= OVERFLOW_BOUND):  # also catches NaN
-            return Orbit(x0, np.array(xs), OrbitStatus.OVERFLOWED, step=i - 1)
+            return Orbit(np.array(xs), OrbitStatus.OVERFLOWED, step=i - 1)
         xs.append(y)
         if abs(y - x) <= tol * (1.0 + abs(x)):
-            return Orbit(x0, np.array(xs), OrbitStatus.CONVERGED, step=i, value=y)
+            return Orbit(np.array(xs), OrbitStatus.CONVERGED, step=i)
         x = y
-    return Orbit(x0, np.array(xs), OrbitStatus.RUNNING)
+    return Orbit(np.array(xs), OrbitStatus.RUNNING)
 
 
 def _orbit_bits(orbit):
-    """Every field of ``orbit``, each float and the iterates as their bits."""
-    value = None if orbit.value is None else _bits(orbit.value)
-    return _bits(orbit.start), orbit.iterates.tobytes(), orbit.status, orbit.step, value
+    """Every field of ``orbit``, the iterates as their bits."""
+    return orbit.iterates.tobytes(), orbit.status, orbit.step
 
 
 # Below, "stops at slot s" means step s is refused: the orbit's last iterate is
@@ -363,7 +362,6 @@ def test_orbit_matches_the_scalar_loop(coefficients, x0, max_steps, tol):
     expected = _orbit_bits(_scalar_orbit(PolynomialProblem(coefficients), x0, policy))
     orbit = iterate_orbit(PolynomialProblem(coefficients), x0, policy)
     assert orbit.iterates.dtype == np.float64 and not orbit.iterates.flags.writeable
-    assert orbit.value is None or type(orbit.value) is float
     assert _orbit_bits(orbit) == expected
 
 
@@ -395,7 +393,7 @@ def test_orbit_converges_to_sqrt2():
     assert orbit.status is OrbitStatus.CONVERGED
     assert orbit.step <= 6
     oracle = float(mpmath.mpf(2) ** mpmath.mpf("0.5"))
-    assert abs(orbit.value - oracle) <= 1e-12
+    assert abs(orbit.iterates[orbit.step] - oracle) <= 1e-12
 
 
 def test_orbit_pole_hit():
@@ -409,11 +407,11 @@ def test_orbit_pole_hit():
 
 def test_an_orbit_freezes_a_view_not_the_callers_array():
     xs = np.array([1.0, 0.0])
-    orbit = Orbit(1.0, xs, OrbitStatus.POLE_HIT, step=1)
+    orbit = Orbit(xs, OrbitStatus.POLE_HIT, step=1)
     assert xs.flags.writeable and not orbit.iterates.flags.writeable
     xs[1] = 0.5  # the caller's array stays theirs to write
     assert orbit.iterates[1] == 0.5
-    listed = Orbit(1.0, [1.0, 0.0], OrbitStatus.POLE_HIT, step=1)
+    listed = Orbit([1.0, 0.0], OrbitStatus.POLE_HIT, step=1)
     assert listed.iterates.dtype == np.float64 and not listed.iterates.flags.writeable
 
 
